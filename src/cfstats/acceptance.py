@@ -248,8 +248,10 @@ def a6_brun_density(ctx: AcceptanceContext) -> CriterionResult:
 def a7_jp_admissibility(ctx: AcceptanceContext) -> CriterionResult:
     """Every produced JP digit string is admissible with terminal b >= 2.
 
-    The sweep raises on any structural violation; search-produced strings
-    are validated digit by digit, including exact recomposition.
+    The sweep replays each canonical expansion digit by digit and raises
+    if a digit is not a child of its state, if a = 0 follows a diagonal
+    digit, if the string ends off the origin or with b < 2, or if it
+    reaches a state with no admissible choice; a raise fails the criterion.
     """
     table = bulk.jp_ensemble_table(JP_ADMISSIBILITY_BOUND, targets=((1, 2),), workers=ctx.workers)
     return CriterionResult(

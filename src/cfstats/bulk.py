@@ -13,19 +13,19 @@ Each sweep returns an EnsembleTable, the lossless sufficient statistic
 verifying variants additionally recompose every trajectory's homography
 with exact integer column recursions, check the round trip against the
 point, and accumulate forward log-Jacobians against the closed-form
-weight.  Entries stay far below 2^63 for the bounds used here; a guard
-asserts that.
+weight.  Matrix entries stay far below 2^63 for the bounds used here;
+VerifyReport.ok fails if the largest one reaches 2^62.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
-from .orbits import jp_digits, NotExpandableError
+from .orbits import jp_digits  # noqa: F401  the JP reference; tracers patch bulk.jp_digits
 from .stats import EnsembleTable
 
 _COUNT_CAP = 64  # per-target digit counts must stay below this per trajectory
@@ -68,11 +68,28 @@ def _blocks(lo: int, hi: int, budget: int):
     return out
 
 
-def _run_blocks(fn, blocks, workers: int):
+def _run_blocks(fn, blocks, workers: int, *shared):
+    """[fn(block, *shared) for block in blocks], on `workers` processes.
+
+    Workers receive `shared` once, when they are forked, rather than
+    pickled with every block.
+    """
     if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, blocks)
+        return [fn(b, *shared) for b in blocks]
+    with get_context("fork").Pool(workers, _keep_shared, (shared,)) as pool:
+        return pool.map(functools.partial(_with_shared, fn), blocks)
+
+
+_worker_shared = ()  # set only inside pool workers, by _keep_shared
+
+
+def _keep_shared(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _with_shared(fn, block):
+    return fn(block, *_worker_shared)
 
 
 def _table_from_parts(parts, algorithm, multiplier, targets, bound):
@@ -82,12 +99,25 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
 
 
-def _sparsify(block_lo, acc):
-    """Dense per-block histogram -> sorted sparse rows (q, counts, mult)."""
+def _histogram(qlo, qhi, q0, cnt):
+    """Per-lane digit counts of one block -> sorted sparse rows (q, counts, mult)."""
+    if cnt.size and cnt.max() >= _COUNT_CAP:
+        raise OverflowError("digit count exceeded the histogram cap")
+    acc = np.zeros((qhi - qlo + 1,) + (_COUNT_CAP,) * cnt.shape[1], np.int64)
+    np.add.at(acc, (q0 - qlo,) + tuple(cnt.T), 1)
     nz = np.nonzero(acc)
-    qs = (nz[0] + block_lo).astype(np.int64)
+    qs = (nz[0] + qlo).astype(np.int64)
     counts = np.stack([ix.astype(np.int64) for ix in nz[1:]], axis=1)
     return qs, counts, acc[nz].astype(np.int64)
+
+
+def _merge_reports(parts) -> VerifyReport:
+    return VerifyReport(
+        sum(p[0] for p in parts),
+        sum(p[1] for p in parts),
+        max(p[2] for p in parts),
+        max(p[3] for p in parts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +149,7 @@ def _gauss_block(args):
         a, b = b % a, a
         alive = a > 0
         a, b, idx = a[alive], b[alive], idx[alive]
-    if cnt.size and cnt.max() >= _COUNT_CAP:
-        raise OverflowError("digit count exceeded the histogram cap")
-    shape = (qhi - qlo + 1,) + (_COUNT_CAP,) * d
-    acc = np.zeros(shape, np.int64)
-    np.add.at(acc, (q0 - qlo,) + tuple(cnt[:, k] for k in range(d)), 1)
-    return _sparsify(qlo, acc)
+    return _histogram(qlo, qhi, q0, cnt)
 
 
 def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1, block_lanes: int = 4_000_000):
@@ -170,13 +195,7 @@ def _gauss_verify_block(args):
 def gauss_verify(bound: int, workers: int = 1, block_lanes: int = 4_000_000) -> VerifyReport:
     """Exact round-trip and weight-telescoping check over all coprime p/q."""
     blocks = _blocks(2, bound, block_lanes)
-    parts = _run_blocks(_gauss_verify_block, blocks, workers)
-    return VerifyReport(
-        sum(p[0] for p in parts),
-        sum(p[1] for p in parts),
-        max(p[2] for p in parts),
-        max(p[3] for p in parts),
-    )
+    return _merge_reports(_run_blocks(_gauss_verify_block, blocks, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +247,7 @@ def _brun2_block(args):
             cnt[idx[j == lab], k] += 1
         alive = (u1 > 0) | (u2 > 0)
         q, u1, u2, idx = q[alive], u1[alive], u2[alive], idx[alive]
-    if cnt.size and cnt.max() >= _COUNT_CAP:
-        raise OverflowError("digit count exceeded the histogram cap")
-    shape = (qhi - qlo + 1,) + (_COUNT_CAP,) * d
-    acc = np.zeros(shape, np.int64)
-    np.add.at(acc, (q0 - qlo,) + tuple(cnt[:, k] for k in range(d)), 1)
-    return _sparsify(qlo, acc)
+    return _histogram(qlo, qhi, q0, cnt)
 
 
 def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1, block_lanes: int = 2_000_000):
@@ -276,18 +290,65 @@ def _brun2_verify_block(args):
 
 
 def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
-    blocks = _blocks(1, bound, 700)
-    parts = _run_blocks(_brun2_verify_block, blocks, workers)
-    return VerifyReport(
-        sum(p[0] for p in parts),
-        sum(p[1] for p in parts),
-        max(p[2] for p in parts),
-        max(p[3] for p in parts),
-    )
+    return _merge_reports(_run_blocks(_brun2_verify_block, _blocks(1, bound, 700), workers))
 
 
 # ---------------------------------------------------------------------------
 # Jacobi-Perron
+#
+# The canonical expansion (orbits.jp_digits) is the first digit string, in
+# the child order of orbits._jp_children, that reaches the origin with a
+# final b >= 2 and never takes a = 0 right after a diagonal digit.  Whether
+# a subtree gets there depends only on its state and on whether the digit
+# into it was diagonal, so one choice table settles every expansion: for
+# each state (p, r, q) and each value of that flag it holds the first child
+# k whose subtree succeeds, or -1.  Child k = 2 da + db is the digit
+# (r // p - da, q // p - db); the fixed order of k is the DFS's order.
+
+
+def _jp_index(p, r, q):
+    """Position of state (p, r, q) in the choice table: layers q = 1, 2, ...
+    of q (q + 1) states each, rows p = 1..q, columns r = 0..q."""
+    return (q - 1) * q * (q + 1) // 3 + (p - 1) * (q + 1) + r
+
+
+def _jp_choice_table(bound: int) -> np.ndarray:
+    """int8[after-diagonal flag, state]: the canonical child of every state
+    with q <= bound, built layer by layer in q."""
+    choice = np.full((2, _jp_index(1, 0, bound + 1)), -1, np.int8)
+    for q in range(1, bound + 1):
+        p, r = np.meshgrid(np.arange(1, q + 1), np.arange(q + 1), indexing="ij")
+        # children of row p < q lie in layer p; row p = q has children in
+        # rows p < q of its own layer, plus (q, 0, q), which has no
+        # admissible child and so is already -1
+        for rows in (slice(0, q - 1), slice(q - 1, q)):
+            _jp_resolve(choice, p[rows].ravel(), r[rows].ravel(), q)
+    return choice
+
+
+# index of the lowest set bit of 0..15, -1 for none: the first good child
+_LOWEST_BIT = np.array([-1, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0], np.int8)
+
+
+def _jp_resolve(choice, p, r, q):
+    """Fill the choice of the states (p, r, q) from those of their children."""
+    af, bf = r // p, q // p
+    # the closure digits a - 1 and b - 1 exist only for exact quotients a >= 1 and b >= 2,
+    # so children k > 0 are worked out only on the few states that have them
+    closure = ((r % p == 0) & (af > 0), (q % p == 0) & (bf > 1))
+    good = np.zeros((2, len(p)), np.uint8)  # bit k: child k reaches the origin, by flag
+    for k in range(4):
+        da, db = k >> 1, k & 1
+        i = np.nonzero((closure[0] | (not da)) & (closure[1] | (not db)))[0] if k else slice(None)
+        a, b, pi = af[i] - da, bf[i] - db, p[i]
+        np_, nr = r[i] - a * pi, q - b * pi
+        valid, end = a <= b, np_ == 0
+        child = np.where(valid & ~end, _jp_index(np_, nr, pi), 0)
+        reaches = np.where(end, (nr == 0) & (b >= 2), choice[(a == b).astype(np.intp), child] >= 0)
+        ok = valid & reaches
+        good[0, i] |= ok.astype(np.uint8) << k
+        good[1, i] |= (ok & (a > 0)).astype(np.uint8) << k
+    choice[:, _jp_index(p, r, q)] = _LOWEST_BIT[good]
 
 
 def _jp_lanes(qlo, qhi):
@@ -307,244 +368,102 @@ def _jp_lanes(qlo, qhi):
     return np.concatenate(ps), np.concatenate(rs), np.concatenate(qs)
 
 
-def _jp_sweep_block(args):
-    """Floor recursion with the two closed-form rescue families.
+def _jp_replay(choice, p, r, q, on_digit):
+    """Walk every lane along its canonical expansion, read from `choice`.
 
-    Lanes that terminate cleanly or via a rescue get their digit counts
-    vectorized; the remainder falls back to the full search in
-    orbits.jp_digits.  Returns (q0, counts, expandable mask).
+    Calls on_digit(lanes, a, b, p, q) once per step with the lanes that
+    take the digit (a, b) from a state of first coordinate p and
+    denominator q, and returns the mask of expandable lanes.  Raises
+    RuntimeError where the table leads a lane off an admissible string.
     """
-    (qlo, qhi), targets = args
-    t = list(targets)
-    d = len(t)
-    p, r, q = _jp_lanes(qlo, qhi)
-    n = len(p)
-    p0, r0, q0 = p.copy(), r.copy(), q.copy()
-    cnt = np.zeros((n, d), np.int64)
-    expandable = np.zeros(n, bool)
-    need_dfs = np.zeros(n, bool)
-    prev_diag = np.zeros(n, bool)
-    idx = np.arange(n)
+    k = choice[0, _jp_index(p, r, q)]
+    expandable = k >= 0
+    lanes = np.nonzero(expandable)[0]
+    p, r, q, k = p[lanes], r[lanes], q[lanes], k[lanes]
+    after_diag = np.zeros(len(lanes), bool)
 
-    def bump(lanes, a_val, b_val):
-        for k, (ta, tb) in enumerate(t):
-            hit = (a_val == ta) & (b_val == tb)
-            cnt[lanes[hit], k] += 1
+    def require(bad, what):
+        if bad.any():
+            i = np.argmax(bad)
+            raise RuntimeError(f"JP replay: {what} at state ({p[i]}, {r[i]}, {q[i]})")
 
-    while len(p):
-        a = r // p
-        b = q // p
-        # diagonal states (r == p, p >= 2): succeed iff q % p == 1 via
-        # digits (0, b), (0, 1), (0, p); a = 0 is blocked after a diagonal
-        diag_state = (r == p) & (p >= 2)
-        dg_ok = diag_state & (q % p == 1) & ~prev_diag
-        if dg_ok.any():
-            lanes = idx[dg_ok]
-            assert np.all(p[dg_ok] >= 2)  # terminal digit (0, p) admissible
-            bump(lanes, np.zeros(lanes.shape, np.int64), b[dg_ok])
-            bump(lanes, np.zeros(lanes.shape, np.int64), np.ones(lanes.shape, np.int64))
-            bump(lanes, np.zeros(lanes.shape, np.int64), p[dg_ok])
-            expandable[lanes] = True
-        dg_fail = diag_state & ~dg_ok
-        need_dfs[idx[dg_fail]] = True
-
-        live = ~diag_state
-        # dead floor step: p | r with p >= 2; rescue (r/p - 1, b), (0,1), (0,p)
-        # requires q % p == 1 and a nonzero first digit after a diagonal
-        dead = live & (r % p == 0) & (p >= 2)
-        r1 = dead & (r > 0) & (q % p == 1) & ~(prev_diag & (r // p == 1))
-        if r1.any():
-            lanes = idx[r1]
-            # the deviated digit may not be diagonal, else the (0, 1) after
-            # it would be inadmissible
-            assert np.all((r // p - 1)[r1] < b[r1])
-            assert np.all(p[r1] >= 2)
-            bump(lanes, (r // p - 1)[r1], b[r1])
-            bump(lanes, np.zeros(lanes.shape, np.int64), np.ones(lanes.shape, np.int64))
-            bump(lanes, np.zeros(lanes.shape, np.int64), p[r1])
-            expandable[lanes] = True
-        need_dfs[idx[dead & ~r1]] = True
-
-        step = live & ~dead
-        # pairwise admissibility along the floor path: after a diagonal
-        # digit the state satisfies r >= p, so a >= 1
-        assert not np.any(prev_diag & step & (a == 0))
-        lanes = idx[step]
-        bump(lanes, a[step], b[step])
+    while len(lanes):
+        a = r // p - (k >> 1)
+        b = q // p - (k & 1)
         np_, nr = r - a * p, q - b * p
-        done = step & (np_ == 0)  # exact termination: here p == 1
-        assert np.all(b[done] >= 2)
-        expandable[idx[done]] = True
-        cont = step & ~done
-        prev_diag = (a == b)[cont]
-        p, r, q = np_[cont], nr[cont], p[cont]
-        idx = idx[cont]
+        end = np_ == 0
+        require((a < 0) | (a > b) | (b < 1) | (np_ > p) | (nr > p), "a choice that is no child")
+        require(after_diag & (a == 0), "a = 0 right after a diagonal digit")
+        require(end & ((nr != 0) | (b < 2)), "an end off the origin or with b < 2")
+        on_digit(lanes, a, b, p, q)
+        live = ~end
+        after_diag = (a == b)[live]
+        p, r, q, lanes = np_[live], nr[live], p[live], lanes[live]
+        k = choice[after_diag.astype(np.intp), _jp_index(p, r, q)]
+        require(k < 0, "no admissible choice")
+    return expandable
 
-    hard = np.nonzero(need_dfs)[0]
-    for i in hard:
-        try:
-            ds = jp_digits(int(p0[i]), int(r0[i]), int(q0[i]))
-        except NotExpandableError:
-            continue
-        _validate_jp_string(int(p0[i]), int(r0[i]), int(q0[i]), ds)
-        expandable[i] = True
-        for k, lab in enumerate(t):
-            cnt[i, k] = sum(1 for dd in ds if dd.label == lab)
-    return q0, cnt, expandable
+
+def _jp_run(block_fn, tasks, bound: int, workers: int):
+    """Build the choice table once and replay the blocks against it."""
+    return _run_blocks(block_fn, tasks, workers, _jp_choice_table(bound))
+
+
+def _jp_table_block(args, choice):
+    (qlo, qhi), targets = args
+    p, r, q = _jp_lanes(qlo, qhi)
+    cnt = np.zeros((len(q), len(targets)), np.int64)
+
+    def count(lanes, a, b, p, q):
+        for k, (ta, tb) in enumerate(targets):
+            cnt[lanes[(a == ta) & (b == tb)], k] += 1
+
+    exp = _jp_replay(choice, p, r, q, count)
+    return _histogram(qlo, qhi, q[exp], cnt[exp])
 
 
 def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     """Digit-count table over all expandable coprime (p, r, q), q <= bound."""
     if not 1 <= len(targets) <= 2:
         raise ValueError("bulk sweeps support 1 or 2 targets")
-    blocks = _blocks(2, bound, 400)  # ~q^2 lanes per denominator
-    raw = _run_blocks(_jp_sweep_block, [(b, tuple(targets)) for b in blocks], workers)
-    parts = []
-    d = len(targets)
-    for (qlo, qhi), (q0, cnt, exp) in zip(blocks, raw):
-        if cnt[exp].size and cnt[exp].max() >= _COUNT_CAP:
-            raise OverflowError("digit count exceeded the histogram cap")
-        shape = (qhi - qlo + 1,) + (_COUNT_CAP,) * d
-        acc = np.zeros(shape, np.int64)
-        sel = exp
-        np.add.at(acc, (q0[sel] - qlo,) + tuple(cnt[sel, k] for k in range(d)), 1)
-        parts.append(_sparsify(qlo, acc))
+    tasks = [(b, tuple(targets)) for b in _blocks(2, bound, 400)]  # ~q^2 lanes per denominator
+    parts = _jp_run(_jp_table_block, tasks, bound, workers)
     return _table_from_parts(parts, "jp", 3, targets, bound)
+
+
+def _jp_count_block(qs, choice):
+    p, r, q = _jp_lanes(*qs)
+    return int(np.count_nonzero(choice[0, _jp_index(p, r, q)] >= 0))
 
 
 def jp_count_points(bound: int, workers: int = 1) -> int:
     """Number of expandable coprime triples with q <= bound."""
-    blocks = _blocks(2, bound, 400)
-    raw = _run_blocks(_jp_sweep_block, [(b, ((1, 2),)) for b in blocks], workers)
-    return int(sum(part[2].sum() for part in raw))
+    return sum(_jp_run(_jp_count_block, _blocks(2, bound, 400), bound, workers))
 
 
-def _validate_jp_string(p: int, r: int, q: int, digits) -> None:
-    """Raise unless the string is pairwise admissible, ends with b >= 2,
-    and recomposes to (p/q, r/q) by the exact integer column recursion."""
-    for prev, nxt in zip(digits, digits[1:]):
-        if prev.diagonal and nxt.a == 0:
-            raise AssertionError(f"inadmissible pair after diagonal at ({p},{r},{q})")
-    if digits[-1].b < 2:
-        raise AssertionError(f"terminal digit b < 2 at ({p},{r},{q})")
-    c1, c2, c3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    for dd in digits:
-        c1, c2, c3 = c2, c3, tuple(
-            c1[k] + dd.a * c2[k] + dd.b * c3[k] for k in range(3)
-        )
-    if c3 != (p, r, q):
-        raise AssertionError(f"digit string does not recompose ({p},{r},{q})")
-
-
-class _JPVerifyState:
-    """Exact 3x3 column recursion M <- M @ B(a, b) over lanes."""
-
-    def __init__(self, n):
-        self.cols = np.zeros((n, 3, 3), np.int64)
-        self.cols[:, 0, 0] = self.cols[:, 1, 1] = self.cols[:, 2, 2] = 1
-
-    def step(self, lanes, a, b):
-        c = self.cols[lanes]
-        new3 = c[:, :, 0] + a[:, None] * c[:, :, 1] + b[:, None] * c[:, :, 2]
-        self.cols[lanes] = np.stack([c[:, :, 1], c[:, :, 2], new3], axis=2)
-
-
-def _jp_verify_block(args):
+def _jp_roundtrip_block(qs, choice):
     """Round-trip and weight check over every expandable triple in the block."""
-    (qlo, qhi) = args
-    p, r, q = _jp_lanes(qlo, qhi)
-    n = len(p)
-    p0, r0, q0 = p.copy(), r.copy(), q.copy()
-    state = _JPVerifyState(n)
+    p0, r0, q0 = _jp_lanes(*qs)
+    n = len(q0)
+    cols = np.zeros((n, 3, 3), np.int64)
+    cols[:, 0, 0] = cols[:, 1, 1] = cols[:, 2, 2] = 1  # cols[:, :, k] = k-th column
     wacc = np.zeros(n)
-    expandable = np.zeros(n, bool)
-    need_dfs = np.zeros(n, bool)
-    prev_diag = np.zeros(n, bool)
-    idx = np.arange(n)
 
-    def rescue(lanes, firsts_a, firsts_b, pv, qv):
-        # digits (first), (0, 1), (0, p); states p/q, then (p, x, p), (x', 0, p)
-        state.step(lanes, firsts_a, firsts_b)
-        state.step(lanes, np.zeros(len(lanes), np.int64), np.ones(len(lanes), np.int64))
-        state.step(lanes, np.zeros(len(lanes), np.int64), pv)
-        wacc[lanes] += 3.0 * (np.log(qv) - np.log(pv)) + 3.0 * np.log(pv)
+    def recompose(lanes, a, b, p, q):
+        # M <- M @ B(a, b) maps the columns (c1, c2, c3) to (c2, c3, c1 + a c2 + b c3)
+        c = cols[lanes]
+        new3 = c[:, :, 0] + a[:, None] * c[:, :, 1] + b[:, None] * c[:, :, 2]
+        cols[lanes] = np.stack([c[:, :, 1], c[:, :, 2], new3], axis=2)
+        wacc[lanes] += 3.0 * (np.log(q) - np.log(p))
 
-    while len(p):
-        a = r // p
-        b = q // p
-        diag_state = (r == p) & (p >= 2)
-        dg_ok = diag_state & (q % p == 1) & ~prev_diag
-        if dg_ok.any():
-            lanes = idx[dg_ok]
-            rescue(lanes, np.zeros(len(lanes), np.int64), b[dg_ok], p[dg_ok], q[dg_ok])
-            expandable[lanes] = True
-        need_dfs[idx[diag_state & ~dg_ok]] = True
-
-        live = ~diag_state
-        dead = live & (r % p == 0) & (p >= 2)
-        r1 = dead & (r > 0) & (q % p == 1) & ~(prev_diag & (r // p == 1))
-        if r1.any():
-            lanes = idx[r1]
-            rescue(lanes, (r // p - 1)[r1], b[r1], p[r1], q[r1])
-            expandable[lanes] = True
-        need_dfs[idx[dead & ~r1]] = True
-
-        step = live & ~dead
-        lanes = idx[step]
-        state.step(lanes, a[step], b[step])
-        wacc[lanes] += 3.0 * (np.log(q[step]) - np.log(p[step]))
-        np_, nr = r - a * p, q - b * p
-        done = step & (np_ == 0)
-        expandable[idx[done]] = True
-        cont = step & ~done
-        prev_diag = (a == b)[cont]
-        p, r, q = np_[cont], nr[cont], p[cont]
-        idx = idx[cont]
-
-    hard = np.nonzero(need_dfs)[0]
-    # discard the partial floor prefix accumulated before the dead end;
-    # hard lanes are recomposed exactly inside _validate_jp_string, so on
-    # success their column state is set to the validated answer
-    state.cols[hard] = np.eye(3, dtype=np.int64)
-    wacc[hard] = 0.0
-    hard_fails = 0
-    for i in hard:
-        pi, ri, qi = int(p0[i]), int(r0[i]), int(q0[i])
-        try:
-            ds = jp_digits(pi, ri, qi)
-        except NotExpandableError:
-            continue
-        try:
-            _validate_jp_string(pi, ri, qi, ds)
-        except AssertionError:
-            hard_fails += 1
-            continue
-        expandable[i] = True
-        state.cols[i, :, 2] = (pi, ri, qi)
-        w = 0.0
-        st = (pi, ri, qi)
-        for dd in ds:
-            w += 3.0 * (math.log(st[2]) - math.log(st[0]))
-            st = (st[1] - dd.a * st[0], st[2] - dd.b * st[0], st[0])
-        wacc[i] = w
-
-    last = state.cols[:, :, 2]
-    sel = expandable
-    fails = hard_fails + int(
-        np.count_nonzero(
-            (last[sel, 0] != p0[sel]) | (last[sel, 1] != r0[sel]) | (last[sel, 2] != q0[sel])
-        )
-    )
-    werr = float(np.abs(wacc[sel] - 3.0 * np.log(q0[sel])).max()) if sel.any() else 0.0
-    return int(sel.sum()), fails, werr, int(state.cols[sel].max() if sel.any() else 1)
+    sel = _jp_replay(choice, p0, r0, q0, recompose)
+    if not sel.any():
+        return 0, 0, 0.0, 1
+    last = cols[sel, :, 2]
+    fails = np.count_nonzero((last[:, 0] != p0[sel]) | (last[:, 1] != r0[sel]) | (last[:, 2] != q0[sel]))
+    werr = float(np.abs(wacc[sel] - 3.0 * np.log(q0[sel])).max())
+    return int(sel.sum()), int(fails), werr, int(cols[sel].max())
 
 
 def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
-    blocks = _blocks(2, bound, 400)
-    parts = _run_blocks(_jp_verify_block, blocks, workers)
-    return VerifyReport(
-        sum(p[0] for p in parts),
-        sum(p[1] for p in parts),
-        max(p[2] for p in parts),
-        max(p[3] for p in parts),
-    )
+    return _merge_reports(_jp_run(_jp_roundtrip_block, _blocks(2, bound, 400), bound, workers))

@@ -127,7 +127,7 @@ def _parse_targets(text: str, algorithm: str) -> tuple:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (np.floating, float)):
         return format(float(v), ".17g")
@@ -151,9 +151,9 @@ def _format_value(v) -> str:
 def write_json(path: str, obj: dict) -> None:
     obj = dict(obj)
     obj["schema_version"] = SCHEMA_VERSION
+    text = _format_value(obj) + "\n"  # before opening, so a failure leaves no empty file
     with open(path, "w") as fh:
-        fh.write(_format_value(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_schema(outdir: str) -> None:

@@ -105,6 +105,13 @@ class OperatorParams:
 
 @dataclass
 class SpectralResult:
+    """Leading eigenpair of one operator and how it was reached.
+
+    tail_bar brackets only the branches beyond j_max, which the operator
+    folds in by a closed form; it does not bound the collocation error of
+    the grid, so the eigenvalue can be off by more than tail_bar.
+    """
+
     eigenvalue: float
     eigenfunction: GridFunction
     iterations: int

@@ -116,7 +116,9 @@ class EnsembleTable:
     denominator_bound: int
 
     def __post_init__(self):
-        order = np.lexsort(tuple(self.counts[:, k] for k in range(self.counts.shape[1] - 1, -1, -1)) + (self.qs,))
+        keys = (self.qs,) + tuple(self.counts.T)
+        # restrictions of a sorted table are sorted already, so check before sorting
+        order = slice(None) if _rows_sorted(keys) else np.lexsort(keys[::-1])
         self.qs = np.ascontiguousarray(self.qs[order])
         self.counts = np.ascontiguousarray(self.counts[order])
         self.mult = np.ascontiguousarray(self.mult[order])
@@ -183,6 +185,17 @@ class EnsembleTable:
         while self.multiplier * math.log(bound) >= Q:
             bound -= 1
         return self.restrict(bound)
+
+
+def _rows_sorted(keys) -> bool:
+    """Whether the rows are in lexicographic order of the key columns, in one pass per column."""
+    tied = True
+    for col in keys:
+        step = np.diff(col)
+        if np.any(tied & (step < 0)):
+            return False
+        tied = tied & (step == 0)
+    return True
 
 
 # ---------------------------------------------------------------------------

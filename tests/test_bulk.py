@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from cfstats import bulk
 from cfstats.maps import BRUN2, GAUSS, JP2
-from cfstats.orbits import enumerate_trajectories
+from cfstats.orbits import NotExpandableError, enumerate_trajectories, jp_digits
 from cfstats.stats import EnsembleTable
 
 
@@ -15,6 +16,13 @@ def tables_equal(a, b):
         and np.array_equal(a.counts, b.counts)
         and np.array_equal(a.mult, b.mult)
     )
+
+
+SWEEPS = {
+    "gauss": lambda workers: bulk.gauss_ensemble_table(80, targets=(1,), workers=workers, block_lanes=500),
+    "jp_table": lambda workers: bulk.jp_ensemble_table(30, targets=((1, 2), (0, 1)), workers=workers),
+    "jp_verify": lambda workers: bulk.jp_verify(30, workers=workers),
+}
 
 
 class TestTableAgreement:
@@ -39,10 +47,20 @@ class TestTableAgreement:
         )
         assert tables_equal(t1, t2)
 
-    def test_worker_count_does_not_change_output(self):
-        t1 = bulk.gauss_ensemble_table(80, targets=(1,), workers=1, block_lanes=500)
-        t2 = bulk.gauss_ensemble_table(80, targets=(1,), workers=2, block_lanes=500)
-        assert tables_equal(t1, t2)
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_worker_count_does_not_change_output(self, sweep, monkeypatch):
+        tasks, built = [], []
+        run_blocks, choice_table = bulk._run_blocks, bulk._jp_choice_table
+        monkeypatch.setattr(
+            bulk, "_run_blocks", lambda fn, blocks, *rest: tasks.extend(blocks) or run_blocks(fn, blocks, *rest)
+        )
+        monkeypatch.setattr(bulk, "_jp_choice_table", lambda bound: built.append(bound) or choice_table(bound))
+        one, two = SWEEPS[sweep](1), SWEEPS[sweep](2)
+        assert one == two if sweep == "jp_verify" else tables_equal(one, two)
+        assert len(tasks) > 2  # both runs had more than one block, so two workers ran
+        # tasks are denominator blocks; the JP choice table is built once per sweep, not sent with them
+        assert max(len(pickle.dumps(t)) for t in tasks) < 200
+        assert len(built) == (2 if sweep.startswith("jp") else 0)
 
 
 class TestVerifySweeps:
@@ -66,6 +84,41 @@ class TestVerifySweeps:
     def test_jp_expandable_count_matches_record_path(self):
         n_records = sum(1 for _ in enumerate_trajectories(JP2, denominator_cap=30))
         assert bulk.jp_count_points(30) == n_records
+
+
+class TestJPChoiceTable:
+    def test_replay_reproduces_reference_strings(self):
+        bound = 24
+        p, r, q = bulk._jp_lanes(2, bound)
+        strings = [[] for _ in q]
+
+        def record(lanes, a, b, *state):
+            for i, ai, bi in zip(lanes, a, b):
+                strings[i].append((int(ai), int(bi)))
+
+        expandable = bulk._jp_replay(bulk._jp_choice_table(bound), p, r, q, record)
+        for i in range(len(q)):
+            try:
+                ref = [d.label for d in jp_digits(int(p[i]), int(r[i]), int(q[i]))]
+            except NotExpandableError:
+                ref = None
+            assert (strings[i] if expandable[i] else None) == ref
+
+    # (2, 1, 5) expands as (0, 2) then (1, 2) from (1, 1, 2): dropping the
+    # choice at (1, 1, 2) strands it mid-path, and choice 2 at (2, 1, 5)
+    # asks for the digit a = -1
+    @pytest.mark.parametrize("state, value", [((1, 1, 2), -1), ((2, 1, 5), 2)])
+    def test_corrupted_choice_fails_verify(self, monkeypatch, state, value):
+        real = bulk._jp_choice_table
+
+        def corrupted(bound):
+            choice = real(bound)
+            choice[0, bulk._jp_index(*state)] = value
+            return choice
+
+        monkeypatch.setattr(bulk, "_jp_choice_table", corrupted)
+        with pytest.raises(RuntimeError, match="JP replay"):
+            bulk.jp_verify(12)
 
 
 class TestTotient:

@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from cfstats.cli import main
+from cfstats.cli import main, write_json
 
 
 def run(args):
@@ -175,3 +176,14 @@ class TestVerify:
         monkeypatch.setitem(acceptance.CRITERIA, "A10", boom)
         assert run(["verify", "--criteria", "A10", "--out", str(tmp_path / "o")]) == 2
         assert "non-convergence" in capsys.readouterr().out
+
+    def test_report_values_may_be_numpy_bools(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(str(path), {"passed": np.float64(1) < 2})
+        assert json.loads(read(path))["passed"] is True
+
+    def test_unserialisable_report_leaves_no_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            write_json(str(path), {"passed": object()})
+        assert not path.exists()

@@ -37,6 +37,21 @@ def synthetic_table(rows, targets=(1,), algorithm="gauss", multiplier=2):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, int(qs.max()))
 
 
+class TestTableOrder:
+    def test_unsorted_rows_come_out_sorted(self):
+        rows = [(5, (1, 0), 2), (3, (2, 1), 1), (5, (0, 3), 4), (3, (2, 0), 7), (4, (0, 0), 1)]
+        t = synthetic_table(rows, targets=(1, 2))
+        assert t.qs.tolist() == [3, 3, 4, 5, 5]
+        assert t.counts.tolist() == [[2, 0], [2, 1], [0, 0], [0, 3], [1, 0]]
+        assert t.mult.tolist() == [7, 1, 1, 4, 2]
+
+    def test_restriction_rows_stay_in_lexsort_order(self):
+        t = bulk.gauss_ensemble_table(120, targets=(1, 2))
+        for sub in (t, t.restrict(77), t.restrict_weight(7.5)):
+            order = np.lexsort((sub.counts[:, 1], sub.counts[:, 0], sub.qs))
+            assert np.array_equal(order, np.arange(len(order)))
+
+
 class TestCounting:
     def test_examples(self):
         assert count_digits([GaussDigit(2), GaussDigit(2)], TargetSet((1, 2))) == (0, 2)
