@@ -96,6 +96,13 @@ class AcceptanceContext:
         return spectral.covariance_matrix(GAUSS, (1, 2), deriv=self.gauss_deriv)
 
     @property
+    def jp_table(self) -> stats.EnsembleTable:
+        """JP table over q <= JP_ADMISSIBILITY_BOUND; its restrictions hold every smaller count."""
+        return self._get(
+            "jp_table", lambda: bulk.jp_ensemble_table(JP_ADMISSIBILITY_BOUND, ((1, 2),), self.workers)
+        )
+
+    @property
     def gauss_verify_report(self) -> bulk.VerifyReport:
         return self._get(
             "gauss_verify", lambda: bulk.gauss_verify(GAUSS_ROUNDTRIP_BOUND, workers=self.workers)
@@ -253,7 +260,7 @@ def a7_jp_admissibility(ctx: AcceptanceContext) -> CriterionResult:
     digit, if the string ends off the origin or with b < 2, or if it
     reaches a state with no admissible choice; a raise fails the criterion.
     """
-    table = bulk.jp_ensemble_table(JP_ADMISSIBILITY_BOUND, targets=((1, 2),), workers=ctx.workers)
+    table = ctx.jp_table
     return CriterionResult(
         "A7",
         True,
@@ -378,12 +385,9 @@ def a13_growth(ctx: AcceptanceContext) -> CriterionResult:
     ref = 3.0 / math.pi**2
     rel = abs(scaled / ref - 1.0)
     n1, n2 = GROWTH_PAIR_BOUNDS
-    brun_r = []
-    jp_r = []
-    for n in (n1, n2):
-        bt = bulk.brun2_ensemble_table(n, targets=(1,), workers=ctx.workers)
-        brun_r.append(bt.size / n**3)
-        jp_r.append(bulk.jp_count_points(n, workers=ctx.workers) / n**3)
+    brun = bulk.brun2_ensemble_table(n2, targets=(1,), workers=ctx.workers)
+    brun_r = [brun.restrict(n).size / n**3 for n in (n1, n2)]
+    jp_r = [ctx.jp_table.restrict(n).size / n**3 for n in (n1, n2)]
     brun_drift = abs(brun_r[1] / brun_r[0] - 1.0)
     jp_drift = abs(jp_r[1] / jp_r[0] - 1.0)
     ok = rel < 0.02 and count == oracle and brun_drift < 0.10 and jp_drift < 0.10

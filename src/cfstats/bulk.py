@@ -1,25 +1,29 @@
 """Vectorized ensemble sweeps over denominator-partitioned blocks.
 
 These builders produce the same per-point digit counts as the record
-generators in orbits.py, but run the integer recursions simultaneously
-over numpy lanes, block by block in denominator order.  A block is an
-independent pure computation, so blocks can be dispatched to a process
-pool; results are merged in fixed block order and all reductions are
-integer-exact, which makes every output bit-identical regardless of the
-worker count.
+generators in orbits.py, but step all lanes of a block at once, block by
+block in denominator order.  Each algorithm has one walk, which hands
+every step to an on_digit callback: _gauss_walk (Euclid), _brun2_walk
+(the Brun GCD, m = 2) and _jp_replay (the canonical Jacobi-Perron
+expansion, read from a choice table).  Table blocks count target digits
+there, and one histogram packs each lane's (q, counts) into an int64
+key, so a table takes any number of targets.  Verify blocks recompose
+each trajectory's homography there with exact integer column
+recursions and sum forward log-Jacobians, then check the round trip
+and the closed-form weight.  Every sweep splits its denominators into
+blocks of about _LANE_BUDGET lanes by one rule.
 
-Each sweep returns an EnsembleTable, the lossless sufficient statistic
-(q, digit-count vector) -> multiplicity for the chosen targets.  The
-verifying variants additionally recompose every trajectory's homography
-with exact integer column recursions, check the round trip against the
-point, and accumulate forward log-Jacobians against the closed-form
-weight.  Matrix entries stay far below 2^63 for the bounds used here;
-VerifyReport.ok fails if the largest one reaches 2^62.
+Blocks are independent pure computations, so a process pool may run
+them; results merge in block order and every reduction is
+integer-exact, so outputs are bit-identical for any worker count or
+block split.  Matrix entries stay far below 2^63 for the bounds used
+here; VerifyReport.ok fails if the largest one reaches 2^62.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -28,7 +32,8 @@ import numpy as np
 from .orbits import jp_digits  # noqa: F401  the JP reference; tracers patch bulk.jp_digits
 from .stats import EnsembleTable
 
-_COUNT_CAP = 64  # per-target digit counts must stay below this per trajectory
+# lanes per block, for every sweep; larger blocks cost memory and buy no speed
+_LANE_BUDGET = 2**15
 
 
 @dataclass
@@ -52,15 +57,15 @@ def totient_sum(n: int) -> int:
     return int(phi[2:].sum())
 
 
-def _blocks(lo: int, hi: int, budget: int):
-    """Split denominators [lo, hi] into ranges of roughly `budget` lanes,
-    assuming ~q lanes per denominator (q^2 for the triple sweeps)."""
+def _blocks(lo: int, hi: int, lanes_per_q):
+    """Split denominators [lo, hi] into ranges of about _LANE_BUDGET lanes,
+    counting lanes_per_q(q) lanes at denominator q."""
     out = []
     start = lo
     acc = 0
     for q in range(lo, hi + 1):
-        acc += max(q, 1)
-        if acc >= budget:
+        acc += lanes_per_q(q)
+        if acc >= _LANE_BUDGET:
             out.append((start, q))
             start, acc = q + 1, 0
     if start <= hi:
@@ -99,16 +104,57 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
 
 
-def _histogram(qlo, qhi, q0, cnt):
-    """Per-lane digit counts of one block -> sorted sparse rows (q, counts, mult)."""
-    if cnt.size and cnt.max() >= _COUNT_CAP:
-        raise OverflowError("digit count exceeded the histogram cap")
-    acc = np.zeros((qhi - qlo + 1,) + (_COUNT_CAP,) * cnt.shape[1], np.int64)
-    np.add.at(acc, (q0 - qlo,) + tuple(cnt.T), 1)
-    nz = np.nonzero(acc)
-    qs = (nz[0] + qlo).astype(np.int64)
-    counts = np.stack([ix.astype(np.int64) for ix in nz[1:]], axis=1)
-    return qs, counts, acc[nz].astype(np.int64)
+def _count(cnt, lanes, hits):
+    """Add one to cnt[k, lane] for each of `lanes` that hits[k] marks."""
+    for k, hit in enumerate(hits):
+        cnt[k, lanes[hit]] += 1
+
+
+def _histogram(q, cnt):
+    """Per-lane denominators q and digit counts cnt[target, lane] -> sorted
+    sparse rows (q, counts, mult).
+
+    Each lane's (q, counts) becomes one mixed-radix int64 key whose digit
+    spans are taken from the data, q most significant, so the sorted
+    unique keys are the rows in (q, counts) order.
+    """
+    digits = np.vstack([q, cnt])  # one row per key digit, q first
+    lo = digits.min(axis=1)
+    span = digits.max(axis=1) - lo + 1
+    if math.prod(int(s) for s in span) >= 2**63:
+        raise OverflowError("histogram key does not fit in int64")
+    key = np.zeros(digits.shape[1], np.int64)
+    for row, low, size in zip(digits, lo, span):
+        key = key * size + (row - low)
+    key, mult = np.unique(key, return_counts=True)
+    rows = np.empty((len(digits), len(key)), np.int64)
+    for k in reversed(range(len(digits))):
+        key, rows[k] = np.divmod(key, span[k])
+    rows += lo[:, None]
+    return rows[0], rows[1:].T, mult.astype(np.int64)
+
+
+def _column_buffers(n: int, m: int):
+    """n copies of the m x m identity (cols[:, :, k] is the k-th column) and two
+    buffers of that shape for a step's gathered and new columns, allocated once
+    per block: freeing step temporaries this large on every callback return
+    made the allocator trim and fault in the heap again on every step."""
+    cols = np.broadcast_to(np.eye(m, dtype=np.int64), (n, m, m)).copy()
+    return cols, np.empty_like(cols), np.empty_like(cols)
+
+
+def _roundtrip_report(cols, wacc, point, multiplier):
+    """Block summary (checked, failures, max weight error, max matrix entry).
+
+    The last column of each lane's recomposed matrix must equal its point,
+    whose last coordinate is the denominator q, and its forward weight sum
+    must equal multiplier * log q.
+    """
+    if not len(wacc):
+        return 0, 0, 0.0, 1
+    fails = np.count_nonzero((cols[:, :, -1] != point).any(axis=1))
+    werr = float(np.abs(wacc - multiplier * np.log(point[:, -1])).max())
+    return len(wacc), int(fails), werr, int(cols.max())
 
 
 def _merge_reports(parts) -> VerifyReport:
@@ -124,77 +170,67 @@ def _merge_reports(parts) -> VerifyReport:
 # Gauss
 
 
-def _gauss_block(args):
-    (qlo, qhi), targets = args
-    t = list(targets)
-    d = len(t)
+def _gauss_lanes(qlo, qhi):
+    """All coprime p/q with 0 < p < q and q in [qlo, qhi]."""
     ps, qs = [], []
     for q in range(qlo, qhi + 1):
         p = np.arange(1, q, dtype=np.int64)
         p = p[np.gcd(p, q) == 1]
         ps.append(p)
         qs.append(np.full(len(p), q, np.int64))
-    if not ps:
-        shape = (0, d)
-        return np.zeros(0, np.int64), np.zeros(shape, np.int64), np.zeros(0, np.int64)
-    a = np.concatenate(ps)
-    b = np.concatenate(qs)
-    q0 = b.copy()
-    idx = np.arange(len(a))
-    cnt = np.zeros((len(a), d), np.int64)
-    while len(a):
+    return np.concatenate(ps), np.concatenate(qs)
+
+
+def _gauss_walk(p, q, on_digit):
+    """Run Euclid's algorithm on every lane p/q.
+
+    Calls on_digit(lanes, j, a, b) once per step with the lanes that take
+    the digit j = b // a from the state a/b.
+    """
+    lanes = np.arange(len(q))
+    a, b = p, q
+    while len(lanes):
         j = b // a
-        for k, lab in enumerate(t):
-            cnt[idx[j == lab], k] += 1
+        on_digit(lanes, j, a, b)
         a, b = b % a, a
-        alive = a > 0
-        a, b, idx = a[alive], b[alive], idx[alive]
-    return _histogram(qlo, qhi, q0, cnt)
+        live = a > 0
+        a, b, lanes = a[live], b[live], lanes[live]
 
 
-def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1, block_lanes: int = 4_000_000):
+def _gauss_table_block(args):
+    qs, targets = args
+    p, q = _gauss_lanes(*qs)
+    cnt = np.zeros((len(targets), len(q)), np.int64)
+    _gauss_walk(p, q, lambda lanes, j, a, b: _count(cnt, lanes, [j == t for t in targets]))
+    return _histogram(q, cnt)
+
+
+def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for all coprime p/q with 2 <= q <= bound."""
-    if not 1 <= len(targets) <= 2:
-        raise ValueError("bulk sweeps support 1 or 2 targets; use the record path otherwise")
-    blocks = _blocks(2, bound, block_lanes)
-    parts = _run_blocks(_gauss_block, [(b, tuple(targets)) for b in blocks], workers)
+    tasks = [(b, tuple(targets)) for b in _blocks(2, bound, lambda q: q)]
+    parts = _run_blocks(_gauss_table_block, tasks, workers)
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
-def _gauss_verify_block(args):
-    (qlo, qhi) = args
-    ps, qs = [], []
-    for q in range(qlo, qhi + 1):
-        p = np.arange(1, q, dtype=np.int64)
-        p = p[np.gcd(p, q) == 1]
-        ps.append(p)
-        qs.append(np.full(len(p), q, np.int64))
-    a = np.concatenate(ps)
-    b = np.concatenate(qs)
-    p0, q0 = a.copy(), b.copy()
-    n = len(a)
-    # homography columns: M <- M @ [[0,1],[1,j]] swaps columns and shears
-    c1 = np.zeros((n, 2), np.int64)
-    c2 = np.zeros((n, 2), np.int64)
-    c1[:, 0] = 1
-    c2[:, 1] = 1
-    wacc = np.zeros(n)
-    idx = np.arange(n)
-    while len(a):
-        j = b // a
-        wacc[idx] += 2.0 * (np.log(b) - np.log(a))
-        c1[idx], c2[idx] = c2[idx].copy(), c1[idx] + j[:, None] * c2[idx]
-        a, b = b % a, a
-        alive = a > 0
-        a, b, idx = a[alive], b[alive], idx[alive]
-    fails = int(np.count_nonzero((c2[:, 0] != p0) | (c2[:, 1] != q0)))
-    werr = float(np.abs(wacc - 2.0 * np.log(q0)).max()) if n else 0.0
-    return n, fails, werr, int(max(c1.max(), c2.max()))
+def _gauss_verify_block(qs):
+    p0, q0 = _gauss_lanes(*qs)
+    cols, work, new = _column_buffers(len(q0), 2)
+    wacc = np.zeros(len(q0))
+
+    def recompose(lanes, j, a, b):
+        # M <- M @ [[0, 1], [1, j]] maps the columns (c1, c2) to (c2, c1 + j c2)
+        c = np.take(cols, lanes, axis=0, out=work[: len(lanes)])
+        new2 = c[:, :, 0] + j[:, None] * c[:, :, 1]
+        cols[lanes] = np.stack([c[:, :, 1], new2], axis=2, out=new[: len(lanes)])
+        wacc[lanes] += 2.0 * (np.log(b) - np.log(a))
+
+    _gauss_walk(p0, q0, recompose)
+    return _roundtrip_report(cols, wacc, np.stack([p0, q0], axis=1), 2)
 
 
-def gauss_verify(bound: int, workers: int = 1, block_lanes: int = 4_000_000) -> VerifyReport:
+def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
     """Exact round-trip and weight-telescoping check over all coprime p/q."""
-    blocks = _blocks(2, bound, block_lanes)
+    blocks = _blocks(2, bound, lambda q: q)
     return _merge_reports(_run_blocks(_gauss_verify_block, blocks, workers))
 
 
@@ -221,76 +257,62 @@ def _brun2_lanes(qlo, qhi):
     return np.concatenate(qs), np.concatenate(u1s), np.concatenate(u2s)
 
 
-def _brun2_step(q, u1, u2):
-    """One Brun step on tuple lanes (q; u1, u2); returns digit j and max pos."""
-    i1 = u1 >= u2  # smallest index wins ties
-    um = np.where(i1, u1, u2)
-    j = q // um
-    r = q - j * um
-    nq = um
-    nu1 = np.where(i1, u2, r)
-    nu2 = np.where(i1, r, u1)
-    return j, i1, nq, nu1, nu2
+def _brun2_walk(q, u1, u2, on_digit):
+    """Run the Brun GCD on every lane (q; u1, u2).
+
+    Calls on_digit(lanes, j, i1, q, um) once per step with the lanes that
+    divide q by their largest numerator um, which is u1 where i1 is set
+    (ties included) and u2 elsewhere, taking the digit j = q // um.
+    """
+    lanes = np.arange(len(q))
+    while len(lanes):
+        i1 = u1 >= u2  # smallest index wins ties
+        um = np.where(i1, u1, u2)
+        j = q // um
+        on_digit(lanes, j, i1, q, um)
+        r = q - j * um
+        q, u1, u2 = um, np.where(i1, u2, r), np.where(i1, r, u1)
+        live = (u1 > 0) | (u2 > 0)
+        q, u1, u2, lanes = q[live], u1[live], u2[live], lanes[live]
 
 
-def _brun2_block(args):
-    (qlo, qhi), targets = args
-    t = list(targets)
-    d = len(t)
-    q, u1, u2 = _brun2_lanes(qlo, qhi)
-    q0 = q.copy()
-    idx = np.arange(len(q))
-    cnt = np.zeros((len(q), d), np.int64)
-    while len(q):
-        j, i1, q, u1, u2 = _brun2_step(q, u1, u2)
-        for k, lab in enumerate(t):
-            cnt[idx[j == lab], k] += 1
-        alive = (u1 > 0) | (u2 > 0)
-        q, u1, u2, idx = q[alive], u1[alive], u2[alive], idx[alive]
-    return _histogram(qlo, qhi, q0, cnt)
+def _brun2_table_block(args):
+    qs, targets = args
+    q, u1, u2 = _brun2_lanes(*qs)
+    cnt = np.zeros((len(targets), len(q)), np.int64)
+    _brun2_walk(q, u1, u2, lambda lanes, j, *state: _count(cnt, lanes, [j == t for t in targets]))
+    return _histogram(q, cnt)
 
 
-def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1, block_lanes: int = 2_000_000):
+def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for coprime descending triples with t1 <= bound."""
-    if not 1 <= len(targets) <= 2:
-        raise ValueError("bulk sweeps support 1 or 2 targets")
-    blocks = _blocks(1, bound, max(1, int(block_lanes**0.5)))
-    parts = _run_blocks(_brun2_block, [(b, tuple(targets)) for b in blocks], workers)
+    tasks = [(b, tuple(targets)) for b in _blocks(1, bound, lambda q: q * (q + 1) // 2)]
+    parts = _run_blocks(_brun2_table_block, tasks, workers)
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
-def _brun2_verify_block(args):
-    (qlo, qhi) = args
-    q, u1, u2 = _brun2_lanes(qlo, qhi)
-    n = len(q)
-    q0, u10, u20 = q.copy(), u1.copy(), u2.copy()
-    cols = np.zeros((n, 3, 3), np.int64)
-    cols[:, 0, 0] = cols[:, 1, 1] = cols[:, 2, 2] = 1  # cols[:, :, k] = k-th column
-    wacc = np.zeros(n)
-    idx = np.arange(n)
-    while len(q):
-        j, i1, nq, nu1, nu2 = _brun2_step(q, u1, u2)
-        um = np.where(i1, u1, u2)
-        wacc[idx] += 3.0 * (np.log(q) - np.log(um))
-        c = cols[idx]
-        jj = j[:, None]
+def _brun2_verify_block(qs):
+    q0, u10, u20 = _brun2_lanes(*qs)
+    cols, work, new = _column_buffers(len(q0), 3)
+    wacc = np.zeros(len(q0))
+
+    def recompose(lanes, j, i1, q, um):
         # M <- M @ B(i, j); B(1,j) cols = (e2, e3, e1 + j e3), B(2,j) cols = (e3, e1, e2 + j e3)
-        b1 = np.stack([c[:, :, 1], c[:, :, 2], c[:, :, 0] + jj * c[:, :, 2]], axis=2)
-        b2 = np.stack([c[:, :, 2], c[:, :, 0], c[:, :, 1] + jj * c[:, :, 2]], axis=2)
-        cols[idx] = np.where(i1[:, None, None], b1, b2)
-        q, u1, u2 = nq, nu1, nu2
-        alive = (u1 > 0) | (u2 > 0)
-        q, u1, u2, idx = q[alive], u1[alive], u2[alive], idx[alive]
-    last = cols[:, :, 2]
-    fails = int(
-        np.count_nonzero((last[:, 0] != u10) | (last[:, 1] != u20) | (last[:, 2] != q0))
-    )
-    werr = float(np.abs(wacc - 3.0 * np.log(q0)).max()) if n else 0.0
-    return n, fails, werr, int(cols.max())
+        c = np.take(cols, lanes, axis=0, out=work[: len(lanes)])
+        s = i1[:, None]
+        c1 = np.where(s, c[:, :, 1], c[:, :, 2])
+        c2 = np.where(s, c[:, :, 2], c[:, :, 0])
+        c3 = np.where(s, c[:, :, 0], c[:, :, 1]) + j[:, None] * c[:, :, 2]
+        cols[lanes] = np.stack([c1, c2, c3], axis=2, out=new[: len(lanes)])
+        wacc[lanes] += 3.0 * (np.log(q) - np.log(um))
+
+    _brun2_walk(q0, u10, u20, recompose)
+    return _roundtrip_report(cols, wacc, np.stack([u10, u20, q0], axis=1), 3)
 
 
 def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
-    return _merge_reports(_run_blocks(_brun2_verify_block, _blocks(1, bound, 700), workers))
+    blocks = _blocks(1, bound, lambda q: q * (q + 1) // 2)
+    return _merge_reports(_run_blocks(_brun2_verify_block, blocks, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -404,66 +426,42 @@ def _jp_replay(choice, p, r, q, on_digit):
     return expandable
 
 
-def _jp_run(block_fn, tasks, bound: int, workers: int):
-    """Build the choice table once and replay the blocks against it."""
-    return _run_blocks(block_fn, tasks, workers, _jp_choice_table(bound))
-
-
 def _jp_table_block(args, choice):
-    (qlo, qhi), targets = args
-    p, r, q = _jp_lanes(qlo, qhi)
-    cnt = np.zeros((len(q), len(targets)), np.int64)
+    qs, targets = args
+    p, r, q = _jp_lanes(*qs)
+    cnt = np.zeros((len(targets), len(q)), np.int64)
 
-    def count(lanes, a, b, p, q):
-        for k, (ta, tb) in enumerate(targets):
-            cnt[lanes[(a == ta) & (b == tb)], k] += 1
+    def count(lanes, a, b, *state):
+        _count(cnt, lanes, [(a == ta) & (b == tb) for ta, tb in targets])
 
     exp = _jp_replay(choice, p, r, q, count)
-    return _histogram(qlo, qhi, q[exp], cnt[exp])
+    return _histogram(q[exp], cnt[:, exp])
 
 
 def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     """Digit-count table over all expandable coprime (p, r, q), q <= bound."""
-    if not 1 <= len(targets) <= 2:
-        raise ValueError("bulk sweeps support 1 or 2 targets")
-    tasks = [(b, tuple(targets)) for b in _blocks(2, bound, 400)]  # ~q^2 lanes per denominator
-    parts = _jp_run(_jp_table_block, tasks, bound, workers)
+    tasks = [(b, tuple(targets)) for b in _blocks(2, bound, lambda q: q * (q + 1))]
+    parts = _run_blocks(_jp_table_block, tasks, workers, _jp_choice_table(bound))
     return _table_from_parts(parts, "jp", 3, targets, bound)
 
 
-def _jp_count_block(qs, choice):
-    p, r, q = _jp_lanes(*qs)
-    return int(np.count_nonzero(choice[0, _jp_index(p, r, q)] >= 0))
-
-
-def jp_count_points(bound: int, workers: int = 1) -> int:
-    """Number of expandable coprime triples with q <= bound."""
-    return sum(_jp_run(_jp_count_block, _blocks(2, bound, 400), bound, workers))
-
-
-def _jp_roundtrip_block(qs, choice):
+def _jp_verify_block(qs, choice):
     """Round-trip and weight check over every expandable triple in the block."""
     p0, r0, q0 = _jp_lanes(*qs)
-    n = len(q0)
-    cols = np.zeros((n, 3, 3), np.int64)
-    cols[:, 0, 0] = cols[:, 1, 1] = cols[:, 2, 2] = 1  # cols[:, :, k] = k-th column
-    wacc = np.zeros(n)
+    cols, work, new = _column_buffers(len(q0), 3)
+    wacc = np.zeros(len(q0))
 
     def recompose(lanes, a, b, p, q):
         # M <- M @ B(a, b) maps the columns (c1, c2, c3) to (c2, c3, c1 + a c2 + b c3)
-        c = cols[lanes]
+        c = np.take(cols, lanes, axis=0, out=work[: len(lanes)])
         new3 = c[:, :, 0] + a[:, None] * c[:, :, 1] + b[:, None] * c[:, :, 2]
-        cols[lanes] = np.stack([c[:, :, 1], c[:, :, 2], new3], axis=2)
+        cols[lanes] = np.stack([c[:, :, 1], c[:, :, 2], new3], axis=2, out=new[: len(lanes)])
         wacc[lanes] += 3.0 * (np.log(q) - np.log(p))
 
     sel = _jp_replay(choice, p0, r0, q0, recompose)
-    if not sel.any():
-        return 0, 0, 0.0, 1
-    last = cols[sel, :, 2]
-    fails = np.count_nonzero((last[:, 0] != p0[sel]) | (last[:, 1] != r0[sel]) | (last[:, 2] != q0[sel]))
-    werr = float(np.abs(wacc[sel] - 3.0 * np.log(q0[sel])).max())
-    return int(sel.sum()), int(fails), werr, int(cols[sel].max())
+    return _roundtrip_report(cols[sel], wacc[sel], np.stack([p0, r0, q0], axis=1)[sel], 3)
 
 
 def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
-    return _merge_reports(_jp_run(_jp_roundtrip_block, _blocks(2, bound, 400), bound, workers))
+    blocks = _blocks(2, bound, lambda q: q * (q + 1))
+    return _merge_reports(_run_blocks(_jp_verify_block, blocks, workers, _jp_choice_table(bound)))

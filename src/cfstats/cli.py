@@ -24,13 +24,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import acceptance, bulk, spectral, stats
 from .maps import BRUN2, BRUN3, GAUSS, JP2, MapDescriptor
-from .orbits import BudgetError, enumerate_trajectories
+from .orbits import BudgetError, denominator_bound, enumerate_trajectories
 from .schemas import SCHEMAS, SCHEMA_VERSION
 
 ALGORITHMS = {"gauss": GAUSS, "brun2": BRUN2, "brun3": BRUN3, "jp2": JP2}
@@ -92,11 +92,7 @@ class ExperimentConfig:
     def bound(self) -> int:
         if self.denominator_bound is not None:
             return self.denominator_bound
-        c = self.map_desc.weight_multiplier
-        n = int(math.floor(math.exp(self.Q / c)))
-        while c * math.log(max(n, 1)) >= self.Q:
-            n -= 1
-        return n
+        return denominator_bound(self.map_desc, self.Q)
 
     def nominal_Q(self) -> float:
         if self.Q is not None:
@@ -130,7 +126,7 @@ def _format_value(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (np.floating, float)):
-        return format(float(v), ".17g")
+        return format(float(v), ".17g") if math.isfinite(v) else "null"  # JSON has no nan or inf
     if isinstance(v, (np.integer, int)):
         return str(int(v))
     if v is None:
@@ -168,18 +164,20 @@ def _label_str(label) -> str:
 # table construction
 
 
+_BULK_SWEEPS = {
+    "gauss": bulk.gauss_ensemble_table,
+    "brun2": bulk.brun2_ensemble_table,
+    "jp2": bulk.jp_ensemble_table,
+}
+
+
 def _build_table(cfg: ExperimentConfig) -> stats.EnsembleTable:
     bound = cfg.bound()
     if bound > cfg.budget:
         raise BudgetError(f"denominator bound {bound} exceeds budget {cfg.budget}")
-    d = len(cfg.targets)
-    if cfg.algorithm == "gauss" and d <= 2:
-        table = bulk.gauss_ensemble_table(bound, cfg.targets, workers=cfg.threads)
-    elif cfg.algorithm == "brun2" and d <= 2:
-        table = bulk.brun2_ensemble_table(bound, cfg.targets, workers=cfg.threads)
-    elif cfg.algorithm == "jp2" and d <= 2:
-        table = bulk.jp_ensemble_table(bound, cfg.targets, workers=cfg.threads)
-    else:
+    if cfg.algorithm in _BULK_SWEEPS:
+        table = _BULK_SWEEPS[cfg.algorithm](bound, cfg.targets, workers=cfg.threads)
+    else:  # brun3
         table = stats.EnsembleTable.from_records(
             enumerate_trajectories(cfg.map_desc, denominator_cap=bound, budget=cfg.budget),
             cfg.targets,
@@ -368,10 +366,8 @@ def cmd_verify(cfg: ExperimentConfig, names=None) -> int:
     results = acceptance.run_all(names, workers=cfg.threads)
     for r in results:
         print(r.line())
-    write_json(
-        os.path.join(cfg.out, "verify_report.json"),
-        {"criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]},
-    )
+    # each criterion as {name, passed, detail, values}
+    write_json(os.path.join(cfg.out, "verify_report.json"), {"criteria": [asdict(r) for r in results]})
     return 0 if all(r.passed for r in results) else 2
 
 

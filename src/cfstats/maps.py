@@ -147,6 +147,18 @@ def jp_forward(x):
 # map descriptors
 
 
+def max_denominator(multiplier: int, Q: float) -> int:
+    """Largest denominator n whose weight multiplier * log n is strictly
+    below Q, or 0 if there is none.  exp and log round, so the estimate
+    floor(exp(Q / multiplier)) is corrected in both directions."""
+    n = max(int(math.floor(math.exp(Q / multiplier))), 1)
+    while n > 0 and multiplier * math.log(n) >= Q:
+        n -= 1
+    while multiplier * math.log(n + 1) < Q:
+        n += 1
+    return n
+
+
 @dataclass(frozen=True)
 class MapDescriptor:
     """One of the three algorithms together with its branch metadata.

@@ -30,6 +30,7 @@ from .maps import (
     JPDigit,
     MapDescriptor,
     compose_string,
+    max_denominator,
 )
 
 
@@ -281,13 +282,7 @@ def _brun_records(bound: int, m: int) -> Iterator[TrajectoryRecord]:
 
 def denominator_bound(map_desc: MapDescriptor, Q: float) -> int:
     """Largest denominator with weight (m+1) log q strictly below Q."""
-    c = map_desc.weight_multiplier
-    n = int(math.floor(math.exp(Q / c)))
-    while c * math.log(n) >= Q:
-        n -= 1
-    while c * math.log(n + 1) < Q:
-        n += 1
-    return n
+    return max_denominator(map_desc.weight_multiplier, Q)
 
 
 def enumerate_trajectories(

@@ -4,6 +4,9 @@ Every file the CLI writes carries SCHEMA_VERSION, either as a
 "schema_version" JSON field or as a leading "# schema=..." comment line
 in CSV files.  A machine-readable copy of this module's SCHEMAS dict is
 written as schema.json next to every output set.
+
+JSON floats carry 17 significant digits; a NaN or an infinity, which
+JSON cannot represent, is written as null.
 """
 
 SCHEMA_VERSION = "cfstats.v1"
@@ -59,6 +62,6 @@ SCHEMAS = {
     },
     "verify_report.json": {
         "schema_version": "string",
-        "criteria": "list of {name, passed, detail}",
+        "criteria": "list of {name, passed, detail, values}; values holds the numbers the criterion measured",
     },
 }

@@ -469,30 +469,6 @@ class DerivativeData:
     hessian_bar: float = 0.0
 
 
-class EigenvalueSolver:
-    """Memoizing eigen-solver over (s, t) with warm starts."""
-
-    def __init__(self, map_desc, targets, G=1024, j_max=10_000, tol=1e-13):
-        self.map_desc = map_desc
-        self.targets = tuple(targets)
-        self.G = G
-        self.j_max = j_max
-        self.tol = tol
-        self._cache: dict = {}
-        self._warm: GridFunction | None = None
-
-    def eigenvalue(self, s: float, t: tuple = None) -> float:
-        t = tuple(t) if t is not None else (0.0,) * len(self.targets)
-        key = (round(s, 14), tuple(round(v, 14) for v in t))
-        if key not in self._cache:
-            params = OperatorParams(s, t, self.targets, self.j_max)
-            res = leading_eigenvalue(params, self.map_desc, G=self.G, tol=self.tol, f0=self._warm)
-            if self._warm is None:
-                self._warm = res.eigenfunction
-            self._cache[key] = res.eigenvalue
-        return self._cache[key]
-
-
 def _richardson(d, h: float) -> tuple:
     """Extrapolated derivative and the residual against the finer stencil,
     an honest scale for the remaining truncation error."""
@@ -518,44 +494,56 @@ def _cross2(fn, h: float) -> tuple:
     )
 
 
+# finite-difference steps: first derivatives, and second and mixed ones
+_H_FIRST = 1e-4
+_H_HESS = 1e-2
+
+
 def eigenvalue_derivatives(
-    map_desc: MapDescriptor,
-    targets,
-    G: int = 1024,
-    j_max: int = 10_000,
-    h_first: float = 1e-4,
-    h_hess: float = 1e-2,
-    solver: EigenvalueSolver | None = None,
+    map_desc: MapDescriptor, targets, G: int = 1024, j_max: int = 10_000
 ) -> DerivativeData:
-    """Richardson-extrapolated central differences of the eigenvalue at (1, 0)."""
+    """Richardson-extrapolated central differences of the eigenvalue at (1, 0).
+
+    Each distinct (s, t) is solved once, warm-started from the first
+    solve's eigenfunction.
+    """
     targets = tuple(targets)
     d = len(targets)
-    sv = solver or EigenvalueSolver(map_desc, targets, G=G, j_max=j_max)
-    zero = (0.0,) * d
+    memo: dict = {}
+    warm = None
 
     def at(ds=0.0, dt: dict | None = None) -> float:
-        t = list(zero)
+        nonlocal warm
+        t = [0.0] * d
         for i, v in (dt or {}).items():
             t[i] = v
-        return sv.eigenvalue(1.0 + ds, tuple(t))
+        s = 1.0 + ds
+        key = (round(s, 14), tuple(round(v, 14) for v in t))
+        if key not in memo:
+            params = OperatorParams(s, tuple(t), targets, j_max)
+            res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13, f0=warm)
+            if warm is None:
+                warm = res.eigenfunction
+            memo[key] = res.eigenvalue
+        return memo[key]
 
     lam0 = at()
-    lam_s, lam_s_bar = _central1(lambda h: at(ds=h), h_first)
-    lam_ss, lam_ss_bar = _central2(lambda h: at(ds=h), h_hess)
-    t_pairs = [_central1(lambda h, i=i: at(dt={i: h}), h_first) for i in range(d)]
+    lam_s, lam_s_bar = _central1(lambda h: at(ds=h), _H_FIRST)
+    lam_ss, lam_ss_bar = _central2(lambda h: at(ds=h), _H_HESS)
+    t_pairs = [_central1(lambda h, i=i: at(dt={i: h}), _H_FIRST) for i in range(d)]
     lam_t = np.array([p[0] for p in t_pairs])
     lam_t_bar = max((p[1] for p in t_pairs), default=0.0)
-    st_pairs = [_cross2(lambda hs, ht, i=i: at(ds=hs, dt={i: ht}), h_hess) for i in range(d)]
+    st_pairs = [_cross2(lambda hs, ht, i=i: at(ds=hs, dt={i: ht}), _H_HESS) for i in range(d)]
     lam_st = np.array([p[0] for p in st_pairs])
     hess = np.zeros((d, d))
     hess_bar = lam_ss_bar
     for p in st_pairs:
         hess_bar = max(hess_bar, p[1])
     for i in range(d):
-        hess[i, i], bar = _central2(lambda h, i=i: at(dt={i: h}), h_hess)
+        hess[i, i], bar = _central2(lambda h, i=i: at(dt={i: h}), _H_HESS)
         hess_bar = max(hess_bar, bar)
         for k in range(i + 1, d):
-            pair = _cross2(lambda hi, hk, i=i, k=k: at(dt={i: hi, k: hk}), h_hess)
+            pair = _cross2(lambda hi, hk, i=i, k=k: at(dt={i: hi, k: hk}), _H_HESS)
             hess[i, k] = hess[k, i] = pair[0]
             hess_bar = max(hess_bar, pair[1])
 

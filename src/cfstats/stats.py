@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .maps import max_denominator
+
 _CHUNK = 4096
 
 
@@ -181,10 +183,7 @@ class EnsembleTable:
 
     def restrict_weight(self, Q: float) -> "EnsembleTable":
         """Sub-ensemble with w(x) < Q strictly."""
-        bound = int(math.floor(math.exp(Q / self.multiplier)))
-        while self.multiplier * math.log(bound) >= Q:
-            bound -= 1
-        return self.restrict(bound)
+        return self.restrict(max_denominator(self.multiplier, Q))
 
 
 def _rows_sorted(keys) -> bool:

@@ -19,9 +19,17 @@ def tables_equal(a, b):
 
 
 SWEEPS = {
-    "gauss": lambda workers: bulk.gauss_ensemble_table(80, targets=(1,), workers=workers, block_lanes=500),
+    "gauss": lambda workers: bulk.gauss_ensemble_table(80, targets=(1,), workers=workers),
     "jp_table": lambda workers: bulk.jp_ensemble_table(30, targets=((1, 2), (0, 1)), workers=workers),
     "jp_verify": lambda workers: bulk.jp_verify(30, workers=workers),
+}
+
+
+# algorithm, bound, three targets, bulk sweep
+THREE_TARGETS = {
+    "gauss": (GAUSS, 60, (1, 2, 3), bulk.gauss_ensemble_table),
+    "brun": (BRUN2, 30, (1, 2, 3), bulk.brun2_ensemble_table),
+    "jp": (JP2, 20, ((1, 2), (0, 1), (1, 1)), bulk.jp_ensemble_table),
 }
 
 
@@ -47,8 +55,22 @@ class TestTableAgreement:
         )
         assert tables_equal(t1, t2)
 
+    @pytest.mark.parametrize("name", sorted(THREE_TARGETS))
+    def test_three_targets_match_record_path(self, name, monkeypatch):
+        desc, bound, targets, sweep = THREE_TARGETS[name]
+        monkeypatch.setattr(bulk, "_LANE_BUDGET", 500)  # several blocks, each with its own key spans
+        records = EnsembleTable.from_records(enumerate_trajectories(desc, denominator_cap=bound), targets)
+        assert tables_equal(sweep(bound, targets), records)
+
+    def test_histogram_rejects_keys_beyond_int64(self):
+        q = np.array([2, 3], np.int64)
+        cnt = np.array([[0, 2**21], [0, 2**21], [0, 2**21]], np.int64)
+        with pytest.raises(OverflowError):
+            bulk._histogram(q, cnt)
+
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_worker_count_does_not_change_output(self, sweep, monkeypatch):
+        monkeypatch.setattr(bulk, "_LANE_BUDGET", 2000)  # several blocks per sweep
         tasks, built = [], []
         run_blocks, choice_table = bulk._run_blocks, bulk._jp_choice_table
         monkeypatch.setattr(
@@ -83,7 +105,7 @@ class TestVerifySweeps:
 
     def test_jp_expandable_count_matches_record_path(self):
         n_records = sum(1 for _ in enumerate_trajectories(JP2, denominator_cap=30))
-        assert bulk.jp_count_points(30) == n_records
+        assert bulk.jp_ensemble_table(30).size == n_records
 
 
 class TestJPChoiceTable:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cfstats.cli import main, write_json
+from cfstats.cli import ExperimentConfig, main, write_json
 
 
 def run(args):
@@ -51,6 +51,11 @@ class TestEnumerate:
             ["enumerate", "--algorithm", "gauss", "--denominator-bound", "100",
              "--targets", "1", "--budget", "10", "--out", str(tmp_path / "o")]
         ) == 3
+
+    def test_Q_bound_keeps_the_last_denominator_below_Q(self):
+        # exp(Q / 3) rounds to just below 8 although 3 log 8 < Q
+        Q = math.nextafter(3 * math.log(8), math.inf)
+        assert ExperimentConfig(algorithm="jp2", Q=Q).bound() == 8
 
     def test_both_bounds_rejected(self, tmp_path):
         assert run(
@@ -153,6 +158,9 @@ class TestVerify:
         assert "A10 PASS" in printed
         report = json.loads(read(out / "verify_report.json"))
         assert report["criteria"][0]["name"] == "A10"
+        values = report["criteria"][0]["values"]  # the measured numbers, not only pass/fail
+        assert abs(values["tau"] ** 3 + values["tau"] - 1.0) < 1e-12
+        assert abs(values["rho"] ** 3 + 2.0 * values["rho"] - 1.0) < 1e-12
 
     def test_unknown_criterion(self, tmp_path):
         assert run(["verify", "--criteria", "A99", "--out", str(tmp_path / "o")]) == 1
@@ -181,6 +189,13 @@ class TestVerify:
         path = tmp_path / "report.json"
         write_json(str(path), {"passed": np.float64(1) < 2})
         assert json.loads(read(path))["passed"] is True
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_json(str(path), {"slope": np.float64("nan"), "log_proportion": [-math.inf, -1.5]})
+        data = json.loads(read(path))
+        assert data["slope"] is None
+        assert data["log_proportion"] == [None, -1.5]
 
     def test_unserialisable_report_leaves_no_file(self, tmp_path):
         path = tmp_path / "report.json"

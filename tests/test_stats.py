@@ -51,6 +51,14 @@ class TestTableOrder:
             order = np.lexsort((sub.counts[:, 1], sub.counts[:, 0], sub.qs))
             assert np.array_equal(order, np.arange(len(order)))
 
+    def test_restrict_weight_keeps_the_last_denominator_below_Q(self):
+        # exp(Q / 3) rounds to just below 8 although 3 log 8 < Q
+        Q = math.nextafter(3 * math.log(8), math.inf)
+        t = synthetic_table([(q, (0,), 1) for q in range(2, 10)], multiplier=3)
+        sub = t.restrict_weight(Q)
+        assert sub.denominator_bound == 8
+        assert sub.qs.max() == 8
+
 
 class TestCounting:
     def test_examples(self):
@@ -135,7 +143,7 @@ class TestGrowth:
         assert n == 0 and scaled == 0
 
     def test_jp_ratio_cauchy(self):
-        r = [bulk.jp_count_points(n) / n**3 for n in (40, 60, 80)]
+        r = [bulk.jp_ensemble_table(n).size / n**3 for n in (40, 60, 80)]
         assert abs(r[2] / r[1] - 1) < abs(r[1] / r[0] - 1) + 0.05
         assert all(v > 0 for v in r)
 
