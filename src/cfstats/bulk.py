@@ -98,6 +98,8 @@ def _with_shared(fn, block):
 
 
 def _table_from_parts(parts, algorithm, multiplier, targets, bound):
+    if not any(len(p[0]) for p in parts):
+        raise ValueError("empty ensemble")  # as EnsembleTable.from_records
     qs = np.concatenate([p[0] for p in parts])
     counts = np.concatenate([p[1] for p in parts])
     mult = np.concatenate([p[2] for p in parts])

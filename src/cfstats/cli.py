@@ -35,9 +35,9 @@ from .schemas import SCHEMAS, SCHEMA_VERSION
 
 ALGORITHMS = {"gauss": GAUSS, "brun2": BRUN2, "brun3": BRUN3, "jp2": JP2}
 
-# (grid, branch cap) defaults; the derivative suite solves ~50 eigenvalue
-# problems, so the 2d defaults favour speed (the constants are grid-robust,
-# raise --grid / --jmax for sharper error bars)
+# (grid, branch cap) defaults of the spectral constants; the derivatives
+# assemble the operator as a dense G^m x G^m matrix, so a 2d grid is at
+# most 64 (raise --grid / --jmax toward it for sharper constants)
 _SPECTRAL_DEFAULTS = {
     "gauss": (1024, 10_000),
     "brun2": (32, 128),
@@ -175,23 +175,22 @@ def _build_table(cfg: ExperimentConfig) -> stats.EnsembleTable:
     bound = cfg.bound()
     if bound > cfg.budget:
         raise BudgetError(f"denominator bound {bound} exceeds budget {cfg.budget}")
-    if cfg.algorithm in _BULK_SWEEPS:
-        table = _BULK_SWEEPS[cfg.algorithm](bound, cfg.targets, workers=cfg.threads)
-    else:  # brun3
-        table = stats.EnsembleTable.from_records(
-            enumerate_trajectories(cfg.map_desc, denominator_cap=bound, budget=cfg.budget),
-            cfg.targets,
-            cfg.algorithm,
-        )
+    table = _BULK_SWEEPS[cfg.algorithm](bound, cfg.targets, workers=cfg.threads)
     if cfg.Q is not None:
         table = table.restrict_weight(cfg.Q)
     return table
 
 
+def _spectral_grid(cfg: ExperimentConfig) -> tuple:
+    """(G, j_max) of the spectral constants; rejects algorithms without one."""
+    if cfg.algorithm not in _SPECTRAL_DEFAULTS:
+        raise ValidationError("the spectral grid supports gauss, brun2 and jp2")
+    g0, j0 = _SPECTRAL_DEFAULTS[cfg.algorithm]
+    return cfg.grid or g0, cfg.jmax or j0
+
+
 def _spectral_constants(cfg: ExperimentConfig):
-    g0, j0 = _SPECTRAL_DEFAULTS.get(cfg.algorithm, (64, 64))
-    G = cfg.grid or g0
-    jmax = cfg.jmax or j0
+    G, jmax = _spectral_grid(cfg)
     deriv = spectral.eigenvalue_derivatives(cfg.map_desc, cfg.targets, G=G, j_max=jmax)
     lam = spectral.frequency_constants(cfg.map_desc, cfg.targets, deriv=deriv)
     sigma = spectral.covariance_matrix(cfg.map_desc, cfg.targets, deriv=deriv)
@@ -272,6 +271,7 @@ def _write_histograms(cfg, summ) -> None:
 
 def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
     cfg.validate()
+    _spectral_grid(cfg)  # the summary needs the spectral constants
     if mode == "clt" and len(cfg.q_grid) < 2:
         raise ValidationError("clt needs a Q grid with at least 2 points")
     if mode == "ldp" and len(cfg.q_grid) < 4:
@@ -309,13 +309,9 @@ def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
 
 def cmd_spectral(cfg: ExperimentConfig) -> int:
     cfg.validate(need_bound=False)
-    if cfg.algorithm == "brun3":
-        raise ValidationError("the spectral grid supports gauss, brun2 and jp2")
+    G, jmax = _spectral_grid(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     _write_schema(cfg.out)
-    g0, j0 = _SPECTRAL_DEFAULTS[cfg.algorithm]
-    G = cfg.grid or g0
-    jmax = cfg.jmax or j0
     res = spectral.leading_eigenvalue(
         spectral.OperatorParams(1.0, (), (), jmax), cfg.map_desc, G=G
     )

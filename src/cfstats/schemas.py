@@ -55,8 +55,12 @@ SCHEMAS = {
         "eigenvalue_at_1": "leading eigenvalue at (s, t) = (1, 0)",
         "eigenvalue_tail_bar": "bracket half-width from the truncated branch tail",
         "entropy": "-lambda_s(1, 0)",
+        "entropy_bar": "change of lambda_s under one residual correction of the eigenpair, "
+        "left eigenvector and bordered solves; excludes grid and j_max error",
         "lambda": "per-target digit frequencies",
+        "lambda_bar": "(t-gradient bar + |lambda| * entropy_bar) / entropy, the same kind of bar",
         "sigma": "covariance matrix of the centred counts",
+        "sigma_bar": "largest second-derivative bar / entropy, the same kind of bar",
         "witnesses": "two periodic-point log-derivatives (gauss, brun only)",
         "witness_ratio_cf": "continued fraction of the witness ratio (diagnostic)",
     },

@@ -17,10 +17,16 @@ linearization residual is orders below every tolerance used here); the
 tail beyond J_max is folded the same way, with an integral bracket
 carried as an explicit error bar on the eigenvalue.
 
+Every branch stencil is linear in the node values and independent of
+(s, t), so the same branch sums also assemble the operator as a dense
+matrix (operator_matrix), with its s- and t-derivatives as reweighted
+stencils.  The eigenvalue derivatives at (1, 0) come from perturbation
+theory around one leading_eigenvalue solve and that matrix.
+
 Dimensions 1 (Gauss) and 2 (Brun, Jacobi-Perron) are supported.  The
-invariant density, the eigenvalue derivatives at (1, 0), the digit
-frequency vector, the covariance matrix and the non-arithmeticity
-witnesses are all derived from leading_eigenvalue.
+invariant density, the digit frequency vector, the covariance matrix
+and the non-arithmeticity witnesses are derived from the leading
+eigenpair and its derivatives.
 """
 
 from __future__ import annotations
@@ -125,23 +131,30 @@ class SpectralResult:
 # interpolation helpers
 
 
+def _stencil1(y: np.ndarray, G: int) -> tuple:
+    """Left node index and fraction of the linear stencil at y."""
+    pos = y * G - 0.5
+    idx = np.clip(np.floor(pos).astype(np.int64), 0, G - 2)
+    return idx, pos - idx
+
+
 def _interp1(values: np.ndarray, y: np.ndarray, G: int) -> np.ndarray:
     """Piecewise-linear interpolation on midpoint nodes, linear extrapolation
     at both ends (queries stay within half a spacing of the node range)."""
-    pos = y * G - 0.5
-    idx = np.clip(np.floor(pos).astype(np.int64), 0, G - 2)
-    frac = pos - idx
+    idx, frac = _stencil1(y, G)
     return values[idx] * (1.0 - frac) + values[idx + 1] * frac
+
+
+def _stencil2(yx: np.ndarray, yy: np.ndarray, G: int) -> tuple:
+    """Lower-left node indices and fractions of the bilinear stencil."""
+    ix, fx = _stencil1(yx, G)
+    iy, fy = _stencil1(yy, G)
+    return ix, iy, fx, fy
 
 
 def _interp2(values: np.ndarray, yx: np.ndarray, yy: np.ndarray, G: int) -> np.ndarray:
     """Bilinear interpolation on the midpoint lattice with edge extrapolation."""
-    px = yx * G - 0.5
-    py = yy * G - 0.5
-    ix = np.clip(np.floor(px).astype(np.int64), 0, G - 2)
-    iy = np.clip(np.floor(py).astype(np.int64), 0, G - 2)
-    fx = px - ix
-    fy = py - iy
+    ix, iy, fx, fy = _stencil2(yx, yy, G)
     v00 = values[ix, iy]
     v10 = values[ix + 1, iy]
     v01 = values[ix, iy + 1]
@@ -170,6 +183,7 @@ def _edge_linearization_1d(values: np.ndarray, G: int) -> tuple:
 # neighbourhood of the origin small enough for the linearized fold.
 _EXACT_CAP_1D = 1024
 _EXACT_CAP_2D = 512
+_EXACT_CAP_JP = 64  # digit b
 
 
 def _t_factor(params: OperatorParams, label) -> float:
@@ -267,33 +281,24 @@ def _jp_cells(G: int) -> tuple:
     return xi, eta, in_p1
 
 
-def _interp2_cellwise(values: np.ndarray, in_p1: np.ndarray, yx, yy, want_p1: bool, G: int):
-    """Bilinear interpolation restricted to nodes of one cell.
+def _cell_stencil(in_p1: np.ndarray, yx, yy, want_p1: bool, G: int) -> tuple:
+    """Bilinear stencil restricted to nodes of one cell.
 
-    Stencils that straddle the diagonal fall back to the nearest node of
-    the wanted cell; this keeps cell-discontinuous functions from mixing.
+    Returns (ix, iy, fx, fy, ok, nx, ny): where ok, the bilinear stencil
+    at (ix, iy); elsewhere the stencil straddles the diagonal and falls
+    back to the nearest node (nx, ny) of the wanted cell, which keeps
+    cell-discontinuous functions from mixing.
     """
-    px = yx * G - 0.5
-    py = yy * G - 0.5
-    ix = np.clip(np.floor(px).astype(np.int64), 0, G - 2)
-    iy = np.clip(np.floor(py).astype(np.int64), 0, G - 2)
-    fx = px - ix
-    fy = py - iy
+    ix, iy, fx, fy = _stencil2(yx, yy, G)
     ok = (
         (in_p1[ix, iy] == want_p1)
         & (in_p1[ix + 1, iy] == want_p1)
         & (in_p1[ix, iy + 1] == want_p1)
         & (in_p1[ix + 1, iy + 1] == want_p1)
     )
-    bil = (
-        values[ix, iy] * (1 - fx) * (1 - fy)
-        + values[ix + 1, iy] * fx * (1 - fy)
-        + values[ix, iy + 1] * (1 - fx) * fy
-        + values[ix + 1, iy + 1] * fx * fy
-    )
     # nearest node on the wanted side of the diagonal
-    nx = np.clip(np.round(px).astype(np.int64), 0, G - 1)
-    ny = np.clip(np.round(py).astype(np.int64), 0, G - 1)
+    nx = np.clip(np.round(yx * G - 0.5).astype(np.int64), 0, G - 1)
+    ny = np.clip(np.round(yy * G - 0.5).astype(np.int64), 0, G - 1)
     wrong = in_p1[nx, ny] != want_p1
     if np.any(wrong):
         nx2 = np.where(wrong & want_p1, np.maximum(nx - 1, 0), nx)
@@ -301,6 +306,18 @@ def _interp2_cellwise(values: np.ndarray, in_p1: np.ndarray, yx, yy, want_p1: bo
         nx2 = np.where(wrong & ~want_p1, np.minimum(nx + 1, G - 1), nx2)
         ny2 = np.where(wrong & ~want_p1, np.maximum(ny - 1, 0), ny2)
         nx, ny = nx2, ny2
+    return ix, iy, fx, fy, ok, nx, ny
+
+
+def _interp2_cellwise(values: np.ndarray, in_p1: np.ndarray, yx, yy, want_p1: bool, G: int):
+    """Bilinear interpolation restricted to nodes of one cell (_cell_stencil)."""
+    ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, yx, yy, want_p1, G)
+    bil = (
+        values[ix, iy] * (1 - fx) * (1 - fy)
+        + values[ix + 1, iy] * fx * (1 - fy)
+        + values[ix, iy + 1] * (1 - fx) * fy
+        + values[ix + 1, iy + 1] * fx * fy
+    )
     return np.where(ok, bil, values[nx, ny])
 
 
@@ -309,31 +326,33 @@ def _jp_branch_image(a: int, b: int, xi: np.ndarray, eta: np.ndarray) -> tuple:
     return 1.0 / den, (xi + a) / den
 
 
+def _jp_checked_image(a: int, b: int, xi: np.ndarray, eta: np.ndarray) -> tuple:
+    """Branch image and its cell (True for P1 = {xi < eta}); raises
+    MarkovViolationError if the image leaves that cell at some node."""
+    img_xi, img_eta = _jp_branch_image(a, b, xi, eta)
+    if a >= 1:
+        if np.any(img_eta < img_xi - 1e-12):
+            raise MarkovViolationError(f"branch ({a},{b}) image left cell P1 at some node")
+        return img_xi, img_eta, True
+    if np.any(img_eta > img_xi + 1e-12):
+        raise MarkovViolationError(f"branch ({a},{b}) image left cell P2 at some node")
+    return img_xi, img_eta, False
+
+
 def _apply_jp(f: GridFunction, params: OperatorParams) -> tuple:
     if params.s <= 2.0 / 3.0:
         raise ValueError("the truncated JP branch sum needs s > 2/3")
     G = f.G
     xi, eta, in_p1 = _jp_cells(G)
     s3 = 3.0 * params.s
-    cap = min(params.j_max, 64)
+    cap = min(params.j_max, _EXACT_CAP_JP)
     _check_targets_below_cap(params, cap, "JP digit b")
     out = np.zeros((G, G))
     for b in range(1, cap + 1):
         wbase = (b + eta) ** (-s3)
         for a in range(0, b + 1):
-            img_xi, img_eta = _jp_branch_image(a, b, xi, eta)
-            if a >= 1:
-                if np.any(img_eta < img_xi - 1e-12):
-                    raise MarkovViolationError(
-                        f"branch ({a},{b}) image left cell P1 at some node"
-                    )
-                val = _interp2_cellwise(f.values, in_p1, img_xi, img_eta, True, G)
-            else:
-                if np.any(img_eta > img_xi + 1e-12):
-                    raise MarkovViolationError(
-                        f"branch ({a},{b}) image left cell P2 at some node"
-                    )
-                val = _interp2_cellwise(f.values, in_p1, img_xi, img_eta, False, G)
+            img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
+            val = _interp2_cellwise(f.values, in_p1, img_xi, img_eta, want_p1, G)
             w = wbase * _t_factor(params, (a, b))
             if a == b:
                 out += np.where(in_p1, w * val, 0.0)
@@ -372,6 +391,243 @@ def _apply_with_bar(f: GridFunction, params: OperatorParams, map_desc: MapDescri
     else:  # pragma: no cover
         raise ValueError(map_desc.algorithm)
     return GridFunction(f.m, f.G, vals), bar
+
+
+# ---------------------------------------------------------------------------
+# the operator as a matrix
+
+
+# Largest grid (G^m nodes) whose operator is assembled as a dense matrix;
+# one such matrix is 134 MB, and the derivatives hold five.
+_MAX_ASSEMBLED_NODES = 4096
+
+# Euler-Maclaurin summation of the Hurwitz zeta: direct terms, then the
+# Bernoulli numbers B_2, B_4, ..., B_14 of the remainder
+_EM_TERMS = 10
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _taylor_mul(p, q) -> list:
+    """Product of two Taylor polynomials of degree 2, truncated."""
+    return [p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[0] * q[2] + p[1] * q[1] + p[2] * q[0]]
+
+
+def _zeta_derivatives(sigma: float, a) -> np.ndarray:
+    """The Hurwitz zeta(sigma, a) and its first two sigma-derivatives, stacked.
+
+    Euler-Maclaurin: _EM_TERMS terms summed directly, then at A = a +
+    _EM_TERMS the integral, the half term and the Bernoulli corrections,
+    each expanded as a Taylor polynomial in sigma.  Needs sigma > 1, a > 0.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out = np.zeros((3,) + a.shape)
+    for n in range(_EM_TERMS):
+        lg = -np.log(a + n)
+        p = (a + n) ** -sigma
+        out += np.stack([p, lg * p, lg * lg * p])
+    A = a + _EM_TERMS
+    lg = -np.log(A)
+    u = sigma - 1.0
+    # A^sigma times the remainder at sigma + eps, as coefficients of eps^k
+    rem = [A / u + 0.5, -A / u**2, A / u**3]
+    rising = [1.0, 0.0, 0.0]  # (sigma + eps)(sigma + 1 + eps)...
+    factors = 0
+    for j, bern in enumerate(_BERNOULLI, start=1):
+        while factors < 2 * j - 1:
+            rising = _taylor_mul(rising, [sigma + factors, 1.0, 0.0])
+            factors += 1
+        scale = bern / math.factorial(2 * j) * A ** (1 - 2 * j)
+        rem = [r + scale * c for r, c in zip(rem, rising)]
+    tail = _taylor_mul([1.0, lg, 0.5 * lg * lg], rem)  # times A^-eps
+    out += np.stack(tail) * A**-sigma * np.array([1.0, 1.0, 2.0]).reshape((3,) + (1,) * a.ndim)
+    return out
+
+
+def _zeta_coef(k: float, shift: float, s: float, a) -> np.ndarray:
+    """zeta(k s + shift, a) and its first two s-derivatives, stacked."""
+    z = _zeta_derivatives(k * s + shift, a)
+    return z * np.array([1.0, k, k * k]).reshape((3,) + (1,) * (z.ndim - 1))
+
+
+def _power_coef(base, k: float, s: float) -> np.ndarray:
+    """base^(-k s) and its first two s-derivatives, stacked."""
+    w = base ** (-k * s)
+    lg = -k * np.log(base)
+    return np.stack([w, lg * w, lg * lg * w])
+
+
+def _corner_entries(ix, iy, fx, fy, G: int) -> tuple:
+    """Flat node indices and weights of the four bilinear corners, stacked."""
+    cols = np.stack([ix * G + iy, (ix + 1) * G + iy, ix * G + iy + 1, (ix + 1) * G + iy + 1])
+    weights = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
+    return cols, weights
+
+
+class _Assembly:
+    """Matrix entries of the operator and of its s- and t-derivatives.
+
+    Every branch term is a coefficient times a linear stencil of node
+    values.  add() takes the stencil (cols and weights, stacked on a
+    leading axis) at each output node (rows), and the coefficient with
+    its first two s-derivatives (coef[0..2]); all broadcast together.
+    L, L_s and L_ss are summed densely.  The entries of a branch labelled
+    with a target are also kept apart: d/dt_k of the operator is exactly
+    the entries of target k, and d2/ds dt_k their s-derivative.
+    """
+
+    _FLUSH = 1 << 18  # pending entries summed into the dense matrices at once
+
+    def __init__(self, params: OperatorParams, N: int):
+        self.params = params
+        self.N = N
+        self.dense = np.zeros((3, N * N))
+        self.target = [[] for _ in params.targets]
+        self._pending = []
+        self._size = 0
+
+    def add(self, rows, cols, weight, coef, label=None, dense=True):
+        vals = coef[:, None] * weight
+        key = np.broadcast_to(rows * self.N + cols, vals.shape[1:]).ravel()
+        vals = vals.reshape(3, -1)
+        if dense:
+            self._pending.append((key, vals))
+            self._size += key.size
+            if self._size >= self._FLUSH:
+                self._flush()
+        for k, lab in enumerate(self.params.targets):
+            if label is not None and lab == label:
+                self.target[k].append((key, vals[:2]))
+
+    def _flush(self):
+        if self._pending:
+            key = np.concatenate([p[0] for p in self._pending])
+            vals = np.concatenate([p[1] for p in self._pending], axis=1)
+            for i in range(3):
+                self.dense[i] += np.bincount(key, weights=vals[i], minlength=self.N**2)
+        self._pending, self._size = [], 0
+
+    def matrices(self) -> tuple:
+        """(L, L_s, L_ss), dense, and per target (rows, cols, vals[0..1])."""
+        self._flush()
+        N = self.N
+        sparse = []
+        for parts in self.target:
+            key = np.concatenate([p[0] for p in parts]) if parts else np.zeros(0, np.int64)
+            vals = np.concatenate([p[1] for p in parts], axis=1) if parts else np.zeros((2, 0))
+            sparse.append((key // N, key % N, vals))
+        L, L_s, L_ss = (m.reshape(N, N) for m in self.dense)
+        return L, L_s, L_ss, sparse
+
+
+def _assemble_gauss(acc: _Assembly, params: OperatorParams, G: int) -> None:
+    x = (np.arange(G) + 0.5) / G
+    rows = np.arange(G)
+    cap = min(params.j_max, _EXACT_CAP_1D)
+    _check_targets_below_cap(params, cap, "Gauss digit")
+    tf = np.ones(cap + 1)
+    for k, lab in enumerate(params.targets):
+        if 1 <= lab <= cap:
+            tf[lab] = math.exp(params.t[k])
+    step = max(1, 2**16 // G)  # digits per add, to bound the memory held
+    for lo in range(1, cap + 1, step):
+        j = np.arange(lo, min(lo + step, cap + 1))
+        den = j[:, None] + x[None, :]
+        coef = _power_coef(den, 2.0, params.s) * tf[j, None]
+        idx, frac = _stencil1(1.0 / den, G)
+        cols, weight = np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
+        acc.add(rows, cols, weight, coef)
+        for lab in params.targets:
+            if lo <= lab < lo + j.size:
+                i = lab - lo
+                acc.add(rows, cols[:, i], weight[:, i], coef[:, i], label=lab, dense=False)
+    # every digit beyond cap, folded with f(y) ~ f0 + f1*y near y = 0, and
+    # f0, f1 linear in the first two nodes (_edge_linearization_1d)
+    x0 = 0.5 / G
+    edge = np.array([[0], [1]])
+    acc.add(rows, edge, np.array([[1.0 + G * x0], [-G * x0]]), _zeta_coef(2.0, 0.0, params.s, cap + 1 + x))
+    acc.add(rows, edge, np.array([[-G], [G]]), _zeta_coef(2.0, 1.0, params.s, cap + 1 + x))
+
+
+def _assemble_brun2(acc: _Assembly, params: OperatorParams, G: int) -> None:
+    x = (np.arange(G) + 0.5) / G
+    x1 = x[:, None] * np.ones((1, G))
+    x2 = x[None, :] * np.ones((G, 1))
+    rows = np.arange(G * G).reshape(G, G)
+    cap = min(params.j_max, _EXACT_CAP_2D)
+    _check_targets_below_cap(params, cap, "Brun digit")
+    for j in range(1, cap + 1):
+        tf = _t_factor(params, j)
+        den = j + x2
+        cols, weight = _corner_entries(*_stencil2(1.0 / den, x1 / den, G), G)
+        acc.add(rows, cols, weight, tf * _power_coef(den, 3.0, params.s), label=j)
+        den = j + x1
+        cols, weight = _corner_entries(*_stencil2(x2 / den, 1.0 / den, G), G)
+        acc.add(rows, cols, weight, tf * _power_coef(den, 3.0, params.s), label=j)
+    # both families send digits beyond cap toward the origin
+    y = np.array([0.5 / (cap + 1)])
+    cols, weight = _corner_entries(*_stencil2(y, y, G), G)
+    z = _zeta_coef(3.0, 0.0, params.s, cap + 1 + x2) + _zeta_coef(3.0, 0.0, params.s, cap + 1 + x1)
+    acc.add(rows, cols.reshape(4, 1, 1), weight.reshape(4, 1, 1), z)
+
+
+def _assemble_jp(acc: _Assembly, params: OperatorParams, G: int) -> None:
+    if params.s <= 2.0 / 3.0:
+        raise ValueError("the truncated JP branch sum needs s > 2/3")
+    xi, eta, in_p1 = _jp_cells(G)
+    rows = np.arange(G * G).reshape(G, G)
+    cap = min(params.j_max, _EXACT_CAP_JP)
+    _check_targets_below_cap(params, cap, "JP digit b")
+    for b in range(1, cap + 1):
+        coef = _power_coef(b + eta, 3.0, params.s)
+        for a in range(0, b + 1):
+            img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
+            ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, img_xi, img_eta, want_p1, G)
+            cols, weight = _corner_entries(ix, iy, fx, fy, G)
+            cols = np.concatenate([cols, (nx * G + ny)[None]])
+            weight = np.concatenate([weight * ok, (~ok)[None]])
+            if a == b:
+                weight = weight * in_p1  # the diagonal branch acts on P1 only
+            acc.add(rows, cols, weight, _t_factor(params, (a, b)) * coef, label=(a, b))
+    # b > cap, as in _apply_jp: f_bar * z1 + (in_p1 - eta) * f_top * z0, with
+    # f_bar the mean and f_top the last of the left-edge nodes values[0, :]
+    z1 = _zeta_coef(3.0, -1.0, params.s, cap + 1 + eta)
+    z0 = _zeta_coef(3.0, 0.0, params.s, cap + 1 + eta)
+    acc.add(rows, np.arange(G).reshape(G, 1, 1), np.full((G, 1, 1), 1.0 / G), z1)
+    acc.add(rows, np.full((1, 1, 1), G - 1), np.ones((1, 1, 1)), (in_p1 - eta) * z0)
+
+
+def _assembled_nodes(map_desc: MapDescriptor, G: int) -> int:
+    N = G**map_desc.m
+    if N > _MAX_ASSEMBLED_NODES:
+        raise ValueError(
+            f"a grid of {N} nodes exceeds the {_MAX_ASSEMBLED_NODES} nodes "
+            "of the dense operator matrix"
+        )
+    return N
+
+
+def _assemble(params: OperatorParams, map_desc: MapDescriptor, G: int) -> _Assembly:
+    acc = _Assembly(params, _assembled_nodes(map_desc, G))
+    if map_desc.algorithm == "gauss":
+        _assemble_gauss(acc, params, G)
+    elif map_desc.algorithm == "brun":
+        if map_desc.m != 2:
+            raise ValueError("spectral Brun operator is implemented for m = 2")
+        _assemble_brun2(acc, params, G)
+    elif map_desc.algorithm == "jp":
+        _assemble_jp(acc, params, G)
+    else:  # pragma: no cover
+        raise ValueError(map_desc.algorithm)
+    return acc
+
+
+def operator_matrix(params: OperatorParams, map_desc: MapDescriptor, G: int) -> np.ndarray:
+    """The operator as a dense (G^m, G^m) matrix acting on values.ravel().
+
+    Each branch's stencil does not depend on the node values, so the
+    matrix holds the same branch sums as apply_operator, up to rounding.
+    """
+    return _assemble(params, map_desc, G).matrices()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +703,13 @@ def brun_density_m2(x1, x2):
 
 @dataclass
 class DerivativeData:
-    """Finite-difference derivative data of the leading eigenvalue at (1, 0).
+    """Derivatives of the leading eigenvalue at (1, 0) (eigenvalue_derivatives).
 
     lambda_s and the raw t-gradient/Hessian describe the plain operator;
     the centred entries apply the substitution s -> s - <Lambda, t> that
-    normalizes the digit weights.
+    normalizes the digit weights.  The *_bar fields estimate the error
+    of the linear algebra only (see eigenvalue_derivatives), not the
+    collocation error of the grid or the j_max truncation.
     """
 
     targets: tuple
@@ -469,84 +727,93 @@ class DerivativeData:
     hessian_bar: float = 0.0
 
 
-def _richardson(d, h: float) -> tuple:
-    """Extrapolated derivative and the residual against the finer stencil,
-    an honest scale for the remaining truncation error."""
-    fine = d(h / 2.0)
-    value = (4.0 * fine - d(h)) / 3.0
-    return value, abs(value - fine)
-
-
-def _central1(fn, h: float) -> tuple:
-    return _richardson(lambda step: (fn(step) - fn(-step)) / (2.0 * step), h)
-
-
-def _central2(fn, h: float) -> tuple:
-    f0 = fn(0.0)
-    return _richardson(lambda step: (fn(step) - 2.0 * f0 + fn(-step)) / step**2, h)
-
-
-def _cross2(fn, h: float) -> tuple:
-    return _richardson(
-        lambda step: (fn(step, step) - fn(step, -step) - fn(-step, step) + fn(-step, -step))
-        / (4.0 * step**2),
-        h,
-    )
-
-
-# finite-difference steps: first derivatives, and second and mixed ones
-_H_FIRST = 1e-4
-_H_HESS = 1e-2
-
-
 def eigenvalue_derivatives(
     map_desc: MapDescriptor, targets, G: int = 1024, j_max: int = 10_000
 ) -> DerivativeData:
-    """Richardson-extrapolated central differences of the eigenvalue at (1, 0).
+    """First and second derivatives of the eigenvalue at (1, 0), by
+    eigenvalue perturbation theory around one power-iteration solve.
 
-    Each distinct (s, t) is solved once, warm-started from the first
-    solve's eigenfunction.
+    The solve gives lambda and phi.  With N = G^m nodes, L is the
+    assembled operator (operator_matrix) and K the inverse of the
+    bordered matrix B = [[lambda I - L, phi], [phi^T, 0]].  For v, w in
+    (s, t_1, ..., t_d), with L_v and L_vw the reweighted stencils:
+
+        psi       = K[N, :N]                   left eigenvector
+        lambda_v  = psi^T L_v phi / psi^T phi
+        phi_v     = (K [(L_v - lambda_v) phi; 0])[:N]
+        g_v       = (L_v - lambda_v)^T psi
+        lambda_vw = (psi^T L_vw phi + g_v^T phi_w + g_w^T phi_v) / psi^T phi
+
+    All of it is then redone with phi, psi and every phi_v corrected by
+    one step x <- x - K r(x) on its residual r: the eigenpair residual
+    (lambda - L) phi, the adjoint residual of psi, and the bordered-solve
+    residual of phi_v.  The corrected values are returned, and each bar
+    is the largest change the correction made in its group of
+    derivatives (lambda_s; the t-gradient; lambda_ss, lambda_st and the
+    t-Hessian).  Raises ValueError above _MAX_ASSEMBLED_NODES nodes.
     """
     targets = tuple(targets)
     d = len(targets)
-    memo: dict = {}
-    warm = None
+    N = _assembled_nodes(map_desc, G)
+    params = OperatorParams(1.0, (0.0,) * d, targets, j_max)
+    res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13)
+    lam0 = res.eigenvalue
+    phi = res.eigenfunction.values.ravel()
+    L, L_s, L_ss, sparse = _assemble(params, map_desc, G).matrices()
 
-    def at(ds=0.0, dt: dict | None = None) -> float:
-        nonlocal warm
-        t = [0.0] * d
-        for i, v in (dt or {}).items():
-            t[i] = v
-        s = 1.0 + ds
-        key = (round(s, 14), tuple(round(v, 14) for v in t))
-        if key not in memo:
-            params = OperatorParams(s, tuple(t), targets, j_max)
-            res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13, f0=warm)
-            if warm is None:
-                warm = res.eigenfunction
-            memo[key] = res.eigenvalue
-        return memo[key]
+    def target_apply(k, order, x, transpose=False):
+        rows, cols, vals = sparse[k]
+        if transpose:
+            rows, cols = cols, rows
+        return np.bincount(rows, weights=vals[order] * x[cols], minlength=N)
 
-    lam0 = at()
-    lam_s, lam_s_bar = _central1(lambda h: at(ds=h), _H_FIRST)
-    lam_ss, lam_ss_bar = _central2(lambda h: at(ds=h), _H_HESS)
-    t_pairs = [_central1(lambda h, i=i: at(dt={i: h}), _H_FIRST) for i in range(d)]
-    lam_t = np.array([p[0] for p in t_pairs])
-    lam_t_bar = max((p[1] for p in t_pairs), default=0.0)
-    st_pairs = [_cross2(lambda hs, ht, i=i: at(ds=hs, dt={i: ht}), _H_HESS) for i in range(d)]
-    lam_st = np.array([p[0] for p in st_pairs])
-    hess = np.zeros((d, d))
-    hess_bar = lam_ss_bar
-    for p in st_pairs:
-        hess_bar = max(hess_bar, p[1])
-    for i in range(d):
-        hess[i, i], bar = _central2(lambda h, i=i: at(dt={i: h}), _H_HESS)
-        hess_bar = max(hess_bar, bar)
-        for k in range(i + 1, d):
-            pair = _cross2(lambda hi, hk, i=i, k=k: at(dt={i: hi, k: hk}), _H_HESS)
-            hess[i, k] = hess[k, i] = pair[0]
-            hess_bar = max(hess_bar, pair[1])
+    def first(x, transpose=False):
+        """(L_v x) for every v, as columns."""
+        out = [x @ L_s if transpose else L_s @ x]
+        out += [target_apply(k, 0, x, transpose) for k in range(d)]
+        return np.stack(out, axis=1)
 
+    def second(psi, phi):
+        """psi^T L_vw phi; d2/dt_k dt_l is d/dt_k for k = l and 0 otherwise."""
+        h = np.zeros((d + 1, d + 1))
+        h[0, 0] = psi @ L_ss @ phi
+        for k in range(d):
+            h[0, k + 1] = h[k + 1, 0] = psi @ target_apply(k, 1, phi)
+            h[k + 1, k + 1] = psi @ target_apply(k, 0, phi)
+        return h
+
+    B = np.zeros((N + 1, N + 1))
+    np.negative(L, out=B[:N, :N])
+    B[np.arange(N), np.arange(N)] += lam0
+    B[:N, N] = B[N, :N] = phi
+    K = np.linalg.inv(B)
+
+    def derivatives(phi, psi, refine):
+        c = psi @ phi
+        Lphi = first(phi)
+        lam1 = psi @ Lphi / c
+        rhs = np.zeros((N + 1, d + 1))
+        rhs[:N] = Lphi - phi[:, None] * lam1
+        sol = K @ rhs
+        if refine:
+            sol -= K @ (B @ sol - rhs)
+        cross = (first(psi, transpose=True) - psi[:, None] * lam1).T @ sol[:N]
+        return lam1, (second(psi, phi) + cross + cross.T) / c
+
+    psi = K[N]  # B^T psi = e_N
+    lam1_raw, lam2_raw = derivatives(phi, psi[:N], refine=False)
+    phi_corr = phi - K[:N, :N] @ (B[:N, :N] @ phi)
+    r_psi = psi @ B
+    r_psi[N] -= 1.0
+    psi_corr = psi - r_psi @ K
+    lam1, lam2 = derivatives(phi_corr, psi_corr[:N], refine=True)
+    bar1 = np.abs(lam1 - lam1_raw)
+    bar2 = np.abs(lam2 - lam2_raw)
+
+    lam_s, lam_ss = lam1[0], lam2[0, 0]
+    lam_t = lam1[1:]
+    lam_st = lam2[0, 1:]
+    hess = lam2[1:, 1:]
     # Normalised operator: with branch weights |J_h|^s e^<t,N> the centring
     # by <t, Lambda> w amounts to s -> s + <Lambda, t>, so all chain-rule
     # terms carry plus signs.
@@ -561,17 +828,17 @@ def eigenvalue_derivatives(
     return DerivativeData(
         targets=targets,
         lambda_value=lam0,
-        lambda_s=lam_s,
-        lambda_ss=lam_ss,
+        lambda_s=float(lam_s),
+        lambda_ss=float(lam_ss),
         lambda_t_raw=lam_t,
         lambda_st_raw=lam_st,
         hessian_raw=hess,
         frequencies=freqs,
         lambda_t_centred=lam_t_centred,
         hessian_centred=hess_c,
-        lambda_s_bar=lam_s_bar,
-        lambda_t_bar=lam_t_bar,
-        hessian_bar=hess_bar,
+        lambda_s_bar=float(bar1[0]),
+        lambda_t_bar=float(bar1[1:].max(initial=0.0)),
+        hessian_bar=float(bar2.max()),
     )
 
 

@@ -56,6 +56,17 @@ class TestTableAgreement:
         assert tables_equal(t1, t2)
 
     @pytest.mark.parametrize("name", sorted(THREE_TARGETS))
+    def test_empty_bound_matches_record_path(self, name):
+        # the largest bound with no point: q <= 1 for gauss and jp, t1 <= 0 for brun
+        desc, _, targets, sweep = THREE_TARGETS[name]
+        bound = 0 if name == "brun" else 1
+        with pytest.raises(ValueError, match="empty ensemble"):
+            EnsembleTable.from_records(enumerate_trajectories(desc, denominator_cap=bound), targets, name)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            sweep(bound, targets)
+        assert sweep(bound + 1, targets).size > 0
+
+    @pytest.mark.parametrize("name", sorted(THREE_TARGETS))
     def test_three_targets_match_record_path(self, name, monkeypatch):
         desc, bound, targets, sweep = THREE_TARGETS[name]
         monkeypatch.setattr(bulk, "_LANE_BUDGET", 500)  # several blocks, each with its own key spans

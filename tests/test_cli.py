@@ -107,6 +107,25 @@ class TestStats:
         assert data["config"]["denominator_bound"] == 80  # flag wins
 
 
+    def test_empty_ensemble_is_a_validation_error(self, tmp_path, capsys):
+        assert run(["stats", "--algorithm", "gauss", "--denominator-bound", "1",
+                    "--targets", "1", "--out", str(tmp_path / "o")]) == 1
+        assert "error: empty ensemble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "clt", "ldp"])
+    def test_brun3_rejected_before_enumeration(self, tmp_path, capsys, monkeypatch, command):
+        from cfstats import cli
+
+        def no_table(cfg):
+            raise AssertionError("brun3 was enumerated")
+
+        monkeypatch.setattr(cli, "_build_table", no_table)
+        assert run([command, "--algorithm", "brun3", "--denominator-bound", "10", "--targets", "1",
+                    "--q-grid", "2,3,4,5", "--out", str(tmp_path / "o")]) == 1
+        assert "the spectral grid supports gauss, brun2 and jp2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestCltLdp:
     def test_clt_needs_grid(self, tmp_path):
         assert run(["clt", "--algorithm", "gauss", "--denominator-bound", "60",

@@ -166,6 +166,110 @@ class TestDerivatives:
             apply_operator(f, OperatorParams(1.0, (0.1,), (2000,), 5000), GAUSS)
 
 
+def _fd_derivatives(desc, targets, G, j_max, h):
+    """Gradient and Hessian of the eigenvalue in (s, t_1, ..., t_d) at (1, 0):
+    central differences of leading_eigenvalue, Richardson-extrapolated
+    from steps h and h/2."""
+    n = len(targets) + 1
+
+    def lam(step):
+        params = OperatorParams(1.0 + step[0], tuple(step[1:]), targets, j_max)
+        return leading_eigenvalue(params, desc, G=G, tol=1e-14).eigenvalue
+
+    def at(h):
+        e = np.eye(n) * h
+        lam0 = lam(np.zeros(n))
+        grad = np.array([(lam(e[i]) - lam(-e[i])) / (2 * h) for i in range(n)])
+        hess = np.zeros((n, n))
+        for i in range(n):
+            hess[i, i] = (lam(e[i]) - 2 * lam0 + lam(-e[i])) / h**2
+            for k in range(i + 1, n):
+                cross = lam(e[i] + e[k]) - lam(e[i] - e[k]) - lam(e[k] - e[i]) + lam(-e[i] - e[k])
+                hess[i, k] = hess[k, i] = cross / (4 * h * h)
+        return grad, hess
+
+    (g1, h1), (g2, h2) = at(h), at(h / 2)
+    return (4 * g2 - g1) / 3, (4 * h2 - h1) / 3
+
+
+class TestAnalyticDerivatives:
+    # algorithm, targets, G, j_max, and a target beyond j_max
+    CASES = {
+        "gauss": (GAUSS, (1, 2), 32, 64, 10**7),
+        "brun2": (BRUN2, (1, 2), 8, 16, 10**6),
+        "jp2": (JP2, ((1, 2), (0, 1)), 6, 4, (1, 50)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_finite_differences(self, name):
+        desc, targets, G, j_max, _ = self.CASES[name]
+        d = eigenvalue_derivatives(desc, targets, G=G, j_max=j_max)
+        grad, hess = _fd_derivatives(desc, targets, G, j_max, 1e-3)
+        assert d.lambda_s == pytest.approx(grad[0], abs=1e-9)
+        assert np.abs(d.lambda_t_raw - grad[1:]).max() < 1e-9
+        assert d.lambda_ss == pytest.approx(hess[0, 0], abs=1e-6)
+        assert np.abs(d.lambda_st_raw - hess[0, 1:]).max() < 1e-6
+        assert np.abs(d.hessian_raw - hess[1:, 1:]).max() < 1e-6
+        # the bars cover the linear algebra only, which is near rounding level
+        for bar in (d.lambda_s_bar, d.lambda_t_bar, d.hessian_bar):
+            assert 0.0 <= bar < 1e-10
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_target_beyond_jmax_has_frequency_zero(self, name):
+        desc, targets, G, j_max, absent = self.CASES[name]
+        pair = (targets[0], absent)
+        d = eigenvalue_derivatives(desc, pair, G=G, j_max=j_max)
+        lam = frequency_constants(desc, pair, j_max=j_max, deriv=d)
+        assert lam[1] == 0.0
+        assert lam[0] > 0
+        assert d.lambda_st_raw[1] == 0.0
+        assert d.hessian_raw[1].tolist() == [0.0, 0.0]
+
+    def test_grid_above_the_dense_cap_rejected(self):
+        with pytest.raises(ValueError, match="4225 nodes"):
+            eigenvalue_derivatives(BRUN2, (1,), G=65, j_max=16)
+
+
+class TestOperatorMatrix:
+    # s != 1 and t != 0; the Gauss j_max exceeds the exact cap, so the
+    # middle Hurwitz fold is in the matrix
+    CASES = {
+        "gauss": (GAUSS, 48, OperatorParams(1.15, (0.3, -0.2), (1, 3), 3000)),
+        "brun2": (BRUN2, 12, OperatorParams(1.1, (0.25,), (2,), 40)),
+        "jp2": (JP2, 10, OperatorParams(1.05, (0.2, -0.1), ((1, 2), (0, 1)), 6)),
+    }
+
+    def test_gauss_case_covers_the_middle_fold(self):
+        assert self.CASES["gauss"][2].j_max > spectral._EXACT_CAP_1D
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_apply(self, name):
+        desc, G, params = self.CASES[name]
+        mat = spectral.operator_matrix(params, desc, G)
+        rng = np.random.default_rng(7)
+        shape = (G,) if desc.m == 1 else (G, G)
+        for _ in range(3):
+            f = GridFunction(desc.m, G, rng.uniform(0.5, 1.5, shape))
+            g = apply_operator(f, params, desc).values.ravel()
+            assert np.abs(mat @ f.values.ravel() - g).max() <= 1e-13 * np.abs(g).max()
+
+
+class TestZetaDerivatives:
+    # the exponents of the three tails near s = 1, and their shifts a >= 2
+    SIGMAS = sorted({k * s + c for s in (0.9, 1.0, 1.1) for k, c in ((2, 0), (2, 1), (3, -1), (3, 0))})
+    SHIFTS = (2.0, 2.49, 5.5, 65.03, 513.7, 1025.4, 10_001.5)
+
+    def test_against_mpmath(self):
+        import mpmath
+
+        for sigma in self.SIGMAS:
+            got = spectral._zeta_derivatives(sigma, np.array(self.SHIFTS))
+            for i, a in enumerate(self.SHIFTS):
+                for k in range(3):
+                    ref = float(mpmath.zeta(sigma, a, derivative=k))
+                    assert got[k, i] == pytest.approx(ref, rel=1e-13), (sigma, a, k)
+
+
 class TestWitnesses:
     def test_gauss_constants(self):
         w = nonarithmeticity_witnesses(GAUSS)
