@@ -17,10 +17,10 @@ def main(name: str, grid: int | None, cap: int | None) -> None:
     desc = DESCRIPTORS[name]
     g0, c0, targets = DEFAULTS[name]
     G, cap = grid or g0, cap or c0
-    res = spectral.leading_eigenvalue(spectral.OperatorParams(1.0, (), (), cap), desc, G=G)
+    deriv = spectral.eigenvalue_derivatives(desc, targets, G=G, j_max=cap)
+    res = deriv.solve
     print(f"{name}: lambda(1,0) = {res.eigenvalue:.8f} +- {res.tail_bar:.1e} "
           f"({res.iterations} iterations, residual {res.residual:.1e})")
-    deriv = spectral.eigenvalue_derivatives(desc, targets, G=G, j_max=cap)
     lam = spectral.frequency_constants(desc, targets, deriv=deriv)
     sigma = spectral.covariance_matrix(desc, targets, deriv=deriv)
     print(f"  entropy -lambda_s = {-deriv.lambda_s:.6f}")

@@ -312,15 +312,12 @@ def cmd_spectral(cfg: ExperimentConfig) -> int:
     G, jmax = _spectral_grid(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     _write_schema(cfg.out)
-    res = spectral.leading_eigenvalue(
-        spectral.OperatorParams(1.0, (), (), jmax), cfg.map_desc, G=G
-    )
     deriv, lam, sigma = _spectral_constants(cfg)
     payload = {
         "config": _config_payload(cfg),
         "algorithm": cfg.algorithm,
-        "eigenvalue_at_1": res.eigenvalue,
-        "eigenvalue_tail_bar": res.tail_bar,
+        "eigenvalue_at_1": deriv.solve.eigenvalue,
+        "eigenvalue_tail_bar": deriv.solve.tail_bar,
         "entropy": -deriv.lambda_s,
         "entropy_bar": deriv.lambda_s_bar,
         "lambda": lam,

@@ -7,21 +7,23 @@ The operator acting on a grid function f is
 
 where e(h) is the indicator vector of the branch digit among the target
 labels.  Functions are stored at midpoint collocation nodes (uniform per
-axis) and evaluated by multilinear interpolation; the leading eigenvalue
-comes from sup-norm power iteration.
+axis), and the leading eigenvalue comes from sup-norm power iteration.
 
-Branch sums are split three ways: digits up to an exact cap are summed
-with interpolation; digits from the cap to J_max use a closed-form
-Hurwitz-zeta fold with f linearized near the shrinking images (the
-linearization residual is orders below every tolerance used here); the
-tail beyond J_max is folded the same way, with an integral bracket
-carried as an explicit error bar on the eigenvalue.
+Each map has one branch table (_assemble_gauss, _assemble_brun2,
+_assemble_jp).  It emits every branch as a stencil: a coefficient, the
+branch weight |J_h|^s e^<t, e(h)>, times a fixed linear combination of
+node values.  Digits up to an exact cap are single branches, read at
+their images by (bi)linear interpolation; all digits beyond the cap are
+folded into Hurwitz-zeta sums against f near the shrinking images.
 
-Every branch stencil is linear in the node values and independent of
-(s, t), so the same branch sums also assemble the operator as a dense
-matrix (operator_matrix), with its s- and t-derivatives as reweighted
-stencils.  The eigenvalue derivatives at (1, 0) come from perturbation
-theory around one leading_eigenvalue solve and that matrix.
+Two readers take the same table.  _Apply multiplies each stencil into
+one grid function: apply_operator and the power iteration.  _Assembly
+keeps the stencils as a dense matrix (operator_matrix), with its s- and
+t-derivatives as reweighted stencils; the eigenvalue derivatives at
+(1, 0) come from perturbation theory around one leading_eigenvalue solve
+and that matrix.  The branches beyond j_max sit inside the closed-form
+fold; an integral bracket on them, the tail bar, is computed once per
+solve from the returned eigenfunction.
 
 Dimensions 1 (Gauss) and 2 (Brun, Jacobi-Perron) are supported.  The
 invariant density, the digit frequency vector, the covariance matrix
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .maps import MapDescriptor
 
@@ -83,9 +84,6 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.m, self.G, self.values.copy())
-
 
 @dataclass(frozen=True)
 class OperatorParams:
@@ -128,21 +126,16 @@ class SpectralResult:
 
 
 # ---------------------------------------------------------------------------
-# interpolation helpers
+# stencils
 
 
 def _stencil1(y: np.ndarray, G: int) -> tuple:
-    """Left node index and fraction of the linear stencil at y."""
+    """Left node index and fraction of the linear stencil at y: piecewise-
+    linear interpolation on midpoint nodes, extrapolating linearly at both
+    ends (queries stay within half a spacing of the node range)."""
     pos = y * G - 0.5
     idx = np.clip(np.floor(pos).astype(np.int64), 0, G - 2)
     return idx, pos - idx
-
-
-def _interp1(values: np.ndarray, y: np.ndarray, G: int) -> np.ndarray:
-    """Piecewise-linear interpolation on midpoint nodes, linear extrapolation
-    at both ends (queries stay within half a spacing of the node range)."""
-    idx, frac = _stencil1(y, G)
-    return values[idx] * (1.0 - frac) + values[idx + 1] * frac
 
 
 def _stencil2(yx: np.ndarray, yy: np.ndarray, G: int) -> tuple:
@@ -152,116 +145,14 @@ def _stencil2(yx: np.ndarray, yy: np.ndarray, G: int) -> tuple:
     return ix, iy, fx, fy
 
 
-def _interp2(values: np.ndarray, yx: np.ndarray, yy: np.ndarray, G: int) -> np.ndarray:
-    """Bilinear interpolation on the midpoint lattice with edge extrapolation."""
-    ix, iy, fx, fy = _stencil2(yx, yy, G)
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    return (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
-
-
-def _edge_linearization_1d(values: np.ndarray, G: int) -> tuple:
-    """(f0, f1) with f(y) ~ f0 + f1*y near y = 0, from the first two nodes."""
-    x0 = 0.5 / G
-    f1 = (values[1] - values[0]) * G
-    f0 = values[0] - f1 * x0
-    return float(f0), float(f1)
-
-
-# ---------------------------------------------------------------------------
-# operator application
-
-
-# Exact-interpolation cap per dimension; digits beyond it map into a
-# neighbourhood of the origin small enough for the linearized fold.
-_EXACT_CAP_1D = 1024
-_EXACT_CAP_2D = 512
-_EXACT_CAP_JP = 64  # digit b
-
-
-def _t_factor(params: OperatorParams, label) -> float:
-    for k, lab in enumerate(params.targets):
-        if lab == label:
-            return math.exp(params.t[k])
-    return 1.0
-
-
-def _check_targets_below_cap(params: OperatorParams, cap: int, kind: str) -> None:
-    """Targets must be exactly summed or entirely absent.
-
-    A label beyond j_max lies outside the truncated branch set and simply
-    never receives its weight (its frequency is zero); a label between
-    the exact cap and j_max would be silently mis-weighted, so it is
-    rejected.
-    """
-    for lab in params.targets:
-        j = lab if isinstance(lab, int) else lab[1]
-        if cap < j <= params.j_max:
-            raise ValueError(f"target {lab} exceeds the exact {kind} cap {cap}")
-
-
-def _apply_gauss(f: GridFunction, params: OperatorParams) -> tuple:
-    G = f.G
-    x = f.nodes[0]
-    s2 = 2.0 * params.s
-    cap = min(params.j_max, _EXACT_CAP_1D)
-    _check_targets_below_cap(params, cap, "Gauss digit")
-    out = np.zeros(G)
-    j = np.arange(1, cap + 1, dtype=np.float64)[:, None]
-    den = j + x[None, :]
-    w = den ** (-s2)
-    for k, lab in enumerate(params.targets):
-        if 1 <= lab <= cap:
-            w[lab - 1] *= math.exp(params.t[k])
-    out += (w * _interp1(f.values, 1.0 / den, G).reshape(cap, G)).sum(axis=0)
-
-    f0, f1 = _edge_linearization_1d(f.values, G)
-    if params.j_max > cap:
-        out += f0 * (hurwitz_zeta(s2, cap + 1 + x) - hurwitz_zeta(s2, params.j_max + 1 + x))
-        out += f1 * (hurwitz_zeta(s2 + 1, cap + 1 + x) - hurwitz_zeta(s2 + 1, params.j_max + 1 + x))
-    # tail beyond j_max, folded; bracketed by integrals for the error bar
-    jm = params.j_max
-    tail = f0 * hurwitz_zeta(s2, jm + 1 + x) + f1 * hurwitz_zeta(s2 + 1, jm + 1 + x)
-    out += tail
-    lo = (jm + 1 + x) ** (1.0 - s2) / (s2 - 1.0)
-    hi = (jm + x) ** (1.0 - s2) / (s2 - 1.0)
-    bar = float(((hi - lo) * max(abs(f0), abs(f0 + f1))).max())
-    return out, bar
-
-
-def _apply_brun2(f: GridFunction, params: OperatorParams) -> tuple:
-    G = f.G
-    x1 = f.nodes[0][:, None] * np.ones((1, G))
-    x2 = f.nodes[1][None, :] * np.ones((G, 1))
-    s3 = 3.0 * params.s
-    cap = min(params.j_max, _EXACT_CAP_2D)
-    _check_targets_below_cap(params, cap, "Brun digit")
-    out = np.zeros((G, G))
-    for j in range(1, cap + 1):
-        tf = _t_factor(params, j)
-        den = j + x2
-        w = den ** (-s3) * tf
-        out += w * _interp2(f.values, 1.0 / den, x1 / den, G)
-        den = j + x1
-        w = den ** (-s3) * tf
-        out += w * _interp2(f.values, x2 / den, 1.0 / den, G)
-    # both branch families send large digits toward the origin
-    f_org = float(
-        _interp2(f.values, np.array([0.5 / (cap + 1)]), np.array([0.5 / (cap + 1)]), G)[0]
-    )
-    tail = f_org * (hurwitz_zeta(s3, cap + 1 + x2) + hurwitz_zeta(s3, cap + 1 + x1))
-    out += tail
-    lo = (cap + 2 + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + 2 + x1) ** (1.0 - s3) / (s3 - 1.0)
-    hi = (cap + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + x1) ** (1.0 - s3) / (s3 - 1.0)
-    bar = float(((hi - lo) * abs(f_org)).max() + abs(f_org) * 2.0 * (cap ** -1.0) / G)
-    return out, bar
+def _corner_entries(ix, iy, fx, fy, G: int) -> tuple:
+    """Flat node indices and weights of the four bilinear corners, stacked
+    in the order (ix, iy), (ix, iy + 1), (ix + 1, iy), (ix + 1, iy + 1)."""
+    base = ix * G + iy
+    cols = base + np.array([0, 1, G, G + 1]).reshape((4,) + (1,) * base.ndim)
+    fx, fy = (f.reshape((1,) * (base.ndim - f.ndim) + f.shape) for f in (fx, fy))
+    weights = np.stack([1 - fx, fx])[:, None] * np.stack([1 - fy, fy])[None, :]
+    return cols, weights.reshape((4,) + weights.shape[2:])
 
 
 def _jp_cells(G: int) -> tuple:
@@ -281,7 +172,7 @@ def _jp_cells(G: int) -> tuple:
     return xi, eta, in_p1
 
 
-def _cell_stencil(in_p1: np.ndarray, yx, yy, want_p1: bool, G: int) -> tuple:
+def _cell_stencil(in_p1: np.ndarray, yx, yy, want_p1, G: int) -> tuple:
     """Bilinear stencil restricted to nodes of one cell.
 
     Returns (ix, iy, fx, fy, ok, nx, ny): where ok, the bilinear stencil
@@ -299,107 +190,36 @@ def _cell_stencil(in_p1: np.ndarray, yx, yy, want_p1: bool, G: int) -> tuple:
     # nearest node on the wanted side of the diagonal
     nx = np.clip(np.round(yx * G - 0.5).astype(np.int64), 0, G - 1)
     ny = np.clip(np.round(yy * G - 0.5).astype(np.int64), 0, G - 1)
+    # else one step across the diagonal: up-left into P1, down-right into P2
     wrong = in_p1[nx, ny] != want_p1
-    if np.any(wrong):
-        nx2 = np.where(wrong & want_p1, np.maximum(nx - 1, 0), nx)
-        ny2 = np.where(wrong & want_p1, np.minimum(ny + 1, G - 1), ny)
-        nx2 = np.where(wrong & ~want_p1, np.minimum(nx + 1, G - 1), nx2)
-        ny2 = np.where(wrong & ~want_p1, np.maximum(ny - 1, 0), ny2)
-        nx, ny = nx2, ny2
+    step = np.where(want_p1, -1, 1)
+    nx = np.where(wrong, np.clip(nx + step, 0, G - 1), nx)
+    ny = np.where(wrong, np.clip(ny - step, 0, G - 1), ny)
     return ix, iy, fx, fy, ok, nx, ny
 
 
-def _interp2_cellwise(values: np.ndarray, in_p1: np.ndarray, yx, yy, want_p1: bool, G: int):
-    """Bilinear interpolation restricted to nodes of one cell (_cell_stencil)."""
-    ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, yx, yy, want_p1, G)
-    bil = (
-        values[ix, iy] * (1 - fx) * (1 - fy)
-        + values[ix + 1, iy] * fx * (1 - fy)
-        + values[ix, iy + 1] * (1 - fx) * fy
-        + values[ix + 1, iy + 1] * fx * fy
-    )
-    return np.where(ok, bil, values[nx, ny])
-
-
-def _jp_branch_image(a: int, b: int, xi: np.ndarray, eta: np.ndarray) -> tuple:
+def _jp_branch_image(a, b: int, xi: np.ndarray, eta: np.ndarray) -> tuple:
     den = b + eta
     return 1.0 / den, (xi + a) / den
 
 
-def _jp_checked_image(a: int, b: int, xi: np.ndarray, eta: np.ndarray) -> tuple:
-    """Branch image and its cell (True for P1 = {xi < eta}); raises
-    MarkovViolationError if the image leaves that cell at some node."""
+def _jp_checked_image(a: np.ndarray, b: int, xi: np.ndarray, eta: np.ndarray) -> tuple:
+    """Images of the branches (a, b) for the digits a on the leading axis,
+    and their cells (True for P1 = {xi < eta}, where a >= 1); raises
+    MarkovViolationError if an image leaves its cell at some node."""
     img_xi, img_eta = _jp_branch_image(a, b, xi, eta)
-    if a >= 1:
-        if np.any(img_eta < img_xi - 1e-12):
-            raise MarkovViolationError(f"branch ({a},{b}) image left cell P1 at some node")
-        return img_xi, img_eta, True
-    if np.any(img_eta > img_xi + 1e-12):
-        raise MarkovViolationError(f"branch ({a},{b}) image left cell P2 at some node")
-    return img_xi, img_eta, False
-
-
-def _apply_jp(f: GridFunction, params: OperatorParams) -> tuple:
-    if params.s <= 2.0 / 3.0:
-        raise ValueError("the truncated JP branch sum needs s > 2/3")
-    G = f.G
-    xi, eta, in_p1 = _jp_cells(G)
-    s3 = 3.0 * params.s
-    cap = min(params.j_max, _EXACT_CAP_JP)
-    _check_targets_below_cap(params, cap, "JP digit b")
-    out = np.zeros((G, G))
-    for b in range(1, cap + 1):
-        wbase = (b + eta) ** (-s3)
-        for a in range(0, b + 1):
-            img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
-            val = _interp2_cellwise(f.values, in_p1, img_xi, img_eta, want_p1, G)
-            w = wbase * _t_factor(params, (a, b))
-            if a == b:
-                out += np.where(in_p1, w * val, 0.0)
-            else:
-                out += w * val
-    # Tail over b > cap: the images (1/(b+eta), (xi+a)/(b+eta)) line up
-    # along the left edge with eta-values spaced 1/(b+eta), so the a-sum
-    # is (b+eta) times the edge integral of f (Riemann, O(1/b) error).
-    f_edge = f.values[0, :]
-    f_bar = float(f_edge.mean())
-    f_top = float(f_edge[-1])
-    z1 = hurwitz_zeta(s3 - 1.0, cap + 1 + eta)
-    z0 = hurwitz_zeta(s3, cap + 1 + eta)
-    tail_p1 = f_bar * z1 + (1.0 - eta) * f_top * z0
-    tail = np.where(in_p1, tail_p1, tail_p1 - f_top * z0)  # diagonal branch only in P1
-    out += tail
-    bar = float(((abs(f_edge).max() - min(0.0, f_edge.min())) * (z1 / (cap + 1) + z0)).max())
-    return out, bar
-
-
-def apply_operator(f: GridFunction, params: OperatorParams, map_desc: MapDescriptor) -> GridFunction:
-    """One application of the transfer operator to a grid function."""
-    out, _ = _apply_with_bar(f, params, map_desc)
-    return out
-
-
-def _apply_with_bar(f: GridFunction, params: OperatorParams, map_desc: MapDescriptor):
-    if map_desc.algorithm == "gauss":
-        vals, bar = _apply_gauss(f, params)
-    elif map_desc.algorithm == "brun":
-        if map_desc.m != 2:
-            raise ValueError("spectral Brun operator is implemented for m = 2")
-        vals, bar = _apply_brun2(f, params)
-    elif map_desc.algorithm == "jp":
-        vals, bar = _apply_jp(f, params)
-    else:  # pragma: no cover
-        raise ValueError(map_desc.algorithm)
-    return GridFunction(f.m, f.G, vals), bar
+    want_p1 = a >= 1
+    left = np.where(want_p1, img_eta < img_xi - 1e-12, img_eta > img_xi + 1e-12)
+    if left.any():
+        bad = int(np.broadcast_to(a, left.shape)[left][0])
+        cell = "P1" if bad >= 1 else "P2"
+        raise MarkovViolationError(f"branch ({bad},{b}) image left cell {cell} at some node")
+    return img_xi, img_eta, want_p1
 
 
 # ---------------------------------------------------------------------------
-# the operator as a matrix
+# branch coefficients
 
-
-# Largest grid (G^m nodes) whose operator is assembled as a dense matrix;
-# one such matrix is 134 MB, and the derivatives hold five.
-_MAX_ASSEMBLED_NODES = 4096
 
 # Euler-Maclaurin summation of the Hurwitz zeta: direct terms, then the
 # Bernoulli numbers B_2, B_4, ..., B_14 of the remainder
@@ -408,29 +228,32 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 def _taylor_mul(p, q) -> list:
-    """Product of two Taylor polynomials of degree 2, truncated."""
-    return [p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[0] * q[2] + p[1] * q[1] + p[2] * q[0]]
+    """Product of two Taylor polynomials, truncated to the shorter one."""
+    return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(min(len(p), len(q)))]
 
 
-def _zeta_derivatives(sigma: float, a) -> np.ndarray:
-    """The Hurwitz zeta(sigma, a) and its first two sigma-derivatives, stacked.
+def _zeta_derivatives(sigma: float, a, orders: int = 3) -> np.ndarray:
+    """The Hurwitz zeta(sigma, a) and its first orders - 1 (at most two)
+    sigma-derivatives, stacked.
 
     Euler-Maclaurin: _EM_TERMS terms summed directly, then at A = a +
     _EM_TERMS the integral, the half term and the Bernoulli corrections,
     each expanded as a Taylor polynomial in sigma.  Needs sigma > 1, a > 0.
     """
     a = np.asarray(a, dtype=np.float64)
-    out = np.zeros((3,) + a.shape)
+    out = np.zeros((orders,) + a.shape)
     for n in range(_EM_TERMS):
-        lg = -np.log(a + n)
         p = (a + n) ** -sigma
-        out += np.stack([p, lg * p, lg * lg * p])
+        out[0] += p
+        if orders > 1:
+            lg = -np.log(a + n)
+            out[1] += lg * p
+            out[2] += lg * lg * p
     A = a + _EM_TERMS
-    lg = -np.log(A)
     u = sigma - 1.0
     # A^sigma times the remainder at sigma + eps, as coefficients of eps^k
-    rem = [A / u + 0.5, -A / u**2, A / u**3]
-    rising = [1.0, 0.0, 0.0]  # (sigma + eps)(sigma + 1 + eps)...
+    rem = [A / u + 0.5, -A / u**2, A / u**3][:orders]
+    rising = [1.0, 0.0, 0.0][:orders]  # (sigma + eps)(sigma + 1 + eps)...
     factors = 0
     for j, bern in enumerate(_BERNOULLI, start=1):
         while factors < 2 * j - 1:
@@ -438,29 +261,233 @@ def _zeta_derivatives(sigma: float, a) -> np.ndarray:
             factors += 1
         scale = bern / math.factorial(2 * j) * A ** (1 - 2 * j)
         rem = [r + scale * c for r, c in zip(rem, rising)]
-    tail = _taylor_mul([1.0, lg, 0.5 * lg * lg], rem)  # times A^-eps
-    out += np.stack(tail) * A**-sigma * np.array([1.0, 1.0, 2.0]).reshape((3,) + (1,) * a.ndim)
+    if orders > 1:
+        lg = -np.log(A)
+        rem = _taylor_mul([1.0, lg, 0.5 * lg * lg], rem)  # times A^-eps
+    scale = np.array([1.0, 1.0, 2.0])[:orders].reshape((orders,) + (1,) * a.ndim)
+    out += np.stack(rem) * A**-sigma * scale
     return out
 
 
-def _zeta_coef(k: float, shift: float, s: float, a) -> np.ndarray:
-    """zeta(k s + shift, a) and its first two s-derivatives, stacked."""
-    z = _zeta_derivatives(k * s + shift, a)
-    return z * np.array([1.0, k, k * k]).reshape((3,) + (1,) * (z.ndim - 1))
+def _zeta_coef(k: float, shift: float, s: float, a, orders: int) -> np.ndarray:
+    """zeta(k s + shift, a) and its first orders - 1 s-derivatives, stacked."""
+    z = _zeta_derivatives(k * s + shift, a, orders)
+    return z * np.array([1.0, k, k * k])[:orders].reshape((orders,) + (1,) * (z.ndim - 1))
 
 
-def _power_coef(base, k: float, s: float) -> np.ndarray:
-    """base^(-k s) and its first two s-derivatives, stacked."""
+def _power_coef(base, k: float, s: float, orders: int) -> np.ndarray:
+    """base^(-k s) and its first orders - 1 (none or two) s-derivatives, stacked."""
     w = base ** (-k * s)
+    if orders == 1:
+        return w[None]
     lg = -k * np.log(base)
     return np.stack([w, lg * w, lg * lg * w])
 
 
-def _corner_entries(ix, iy, fx, fy, G: int) -> tuple:
-    """Flat node indices and weights of the four bilinear corners, stacked."""
-    cols = np.stack([ix * G + iy, (ix + 1) * G + iy, ix * G + iy + 1, (ix + 1) * G + iy + 1])
-    weights = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
-    return cols, weights
+# ---------------------------------------------------------------------------
+# the branch tables
+
+
+# Exact-interpolation cap per dimension; digits beyond it map into a
+# neighbourhood of the origin small enough for the folds.
+_EXACT_CAP_1D = 1024
+_EXACT_CAP_2D = 512
+_EXACT_CAP_JP = 64  # digit b
+
+
+def _exact_cap(params: OperatorParams, cap: int, kind: str) -> int:
+    """The last digit summed branch by branch, min(j_max, cap).
+
+    Targets must be exactly summed or entirely absent.  A label beyond
+    j_max lies outside the truncated branch set and simply never
+    receives its weight (its frequency is zero); a label between the
+    exact cap and j_max would be silently mis-weighted, so it is rejected.
+    """
+    cap = min(params.j_max, cap)
+    for lab in params.targets:
+        j = lab if isinstance(lab, int) else lab[1]
+        if cap < j <= params.j_max:
+            raise ValueError(f"target {lab} exceeds the exact {kind} cap {cap}")
+    return cap
+
+
+def _add_branches(acc, params: OperatorParams, rows, labels: list, cols, weight, coef) -> None:
+    """Add the branches labelled by labels, stacked on axis 1 of cols,
+    weight and coef (axis 0 stacks the stencil entries, resp. the
+    s-derivatives).  The branch of target k is weighted by exp(t_k), and
+    added once more under its label."""
+    hits = [i for i, lab in enumerate(labels) if lab in params.targets]
+    if hits:
+        tf = np.ones(len(labels))
+        tf[hits] = [math.exp(params.t[params.targets.index(labels[i])]) for i in hits]
+        coef = coef * tf.reshape((1, -1) + (1,) * (coef.ndim - 2))
+    acc.add(rows, cols, weight, coef)
+    for i in hits:
+        acc.add(rows, cols[:, i], weight[:, i], coef[:, i], label=labels[i])
+
+
+def _assemble_gauss(acc, params: OperatorParams, G: int) -> None:
+    x = (np.arange(G) + 0.5) / G
+    rows = np.arange(G)
+    cap = _exact_cap(params, _EXACT_CAP_1D, "Gauss digit")
+    step = max(1, 2**16 // G)  # digits per add, to bound the memory held
+    for lo in range(1, cap + 1, step):
+        j = np.arange(lo, min(lo + step, cap + 1))
+        den = j[:, None] + x[None, :]
+        idx, frac = _stencil1(1.0 / den, G)
+        cols, weight = np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
+        coef = _power_coef(den, 2.0, params.s, acc.orders)
+        _add_branches(acc, params, rows, j.tolist(), cols, weight, coef)
+    # every digit beyond cap, folded with f(y) ~ f0 + f1*y near y = 0: the
+    # line through the first two nodes, f1 = G (v1 - v0), f0 = v0 - f1 / (2G)
+    edge = np.array([[0], [1]])
+    acc.add(rows, edge, np.array([[1.5], [-0.5]]), _zeta_coef(2.0, 0.0, params.s, cap + 1 + x, acc.orders))
+    acc.add(rows, edge, np.array([[-G], [G]]), _zeta_coef(2.0, 1.0, params.s, cap + 1 + x, acc.orders))
+
+
+def _assemble_brun2(acc, params: OperatorParams, G: int) -> None:
+    x = (np.arange(G) + 0.5) / G
+    x1, x2 = x[:, None], x[None, :]
+    rows = np.arange(G * G).reshape(G, G)
+    cap = _exact_cap(params, _EXACT_CAP_2D, "Brun digit")
+    step = max(1, 2**16 // G**2)  # digits per add, to bound the memory held
+    for lo in range(1, cap + 1, step):
+        j = np.arange(lo, min(lo + step, cap + 1))
+        labels = j.tolist()
+        j = j[:, None, None]
+        den = j + x2
+        cols, weight = _corner_entries(*_stencil2(1.0 / den, x1 / den, G), G)
+        _add_branches(acc, params, rows, labels, cols, weight, _power_coef(den, 3.0, params.s, acc.orders))
+        den = j + x1
+        cols, weight = _corner_entries(*_stencil2(x2 / den, 1.0 / den, G), G)
+        _add_branches(acc, params, rows, labels, cols, weight, _power_coef(den, 3.0, params.s, acc.orders))
+    # both families send digits beyond cap toward the origin
+    y = np.array([0.5 / (cap + 1)])
+    cols, weight = _corner_entries(*_stencil2(y, y, G), G)
+    z = _zeta_coef(3.0, 0.0, params.s, cap + 1 + x2, acc.orders) + _zeta_coef(
+        3.0, 0.0, params.s, cap + 1 + x1, acc.orders
+    )
+    acc.add(rows, cols.reshape(4, 1, 1), weight.reshape(4, 1, 1), z)
+
+
+def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
+    if params.s <= 2.0 / 3.0:
+        raise ValueError("the truncated JP branch sum needs s > 2/3")
+    xi, eta, in_p1 = _jp_cells(G)
+    rows = np.arange(G * G).reshape(G, G)
+    cap = _exact_cap(params, _EXACT_CAP_JP, "JP digit b")
+    for b in range(1, cap + 1):
+        # every branch (a, b), a = 0..b, at once
+        a = np.arange(b + 1)[:, None, None]
+        img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
+        ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, img_xi, img_eta, want_p1, G)
+        cols, weight = _corner_entries(ix, iy, fx, fy, G)
+        cols = np.concatenate([cols, (nx * G + ny)[None]])
+        weight = np.concatenate([weight * ok, (~ok)[None]])
+        weight[:, b] *= in_p1  # the diagonal branch acts on P1 only
+        coef = _power_coef(b + eta, 3.0, params.s, acc.orders)[:, None]
+        _add_branches(acc, params, rows, [(a, b) for a in range(b + 1)], cols, weight, coef)
+    # Tail over b > cap: the images (1/(b+eta), (xi+a)/(b+eta)) line up
+    # along the left edge with eta-values spaced 1/(b+eta), so the a-sum
+    # is (b+eta) times the edge integral of f (Riemann, O(1/b) error):
+    # f_bar * z1 + (in_p1 - eta) * f_top * z0, from the mean and the last
+    # of the left-edge values values[0, :] (the diagonal branch in P1 only)
+    z1 = _zeta_coef(3.0, -1.0, params.s, cap + 1 + eta, acc.orders)
+    z0 = _zeta_coef(3.0, 0.0, params.s, cap + 1 + eta, acc.orders)
+    acc.add(rows, np.arange(G).reshape(G, 1, 1), np.full((G, 1, 1), 1.0 / G), z1)
+    acc.add(rows, np.full((1, 1, 1), G - 1), np.ones((1, 1, 1)), (in_p1 - eta) * z0)
+
+
+# Integral brackets on the branches beyond j_max, which the folds of the
+# branch tables include; each is evaluated at one grid function (values).
+
+
+def _tail_bar_gauss(values: np.ndarray, params: OperatorParams) -> float:
+    G = values.size
+    x = (np.arange(G) + 0.5) / G
+    s2 = 2.0 * params.s
+    x0 = 0.5 / G
+    f1 = float(values[1] - values[0]) * G
+    f0 = float(values[0]) - f1 * x0
+    jm = params.j_max
+    lo = (jm + 1 + x) ** (1.0 - s2) / (s2 - 1.0)
+    hi = (jm + x) ** (1.0 - s2) / (s2 - 1.0)
+    return float(((hi - lo) * max(abs(f0), abs(f0 + f1))).max())
+
+
+def _tail_bar_brun2(values: np.ndarray, params: OperatorParams) -> float:
+    G = values.shape[0]
+    x = (np.arange(G) + 0.5) / G
+    x1, x2 = x[:, None], x[None, :]
+    s3 = 3.0 * params.s
+    cap = min(params.j_max, _EXACT_CAP_2D)
+    y = np.array([0.5 / (cap + 1)])
+    cols, weight = _corner_entries(*_stencil2(y, y, G), G)
+    f_org = float(weight[:, 0] @ values.ravel()[cols[:, 0]])
+    lo = (cap + 2 + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + 2 + x1) ** (1.0 - s3) / (s3 - 1.0)
+    hi = (cap + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + x1) ** (1.0 - s3) / (s3 - 1.0)
+    return float(((hi - lo) * abs(f_org)).max() + abs(f_org) * 2.0 * (cap ** -1.0) / G)
+
+
+def _tail_bar_jp(values: np.ndarray, params: OperatorParams) -> float:
+    _, eta, _ = _jp_cells(values.shape[0])
+    s3 = 3.0 * params.s
+    cap = min(params.j_max, _EXACT_CAP_JP)
+    z1 = _zeta_derivatives(s3 - 1.0, cap + 1 + eta, 1)[0]
+    z0 = _zeta_derivatives(s3, cap + 1 + eta, 1)[0]
+    f_edge = values[0, :]
+    return float(((abs(f_edge).max() - min(0.0, f_edge.min())) * (z1 / (cap + 1) + z0)).max())
+
+
+# algorithm -> (branch table, tail bar)
+_MAPS = {
+    "gauss": (_assemble_gauss, _tail_bar_gauss),
+    "brun": (_assemble_brun2, _tail_bar_brun2),
+    "jp": (_assemble_jp, _tail_bar_jp),
+}
+
+
+def _branch_table(map_desc: MapDescriptor) -> tuple:
+    if map_desc.algorithm == "brun" and map_desc.m != 2:
+        raise ValueError("spectral Brun operator is implemented for m = 2")
+    return _MAPS[map_desc.algorithm]
+
+
+# ---------------------------------------------------------------------------
+# reading a branch table: the operator applied, and as a matrix
+
+
+class _Apply:
+    """The operator applied to one grid function, stencil by stencil.
+
+    add() takes the arguments of _Assembly.add and adds coef[0] * sum_k
+    weight[k] * values[cols[k]] at the output nodes rows, summing the
+    leading axes that stack branches; it reads only the value row of coef
+    (orders = 1).  A labelled entry repeats a target branch and is skipped.
+    """
+
+    orders = 1
+
+    def __init__(self, f: GridFunction):
+        self.values = f.values.ravel()
+        self.out = np.zeros(self.values.size)
+
+    def add(self, rows, cols, weight, coef, label=None):
+        if label is None:
+            term = coef[0] * (weight * self.values[cols]).sum(axis=0)
+            self.out[rows] += term.reshape((-1,) + rows.shape).sum(axis=0)
+
+
+def apply_operator(f: GridFunction, params: OperatorParams, map_desc: MapDescriptor) -> GridFunction:
+    """One application of the transfer operator to a grid function."""
+    acc = _Apply(f)
+    _branch_table(map_desc)[0](acc, params, f.G)
+    return GridFunction(f.m, f.G, acc.out.reshape(f.values.shape))
+
+
+# Largest grid (G^m nodes) whose operator is assembled as a dense matrix;
+# one such matrix is 134 MB, and the derivatives hold five.
+_MAX_ASSEMBLED_NODES = 4096
 
 
 class _Assembly:
@@ -469,12 +496,14 @@ class _Assembly:
     Every branch term is a coefficient times a linear stencil of node
     values.  add() takes the stencil (cols and weights, stacked on a
     leading axis) at each output node (rows), and the coefficient with
-    its first two s-derivatives (coef[0..2]); all broadcast together.
-    L, L_s and L_ss are summed densely.  The entries of a branch labelled
-    with a target are also kept apart: d/dt_k of the operator is exactly
-    the entries of target k, and d2/ds dt_k their s-derivative.
+    its first two s-derivatives (coef[0..2], orders = 3); all broadcast
+    together.  L, L_s and L_ss are summed densely.  A branch labelled
+    with target k is added again with its label and kept apart: d/dt_k of
+    the operator is exactly the entries of target k, and d2/ds dt_k their
+    s-derivative.
     """
 
+    orders = 3
     _FLUSH = 1 << 18  # pending entries summed into the dense matrices at once
 
     def __init__(self, params: OperatorParams, N: int):
@@ -485,17 +514,17 @@ class _Assembly:
         self._pending = []
         self._size = 0
 
-    def add(self, rows, cols, weight, coef, label=None, dense=True):
+    def add(self, rows, cols, weight, coef, label=None):
         vals = coef[:, None] * weight
         key = np.broadcast_to(rows * self.N + cols, vals.shape[1:]).ravel()
         vals = vals.reshape(3, -1)
-        if dense:
+        if label is None:
             self._pending.append((key, vals))
             self._size += key.size
             if self._size >= self._FLUSH:
                 self._flush()
         for k, lab in enumerate(self.params.targets):
-            if label is not None and lab == label:
+            if lab == label:
                 self.target[k].append((key, vals[:2]))
 
     def _flush(self):
@@ -519,83 +548,6 @@ class _Assembly:
         return L, L_s, L_ss, sparse
 
 
-def _assemble_gauss(acc: _Assembly, params: OperatorParams, G: int) -> None:
-    x = (np.arange(G) + 0.5) / G
-    rows = np.arange(G)
-    cap = min(params.j_max, _EXACT_CAP_1D)
-    _check_targets_below_cap(params, cap, "Gauss digit")
-    tf = np.ones(cap + 1)
-    for k, lab in enumerate(params.targets):
-        if 1 <= lab <= cap:
-            tf[lab] = math.exp(params.t[k])
-    step = max(1, 2**16 // G)  # digits per add, to bound the memory held
-    for lo in range(1, cap + 1, step):
-        j = np.arange(lo, min(lo + step, cap + 1))
-        den = j[:, None] + x[None, :]
-        coef = _power_coef(den, 2.0, params.s) * tf[j, None]
-        idx, frac = _stencil1(1.0 / den, G)
-        cols, weight = np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
-        acc.add(rows, cols, weight, coef)
-        for lab in params.targets:
-            if lo <= lab < lo + j.size:
-                i = lab - lo
-                acc.add(rows, cols[:, i], weight[:, i], coef[:, i], label=lab, dense=False)
-    # every digit beyond cap, folded with f(y) ~ f0 + f1*y near y = 0, and
-    # f0, f1 linear in the first two nodes (_edge_linearization_1d)
-    x0 = 0.5 / G
-    edge = np.array([[0], [1]])
-    acc.add(rows, edge, np.array([[1.0 + G * x0], [-G * x0]]), _zeta_coef(2.0, 0.0, params.s, cap + 1 + x))
-    acc.add(rows, edge, np.array([[-G], [G]]), _zeta_coef(2.0, 1.0, params.s, cap + 1 + x))
-
-
-def _assemble_brun2(acc: _Assembly, params: OperatorParams, G: int) -> None:
-    x = (np.arange(G) + 0.5) / G
-    x1 = x[:, None] * np.ones((1, G))
-    x2 = x[None, :] * np.ones((G, 1))
-    rows = np.arange(G * G).reshape(G, G)
-    cap = min(params.j_max, _EXACT_CAP_2D)
-    _check_targets_below_cap(params, cap, "Brun digit")
-    for j in range(1, cap + 1):
-        tf = _t_factor(params, j)
-        den = j + x2
-        cols, weight = _corner_entries(*_stencil2(1.0 / den, x1 / den, G), G)
-        acc.add(rows, cols, weight, tf * _power_coef(den, 3.0, params.s), label=j)
-        den = j + x1
-        cols, weight = _corner_entries(*_stencil2(x2 / den, 1.0 / den, G), G)
-        acc.add(rows, cols, weight, tf * _power_coef(den, 3.0, params.s), label=j)
-    # both families send digits beyond cap toward the origin
-    y = np.array([0.5 / (cap + 1)])
-    cols, weight = _corner_entries(*_stencil2(y, y, G), G)
-    z = _zeta_coef(3.0, 0.0, params.s, cap + 1 + x2) + _zeta_coef(3.0, 0.0, params.s, cap + 1 + x1)
-    acc.add(rows, cols.reshape(4, 1, 1), weight.reshape(4, 1, 1), z)
-
-
-def _assemble_jp(acc: _Assembly, params: OperatorParams, G: int) -> None:
-    if params.s <= 2.0 / 3.0:
-        raise ValueError("the truncated JP branch sum needs s > 2/3")
-    xi, eta, in_p1 = _jp_cells(G)
-    rows = np.arange(G * G).reshape(G, G)
-    cap = min(params.j_max, _EXACT_CAP_JP)
-    _check_targets_below_cap(params, cap, "JP digit b")
-    for b in range(1, cap + 1):
-        coef = _power_coef(b + eta, 3.0, params.s)
-        for a in range(0, b + 1):
-            img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
-            ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, img_xi, img_eta, want_p1, G)
-            cols, weight = _corner_entries(ix, iy, fx, fy, G)
-            cols = np.concatenate([cols, (nx * G + ny)[None]])
-            weight = np.concatenate([weight * ok, (~ok)[None]])
-            if a == b:
-                weight = weight * in_p1  # the diagonal branch acts on P1 only
-            acc.add(rows, cols, weight, _t_factor(params, (a, b)) * coef, label=(a, b))
-    # b > cap, as in _apply_jp: f_bar * z1 + (in_p1 - eta) * f_top * z0, with
-    # f_bar the mean and f_top the last of the left-edge nodes values[0, :]
-    z1 = _zeta_coef(3.0, -1.0, params.s, cap + 1 + eta)
-    z0 = _zeta_coef(3.0, 0.0, params.s, cap + 1 + eta)
-    acc.add(rows, np.arange(G).reshape(G, 1, 1), np.full((G, 1, 1), 1.0 / G), z1)
-    acc.add(rows, np.full((1, 1, 1), G - 1), np.ones((1, 1, 1)), (in_p1 - eta) * z0)
-
-
 def _assembled_nodes(map_desc: MapDescriptor, G: int) -> int:
     N = G**map_desc.m
     if N > _MAX_ASSEMBLED_NODES:
@@ -608,24 +560,15 @@ def _assembled_nodes(map_desc: MapDescriptor, G: int) -> int:
 
 def _assemble(params: OperatorParams, map_desc: MapDescriptor, G: int) -> _Assembly:
     acc = _Assembly(params, _assembled_nodes(map_desc, G))
-    if map_desc.algorithm == "gauss":
-        _assemble_gauss(acc, params, G)
-    elif map_desc.algorithm == "brun":
-        if map_desc.m != 2:
-            raise ValueError("spectral Brun operator is implemented for m = 2")
-        _assemble_brun2(acc, params, G)
-    elif map_desc.algorithm == "jp":
-        _assemble_jp(acc, params, G)
-    else:  # pragma: no cover
-        raise ValueError(map_desc.algorithm)
+    _branch_table(map_desc)[0](acc, params, G)
     return acc
 
 
 def operator_matrix(params: OperatorParams, map_desc: MapDescriptor, G: int) -> np.ndarray:
     """The operator as a dense (G^m, G^m) matrix acting on values.ravel().
 
-    Each branch's stencil does not depend on the node values, so the
-    matrix holds the same branch sums as apply_operator, up to rounding.
+    It is read from the same branch table (one stencil per branch or
+    fold) as apply_operator, so the two agree up to rounding.
     """
     return _assemble(params, map_desc, G).matrices()[0]
 
@@ -640,22 +583,19 @@ def leading_eigenvalue(
     G: int = 1024,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    f0: GridFunction | None = None,
 ) -> SpectralResult:
     """Dominant eigenvalue and positive eigenfunction by power iteration.
 
-    Starts from the constant function (or a warm start), renormalizes in
-    sup norm, and stops when the eigenvalue ratio changes by less than
-    tol relatively.
+    Starts from the constant function, renormalizes in sup norm, and
+    stops when the eigenvalue ratio changes by less than tol relatively.
+    The tail bar is evaluated once, at the returned eigenfunction.
     """
-    f = f0.copy() if f0 is not None else GridFunction.constant(map_desc.m, G)
-    if f.G != G:
-        raise ValueError("warm start resolution mismatch")
+    tail_bar = _branch_table(map_desc)[1]
+    f = GridFunction.constant(map_desc.m, G)
     lam_prev = None
     trace = []
-    bar = 0.0
     for it in range(1, max_iter + 1):
-        g, bar = _apply_with_bar(f, params, map_desc)
+        g = apply_operator(f, params, map_desc)
         lam = g.sup_norm()
         if lam <= 0 or not math.isfinite(lam):
             raise ConvergenceError(f"degenerate iterate at step {it}", trace)
@@ -665,7 +605,8 @@ def leading_eigenvalue(
             resid = float(np.abs(apply_operator(g, params, map_desc).values - lam * g.values).max())
             if (g.values <= 0).any():
                 raise ConvergenceError("eigenfunction is not strictly positive", trace)
-            return SpectralResult(lam, g, it, abs(lam - lam_prev) / lam, resid / lam, bar, trace)
+            change = abs(lam - lam_prev) / lam
+            return SpectralResult(lam, g, it, change, resid / lam, tail_bar(g.values, params), trace)
         lam_prev = lam
         f = g
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
@@ -709,11 +650,13 @@ class DerivativeData:
     the centred entries apply the substitution s -> s - <Lambda, t> that
     normalizes the digit weights.  The *_bar fields estimate the error
     of the linear algebra only (see eigenvalue_derivatives), not the
-    collocation error of the grid or the j_max truncation.
+    collocation error of the grid or the j_max truncation.  solve is the
+    power-iteration solve at (1, 0) that gave lambda_value.
     """
 
     targets: tuple
     lambda_value: float
+    solve: SpectralResult
     lambda_s: float
     lambda_ss: float
     lambda_t_raw: np.ndarray
@@ -828,6 +771,7 @@ def eigenvalue_derivatives(
     return DerivativeData(
         targets=targets,
         lambda_value=lam0,
+        solve=res,
         lambda_s=float(lam_s),
         lambda_ss=float(lam_ss),
         lambda_t_raw=lam_t,

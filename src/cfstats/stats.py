@@ -7,10 +7,10 @@ a record stream (any algorithm, any targets) or by the vectorized
 sweeps in bulk.py; both paths produce identical tables on identical
 ensembles.
 
-All floating-point reductions go through compensated (Kahan) summation
-over fixed 4096-element chunks combined in order, so results are
-bit-reproducible across runs and do not depend on how the work was
-partitioned.
+Floating-point reductions over a table are correctly rounded sums
+(math.fsum) of the terms, or of the dot products of fixed 4096-element
+chunks, so results are bit-reproducible across runs and do not depend
+on how the work was partitioned.
 
 The empirical covariance reported for the rescaled centred counts is
 the uncentered second-moment matrix: the centring already happened
@@ -32,35 +32,14 @@ from .maps import max_denominator
 _CHUNK = 4096
 
 
-def kahan_sum(values) -> float:
-    """Compensated sum over fixed-size chunks, combined in order."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    total = 0.0
-    comp = 0.0
-    for start in range(0, len(arr), _CHUNK):
-        chunk = arr[start : start + _CHUNK]
-        s = 0.0
-        c = 0.0
-        for v in chunk.tolist():
-            y = v - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        y = s - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def _dot(a, b) -> float:
-    """Deterministic chunked product-sum (Kahan over chunk partials)."""
+    """Deterministic chunked product-sum (math.fsum of the chunk partials)."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     partials = [
         float(np.dot(a[s : s + _CHUNK], b[s : s + _CHUNK])) for s in range(0, len(a), _CHUNK)
     ]
-    return kahan_sum(partials)
+    return math.fsum(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -497,5 +476,5 @@ def dirichlet_partial_sum(
         return -math.inf if log else 0.0
     if log:
         shift = float(logterm.max())
-        return shift + math.log(kahan_sum(np.exp(logterm - shift) * m))
+        return shift + math.log(math.fsum((np.exp(logterm - shift) * m).tolist()))
     return _dot(m, np.exp(logterm))

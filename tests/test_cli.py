@@ -164,6 +164,23 @@ class TestSpectral:
         assert abs(data["eigenvalue_at_1"] - 1) < 1e-4
         assert (out / "density.csv").exists()
 
+    def test_one_solve_per_operator(self, tmp_path, monkeypatch):
+        from cfstats import spectral
+
+        calls = []
+        solve = spectral.leading_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "leading_eigenvalue", counted)
+        assert run(["spectral", "--algorithm", "gauss", "--targets", "1,2",
+                    "--grid", "128", "--jmax", "512", "--out", str(tmp_path / "o")]) == 0
+        # the solve behind the derivatives gives eigenvalue_at_1; the other
+        # is the density at min(G, 512)
+        assert len(calls) == 2
+
     def test_brun3_rejected(self, tmp_path):
         assert run(["spectral", "--algorithm", "brun3", "--targets", "1",
                     "--out", str(tmp_path / "o")]) == 1

@@ -1,0 +1,17 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfstats"
+
+
+def test_no_assert_statements_in_the_package():
+    # runtime checks must be explicit raises: python -O strips assert statements
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -44,6 +44,20 @@ class TestApplyOperator:
         ref = hurwitz_zeta(4.0, 1.0 + x)
         assert float(np.abs(g.values - ref).max()) < 1e-10
         assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi**4 / 90, rel=1e-14)
+        # s = 1, f = a + b y: interpolation and the fold beyond the exact cap
+        # (with its slope column) are exact, and the sum is
+        # a zeta(2s, 1 + x) + b zeta(2s + 1, 1 + x)
+        f = GridFunction(1, G, 0.7 + 0.4 * x)
+        g = apply_operator(f, OperatorParams(1.0, (), (), 10_000), GAUSS)
+        ref = 0.7 * hurwitz_zeta(2.0, 1.0 + x) + 0.4 * hurwitz_zeta(3.0, 1.0 + x)
+        assert float(np.abs(g.values - ref).max()) < 1e-12 * float(ref.max())
+        # Brun, s = 1, f = 1: one zeta sum per branch family,
+        # zeta(3s, 1 + x2) + zeta(3s, 1 + x1), folded beyond the cap j_max
+        f = GridFunction.constant(2, 16)
+        g = apply_operator(f, OperatorParams(1.0, (), (), 64), BRUN2)
+        x1, x2 = np.meshgrid(*f.nodes, indexing="ij")
+        ref = hurwitz_zeta(3.0, 1.0 + x2) + hurwitz_zeta(3.0, 1.0 + x1)
+        assert float(np.abs(g.values - ref).max()) < 1e-12 * float(ref.max())
 
     def test_digit_weight_multiplies_one_branch(self):
         G = 32
@@ -92,10 +106,16 @@ class TestLeadingEigenvalue:
         ]
         assert abs(lams[2] - lams[1]) < abs(lams[1] - lams[0])
 
-    def test_tail_bar_shrinks_with_jmax(self):
+    # j_max below each map's exact cap
+    @pytest.mark.parametrize(
+        "desc, G, j_maxes",
+        [(GAUSS, 64, (100, 200, 400)), (BRUN2, 16, (16, 32, 64)), (JP2, 8, (4, 8, 16))],
+        ids=["gauss", "brun2", "jp2"],
+    )
+    def test_tail_bar_shrinks_with_jmax(self, desc, G, j_maxes):
         bars = [
-            leading_eigenvalue(OperatorParams(1.0, (), (), jm), GAUSS, G=64).tail_bar
-            for jm in (100, 200, 400)
+            leading_eigenvalue(OperatorParams(1.0, (), (), jm), desc, G=G).tail_bar
+            for jm in j_maxes
         ]
         assert bars[0] > bars[1] > bars[2] > 0
 

@@ -19,7 +19,6 @@ from cfstats.stats import (
     empirical_lambda,
     gaussian_cdf,
     growth_constant,
-    kahan_sum,
     ks_distance,
     ks_distance_lattice,
     ldp_tail,
@@ -397,8 +396,3 @@ class TestDirichlet:
         assert lv == pytest.approx(-900 * 2 * math.log(3) + math.log(2), rel=1e-12)
 
 
-class TestKahan:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=10_000) * 10.0 ** rng.integers(-8, 8, size=10_000)
-        assert kahan_sum(xs) == pytest.approx(math.fsum(xs), rel=1e-14)
