@@ -1,17 +1,21 @@
 """Vectorized ensemble sweeps over denominator-partitioned blocks.
 
 These builders produce the same per-point digit counts as the record
-generators in orbits.py, but step all lanes of a block at once, block by
-block in denominator order.  Each algorithm has one walk, which hands
-every step to an on_digit callback: _gauss_walk (Euclid), _brun2_walk
-(the Brun GCD, m = 2) and _jp_replay (the canonical Jacobi-Perron
-expansion, read from a choice table).  Table blocks count target digits
-there, and one histogram packs each lane's (q, counts) into an int64
-key, so a table takes any number of targets.  Verify blocks recompose
-each trajectory's homography there with exact integer column
-recursions and sum forward log-Jacobians, then check the round trip
-and the closed-form weight.  Every sweep splits its denominators into
-blocks of about _LANE_BUDGET lanes by one rule.
+generators in orbits.py, but handle all points of a block at once, block
+by block in denominator order.  The Gauss table reads them from a DP
+with one state per pair r < p <= bound, filled layer by layer in p
+(_gauss_states).  Every other sweep walks its lanes: each algorithm has
+one walk, which hands every step to an on_digit callback: _gauss_walk
+(Euclid), _brun2_walk (the Brun GCD, m = 2) and _jp_replay (the
+canonical Jacobi-Perron expansion, read from a choice table).  Table
+blocks count target digits there, and one histogram packs each lane's
+(q, counts) into an int64 key, so a table takes any number of targets.
+Verify blocks recompose each trajectory's homography there with exact
+integer column recursions and sum forward log-Jacobians, then check the
+round trip and the closed-form weight; the Gauss verify sweep thus
+checks Euclid expansions that the Gauss table does not compute.  Every
+sweep splits its denominators into blocks of about _LANE_BUDGET lanes by
+one rule.
 
 Blocks are independent pure computations, so a process pool may run
 them; results merge in block order and every reduction is
@@ -24,11 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
+from .orbits import BudgetError
 from .orbits import jp_digits  # noqa: F401  the JP reference; tracers patch bulk.jp_digits
 from .stats import EnsembleTable
 
@@ -113,8 +119,9 @@ def _count(cnt, lanes, hits):
 
 
 def _histogram(q, cnt):
-    """Per-lane denominators q and digit counts cnt[target, lane] -> sorted
-    sparse rows (q, counts, mult).
+    """Per-lane denominators q and counts cnt[row, lane] -> sorted sparse
+    rows (q, counts, mult).  A row of cnt is one target's digit counts, or
+    one word of the Gauss DP's packed counts.
 
     Each lane's (q, counts) becomes one mixed-radix int64 key whose digit
     spans are taken from the data, q most significant, so the sorted
@@ -199,18 +206,86 @@ def _gauss_walk(p, q, on_digit):
         a, b, lanes = a[live], b[live], lanes[live]
 
 
-def _gauss_table_block(args):
-    qs, targets = args
-    p, q = _gauss_lanes(*qs)
-    cnt = np.zeros((len(targets), len(q)), np.int64)
-    _gauss_walk(p, q, lambda lanes, j, a, b: _count(cnt, lanes, [j == t for t in targets]))
-    return _histogram(q, cnt)
+# The table is a DP over the states (r, p), 0 <= r < p <= bound: the Euclid
+# step from r/p takes the digit p // r to the state (p mod r, r), so the
+# counts of r/p are those of its child plus that digit's.  Each state holds
+# its counts in int16 words, a few targets per word in a fixed radix, target
+# 0 most significant; gcd(r, p) > 1 is marked by -1, since (0, p) is coprime
+# only for p = 1 and every coprime state has a coprime child.
+
+
+def _gauss_index(r, p):
+    """Position of state (r, p) in the DP array: layers p = 1, 2, ... of p
+    states each, r = 0..p-1."""
+    return p * (p - 1) // 2 + r
+
+
+def _gauss_words(bound: int, ntargets: int):
+    """(radix, targets per int16 word, words) of the packed counts.
+
+    The radix is one more than the longest Euclid expansion of a p/q with
+    q <= bound: n digits need q >= F(n + 2), reached by the digits 1, ..., 1, 2.
+    """
+    radix, f, g = 2, 2, 3  # radix n + 1 while F(n + 2) = f <= bound, g = F(n + 3)
+    while g <= bound:
+        radix, f, g = radix + 1, g, f + g
+    per = 1
+    while radix ** (per + 1) <= 2**15:
+        per += 1
+    return radix, per, max(1, -(-ntargets // per))
+
+
+def _gauss_states(bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
+    """int16[word, state]: the packed counts of every state with p <= bound,
+    built layer by layer in p."""
+    weight = np.zeros((words, bound + 1), np.int16)  # the digit j adds weight[:, j]
+    for i, t in enumerate(targets):
+        if 1 <= t <= bound:
+            weight[i // per, t] += radix ** (per - 1 - i % per)
+    state = np.empty((words, _gauss_index(0, bound + 1)), np.int16)
+    state[:, 0] = 0  # (0, 1), where every coprime expansion ends
+    r = np.arange(1, bound, dtype=np.int32)
+    first = _gauss_index(0, r.astype(np.int64))  # first state of layer r
+    for p in range(2, bound + 1):
+        j, child = np.divmod(np.int32(p), r[: p - 1])
+        child = first[: p - 1] + child
+        coprime = state[0].take(child) >= 0
+        start = _gauss_index(0, p)
+        state[:, start] = -1
+        for w in range(words):
+            state[w, start + 1 : start + p] = np.where(coprime, state[w].take(child) + weight[w].take(j), -1)
+    return state
+
+
+def _gauss_rows(qs, state, radix, per, ntargets):
+    """Table rows of the denominators [qlo, qhi], read from the DP states."""
+    qlo, qhi = qs
+    packed = state[:, _gauss_index(0, qlo) : _gauss_index(0, qhi + 1)]
+    q = np.repeat(np.arange(qlo, qhi + 1, dtype=np.int64), np.arange(qlo, qhi + 1))
+    coprime = packed[0] >= 0
+    q, words, mult = _histogram(q[coprime], packed[:, coprime])
+    i = np.arange(ntargets)
+    return q, words[:, i // per] // radix ** (per - 1 - i % per) % radix, mult
 
 
 def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
-    """Digit-count table for all coprime p/q with 2 <= q <= bound."""
-    tasks = [(b, tuple(targets)) for b in _blocks(2, bound, lambda q: q)]
-    parts = _run_blocks(_gauss_table_block, tasks, workers)
+    """Digit-count table for all coprime p/q with 2 <= q <= bound.
+
+    The DP runs in one process, the calling one, and its states take
+    bound * (bound + 1) bytes per word; `workers` processes then
+    histogram their denominator blocks.  Raises BudgetError before any
+    work if the states would not fit in physical memory.
+    """
+    targets = tuple(targets)
+    radix, per, words = _gauss_words(bound, len(targets))
+    need = 2 * _gauss_index(0, bound + 1) * words
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise BudgetError(f"the Gauss table at q <= {bound} needs {need / 2**30:.1f} GiB of DP states, "
+                          f"more than the {have / 2**30:.1f} GiB of physical memory")
+    state = _gauss_states(max(bound, 1), targets, radix, per, words)
+    blocks = _blocks(2, bound, lambda q: q)
+    parts = _run_blocks(_gauss_rows, blocks, workers, state, radix, per, len(targets))
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 

@@ -651,10 +651,12 @@ class DerivativeData:
     normalizes the digit weights.  The *_bar fields estimate the error
     of the linear algebra only (see eigenvalue_derivatives), not the
     collocation error of the grid or the j_max truncation.  solve is the
-    power-iteration solve at (1, 0) that gave lambda_value.
+    power-iteration solve at (1, 0) that gave lambda_value, and j_max the
+    branch cap of its operator.
     """
 
     targets: tuple
+    j_max: int
     lambda_value: float
     solve: SpectralResult
     lambda_s: float
@@ -770,6 +772,7 @@ def eigenvalue_derivatives(
     )
     return DerivativeData(
         targets=targets,
+        j_max=j_max,
         lambda_value=lam0,
         solve=res,
         lambda_s=float(lam_s),
@@ -791,17 +794,21 @@ def frequency_constants(map_desc, targets, G: int = 1024, j_max: int = 10_000, d
 
     A frequency must be strictly positive for every target inside the
     truncated branch set; a target beyond j_max is absent and yields 0.
+    G and j_max are ignored when deriv is given: its own j_max applies.
     """
     data = deriv or eigenvalue_derivatives(map_desc, targets, G=G, j_max=j_max)
     for lab, freq in zip(data.targets, data.frequencies):
         j = lab if isinstance(lab, int) else lab[1]
-        if j <= j_max and freq <= 0:
+        if j <= data.j_max and freq <= 0:
             raise ConvergenceError(f"non-positive frequency for target {lab}: {freq}", [])
     return data.frequencies
 
 
 def covariance_matrix(map_desc, targets, G: int = 1024, j_max: int = 10_000, deriv=None):
-    """Limit covariance of the centred counts, from the centred Hessian."""
+    """Limit covariance of the centred counts, from the centred Hessian.
+
+    G and j_max are ignored when deriv is given.
+    """
     data = deriv or eigenvalue_derivatives(map_desc, targets, G=G, j_max=j_max)
     sigma = -data.hessian_centred / data.lambda_s
     sigma = 0.5 * (sigma + sigma.T)

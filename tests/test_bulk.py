@@ -1,12 +1,14 @@
+import hashlib
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cfstats import bulk
 from cfstats.maps import BRUN2, GAUSS, JP2
-from cfstats.orbits import NotExpandableError, enumerate_trajectories, jp_digits
+from cfstats.orbits import BudgetError, NotExpandableError, enumerate_trajectories, jp_digits
 from cfstats.stats import EnsembleTable
 
 
@@ -152,6 +154,60 @@ class TestJPChoiceTable:
         monkeypatch.setattr(bulk, "_jp_choice_table", corrupted)
         with pytest.raises(RuntimeError, match="JP replay"):
             bulk.jp_verify(12)
+
+
+def euclid_table(bound, targets):
+    """(qs, counts, mult) of the Gauss table, by Euclid's algorithm on every p/q."""
+    rows = Counter()
+    for q in range(2, bound + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) > 1:
+                continue
+            digits = []
+            a, b = p, q
+            while a:
+                digits.append(b // a)
+                a, b = b % a, a
+            rows[(q, *(digits.count(t) for t in targets))] += 1
+    keys = sorted(rows)
+    return (
+        np.array([k[0] for k in keys], np.int64),
+        np.array([k[1:] for k in keys], np.int64).reshape(len(keys), len(targets)),
+        np.array([rows[k] for k in keys], np.int64),
+    )
+
+
+class TestGaussDP:
+    # (7, 1, 2, 3, 5) is unsorted and at q <= 400 needs two int16 words
+    @pytest.mark.parametrize("bound", [2, 3, 60, 400])
+    @pytest.mark.parametrize("targets", [(1,), (7, 1, 2, 3, 5), "beyond"])
+    def test_matches_pure_python_euclid(self, bound, targets):
+        targets = (1, bound + 5) if targets == "beyond" else targets
+        table = bulk.gauss_ensemble_table(bound, targets)
+        for got, want in zip((table.qs, table.counts, table.mult), euclid_table(bound, targets)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_five_targets_take_two_words(self):
+        assert bulk._gauss_words(400, 5)[2] == 2
+
+    def test_table_bytes_pinned(self):
+        # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
+        # earlier per-lane Euclid sweep (perfbench's table digest recipe)
+        t = bulk.gauss_ensemble_table(3000, (1, 2))
+        h = hashlib.sha256(repr((t.algorithm, t.multiplier, t.targets, t.denominator_bound)).encode())
+        for arr in (t.qs, t.counts, t.mult):
+            h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        assert h.hexdigest() == "4f13d1c4ae2edfd63c9df9b4c8edc8705e9240a73f21cce4707c8c422c154e3f"
+
+    def test_oversized_bound_rejected_before_allocating(self, monkeypatch):
+        # 10^14 bytes of states: rejected before the DP starts
+        def no_states(*args):
+            raise AssertionError("the DP was started")
+
+        monkeypatch.setattr(bulk, "_gauss_states", no_states)
+        with pytest.raises(BudgetError, match="physical memory"):
+            bulk.gauss_ensemble_table(10**7)
 
 
 class TestTotient:

@@ -52,6 +52,13 @@ class TestEnumerate:
              "--targets", "1", "--budget", "10", "--out", str(tmp_path / "o")]
         ) == 3
 
+    def test_oversized_gauss_table_exit_code(self, tmp_path):
+        # within --budget, but the Gauss DP states would exceed physical memory
+        assert run(
+            ["stats", "--algorithm", "gauss", "--denominator-bound", "10000000",
+             "--targets", "1", "--budget", "10000000", "--out", str(tmp_path / "o")]
+        ) == 3
+
     def test_Q_bound_keeps_the_last_denominator_below_Q(self):
         # exp(Q / 3) rounds to just below 8 although 3 log 8 < Q
         Q = math.nextafter(3 * math.log(8), math.inf)
@@ -180,6 +187,15 @@ class TestSpectral:
         # the solve behind the derivatives gives eigenvalue_at_1; the other
         # is the density at min(G, 512)
         assert len(calls) == 2
+
+    def test_target_beyond_jmax_has_zero_frequency(self, tmp_path):
+        # the digit 200 lies outside a branch set capped at 16, so it is absent
+        out = tmp_path / "o"
+        assert run(["spectral", "--algorithm", "brun2", "--targets", "1,200",
+                    "--grid", "8", "--jmax", "16", "--out", str(out)]) == 0
+        data = json.loads(read(out / "constants.json"))
+        assert data["lambda"][0] > 0
+        assert data["lambda"][1] == 0
 
     def test_brun3_rejected(self, tmp_path):
         assert run(["spectral", "--algorithm", "brun3", "--targets", "1",
