@@ -3,18 +3,17 @@
 
 Usage, from anywhere:
 
-    python3 scripts/bench_pairs.py BEFORE_DIR AFTER_DIR --out BENCH_n.json \\
-        --pairs gauss-ensemble=10,multidim-sweeps=3,spectral-constants=3 \\
-        --traced gauss-ensemble --seed 700 --seconds 30
+    python3 scripts/bench_pairs.py BEFORE_DIR AFTER_DIR --out BENCH_n.json
 
-Pair i of a workload runs `perfbench/run.py --trace 0 --seed SEED+i` in
-BEFORE_DIR and in AFTER_DIR, BEFORE_DIR first in even pairs and
-AFTER_DIR first in odd ones, so slow phases of the host hit both sides
-alike.  Each workload in --traced then gets one `--trace 1`
-run per side, for its per-layer metrics.  The JSON holds every run's
-metrics, the median and quartiles of each end-to-end metric per side,
-the number of pairs the after side won, and whether both sides printed
-the same digests in every pair.
+For every workload in AFTER_DIR/BENCHMARK.json, pair i runs
+`perfbench/run.py --trace 0 --seed 700+i` in BEFORE_DIR and in AFTER_DIR,
+at perfbench's own run length, for ten pairs: BEFORE_DIR first in even
+pairs and AFTER_DIR first in odd ones, so slow phases of the host hit
+both sides alike.  gauss-ensemble then gets one `--trace 1` run per side,
+for its per-layer metrics.  The JSON holds every run's metrics, the
+median and quartiles of each end-to-end metric per side, the number of
+pairs the after side won, and whether both sides printed the same
+digests in every pair.
 """
 
 import argparse
@@ -25,11 +24,13 @@ import subprocess
 import sys
 
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+PAIRS = 10
+SEED = 700
+TRACED = "gauss-ensemble"
 
 
-def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run(checkout: str, workload: str, seed: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     info, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return {"seed": seed, "digests": info["digests"], "correct": result["correct"],
@@ -47,22 +48,18 @@ def main(argv=None) -> int:
     ap.add_argument("before")
     ap.add_argument("after")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="gauss-ensemble=10,multidim-sweeps=3,spectral-constants=3")
-    ap.add_argument("--traced", default="gauss-ensemble")
-    ap.add_argument("--seed", type=int, default=700)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
 
-    report = {"nproc": os.cpu_count(), "seconds": args.seconds, "workloads": {}}
-    for item in args.pairs.split(","):
-        workload, n = item.split("=")
+    with open(os.path.join(args.after, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    report = {"nproc": os.cpu_count(), "workloads": {}}
+    for workload in workloads:
         pairs = []
-        for i in range(int(n)):
-            seed = args.seed + i
+        for i in range(PAIRS):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
-            pair = {side: run(getattr(args, side), workload, seed, args.seconds, 0) for side in order}
+            pair = {side: run(getattr(args, side), workload, SEED + i, 0) for side in order}
             pairs.append(pair)
-            print(workload, seed, {s: pair[s]["metrics"]["wall_s"] for s in pair}, file=sys.stderr)
+            print(workload, SEED + i, {s: pair[s]["metrics"]["wall_s"] for s in pair}, file=sys.stderr)
         summary = {}
         for k in END_TO_END:
             b = [p["before"]["metrics"][k] for p in pairs]
@@ -76,9 +73,8 @@ def main(argv=None) -> int:
             "correct": all(p[s]["correct"] for p in pairs for s in ("before", "after")),
             "pairs": pairs,
         }
-    for workload in filter(None, args.traced.split(",")):
-        report["workloads"].setdefault(workload, {})["traced"] = {
-            side: run(getattr(args, side), workload, args.seed, args.seconds, 1) for side in ("before", "after")}
+    report["workloads"][TRACED]["traced"] = {
+        side: run(getattr(args, side), TRACED, SEED, 1) for side in ("before", "after")}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
     return 0

@@ -119,9 +119,8 @@ def _count(cnt, lanes, hits):
 
 
 def _histogram(q, cnt):
-    """Per-lane denominators q and counts cnt[row, lane] -> sorted sparse
-    rows (q, counts, mult).  A row of cnt is one target's digit counts, or
-    one word of the Gauss DP's packed counts.
+    """Per-lane denominators q and digit counts cnt[target, lane] -> sorted
+    sparse rows (q, counts, mult).
 
     Each lane's (q, counts) becomes one mixed-radix int64 key whose digit
     spans are taken from the data, q most significant, so the sorted
@@ -263,9 +262,45 @@ def _gauss_rows(qs, state, radix, per, ntargets):
     packed = state[:, _gauss_index(0, qlo) : _gauss_index(0, qhi + 1)]
     q = np.repeat(np.arange(qlo, qhi + 1, dtype=np.int64), np.arange(qlo, qhi + 1))
     coprime = packed[0] >= 0
-    q, words, mult = _histogram(q[coprime], packed[:, coprime])
-    i = np.arange(ntargets)
-    return q, words[:, i // per] // radix ** (per - 1 - i % per) % radix, mult
+    words = packed[:, coprime]
+    cnt = np.empty((ntargets, words.shape[1]), np.int16)
+    for i in range(ntargets):  # unpacked, so the histogram key spans each target's counts
+        cnt[i] = words[i // per] // radix ** (per - 1 - i % per) % radix
+    return _histogram(q[coprime], cnt)
+
+
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _memory_bytes() -> int:
+    """Physical memory, or the memory limit of this process's cgroup or
+    any of its ancestors (cgroup v2 memory.max, v1 memory.limit_in_bytes),
+    whichever is smallest."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(_PROC_CGROUP) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return have
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if controllers == "":
+            root, name = _CGROUP_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = os.path.join(_CGROUP_ROOT, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [d for d in path.split("/") if d]
+        for k in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:k], name)) as fh:
+                    limit = fh.read().strip()
+            except OSError:
+                continue
+            if limit.isdigit():
+                have = min(have, int(limit))
+    return have
 
 
 def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
@@ -274,15 +309,17 @@ def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     The DP runs in one process, the calling one, and its states take
     bound * (bound + 1) bytes per word; `workers` processes then
     histogram their denominator blocks.  Raises BudgetError before any
-    work if the states would not fit in physical memory.
+    work if the states alone exceed physical memory or the process's
+    cgroup memory limit; a bound that passes may still run out of memory,
+    since the check counts neither memory in use nor the histograms.
     """
     targets = tuple(targets)
     radix, per, words = _gauss_words(bound, len(targets))
     need = 2 * _gauss_index(0, bound + 1) * words
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _memory_bytes()
     if need > have:
         raise BudgetError(f"the Gauss table at q <= {bound} needs {need / 2**30:.1f} GiB of DP states, "
-                          f"more than the {have / 2**30:.1f} GiB of physical memory")
+                          f"more than the {have / 2**30:.1f} GiB of physical memory or cgroup limit")
     state = _gauss_states(max(bound, 1), targets, radix, per, words)
     blocks = _blocks(2, bound, lambda q: q)
     parts = _run_blocks(_gauss_rows, blocks, workers, state, radix, per, len(targets))

@@ -191,6 +191,36 @@ class TestGaussDP:
     def test_five_targets_take_two_words(self):
         assert bulk._gauss_words(400, 5)[2] == 2
 
+    # many words: a histogram key over the packed words, rather than over
+    # each target's counts, would need more than 64 bits here
+    @pytest.mark.parametrize("targets", [tuple(range(1, 21)), tuple(range(300, 330))])
+    def test_many_targets_match_pure_python_euclid(self, targets):
+        assert bulk._gauss_words(400, len(targets))[2] >= 5
+        table = bulk.gauss_ensemble_table(400, targets)
+        for got, want in zip((table.qs, table.counts, table.mult), euclid_table(400, targets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_memory_limit_read_from_cgroups(self, tmp_path, monkeypatch):
+        # v2: the tightest limit on the path wins; v1: "memory" among the controllers
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        (tmp_path / "a" / "memory.max").write_text("max\n")
+        (tmp_path / "a" / "b" / "memory.max").write_text("500000\n")
+        (tmp_path / "memory" / "c").mkdir(parents=True)
+        (tmp_path / "memory" / "c" / "memory.limit_in_bytes").write_text("400000\n")
+        proc = tmp_path / "cgroup"
+        monkeypatch.setattr(bulk, "_CGROUP_ROOT", str(tmp_path))
+        monkeypatch.setattr(bulk, "_PROC_CGROUP", str(proc))
+        proc.write_text("0::/a/b\n")
+        assert bulk._memory_bytes() == 500000
+        proc.write_text("4:cpu,memory:/c\n3:pids:/a/b\n")
+        assert bulk._memory_bytes() == 400000
+        proc.write_text("0::/\n")
+        assert bulk._memory_bytes() > 500000
+        proc.write_text("0::/a/b\n")
+        bulk.gauss_ensemble_table(400)  # 160,800 bytes of states
+        with pytest.raises(BudgetError, match="cgroup limit"):
+            bulk.gauss_ensemble_table(1000)  # 1,001,000 bytes
+
     def test_table_bytes_pinned(self):
         # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
         # earlier per-lane Euclid sweep (perfbench's table digest recipe)
