@@ -201,10 +201,12 @@ class TestGaussDP:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_memory_limit_read_from_cgroups(self, tmp_path, monkeypatch):
-        # v2: the tightest limit on the path wins; v1: "memory" among the controllers
+        # v2: the tightest limit on the path wins, here the parent's;
+        # v1: "memory" among the controllers
         (tmp_path / "a" / "b").mkdir(parents=True)
-        (tmp_path / "a" / "memory.max").write_text("max\n")
-        (tmp_path / "a" / "b" / "memory.max").write_text("500000\n")
+        (tmp_path / "memory.max").write_text("max\n")
+        (tmp_path / "a" / "memory.max").write_text("500000\n")
+        (tmp_path / "a" / "b" / "memory.max").write_text("700000\n")
         (tmp_path / "memory" / "c").mkdir(parents=True)
         (tmp_path / "memory" / "c" / "memory.limit_in_bytes").write_text("400000\n")
         proc = tmp_path / "cgroup"
