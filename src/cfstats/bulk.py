@@ -2,20 +2,20 @@
 
 These builders produce the same per-point digit counts as the record
 generators in orbits.py, but handle all points of a block at once, block
-by block in denominator order.  The Gauss table reads them from a DP
-with one state per pair r < p <= bound, filled layer by layer in p
-(_gauss_states).  Every other sweep walks its lanes: each algorithm has
-one walk, which hands every step to an on_digit callback: _gauss_walk
-(Euclid), _brun2_walk (the Brun GCD, m = 2) and _jp_replay (the
+by block in denominator order.  Both Gauss sweeps read DPs with one state
+per pair r < p <= bound, filled layer by layer in p by one loop
+(_gauss_layers): the table's packed digit counts (_gauss_states) and the
+verify sweep's weight sums (_gauss_weights), whose blocks check each
+state's Euclid step against the child it read.  The Brun and JP sweeps
+walk their lanes: each has one walk, which hands every step to an
+on_digit callback: _brun2_walk (the Brun GCD, m = 2) and _jp_replay (the
 canonical Jacobi-Perron expansion, read from a choice table).  Table
 blocks count target digits there, and one histogram packs each lane's
 (q, counts) into an int64 key, so a table takes any number of targets.
 Verify blocks recompose each trajectory's homography there with exact
 integer column recursions and sum forward log-Jacobians, then check the
-round trip and the closed-form weight; the Gauss verify sweep thus
-checks Euclid expansions that the Gauss table does not compute.  Every
-sweep splits its denominators into blocks of about _LANE_BUDGET lanes by
-one rule.
+round trip and the closed-form weight.  Every sweep splits its
+denominators into blocks of about _LANE_BUDGET lanes by one rule.
 
 Blocks are independent pure computations, so a process pool may run
 them; results merge in block order and every reduction is
@@ -166,6 +166,8 @@ def _roundtrip_report(cols, wacc, point, multiplier):
 
 
 def _merge_reports(parts) -> VerifyReport:
+    if not sum(p[0] for p in parts):
+        raise ValueError("empty ensemble")  # as _table_from_parts
     return VerifyReport(
         sum(p[0] for p in parts),
         sum(p[1] for p in parts),
@@ -176,47 +178,47 @@ def _merge_reports(parts) -> VerifyReport:
 
 # ---------------------------------------------------------------------------
 # Gauss
-
-
-def _gauss_lanes(qlo, qhi):
-    """All coprime p/q with 0 < p < q and q in [qlo, qhi]."""
-    ps, qs = [], []
-    for q in range(qlo, qhi + 1):
-        p = np.arange(1, q, dtype=np.int64)
-        p = p[np.gcd(p, q) == 1]
-        ps.append(p)
-        qs.append(np.full(len(p), q, np.int64))
-    return np.concatenate(ps), np.concatenate(qs)
-
-
-def _gauss_walk(p, q, on_digit):
-    """Run Euclid's algorithm on every lane p/q.
-
-    Calls on_digit(lanes, j, a, b) once per step with the lanes that take
-    the digit j = b // a from the state a/b.
-    """
-    lanes = np.arange(len(q))
-    a, b = p, q
-    while len(lanes):
-        j = b // a
-        on_digit(lanes, j, a, b)
-        a, b = b % a, a
-        live = a > 0
-        a, b, lanes = a[live], b[live], lanes[live]
-
-
-# The table is a DP over the states (r, p), 0 <= r < p <= bound: the Euclid
-# step from r/p takes the digit p // r to the state (p mod r, r), so the
-# counts of r/p are those of its child plus that digit's.  Each state holds
-# its counts in int16 words, a few targets per word in a fixed radix, target
-# 0 most significant; gcd(r, p) > 1 is marked by -1, since (0, p) is coprime
-# only for p = 1 and every coprime state has a coprime child.
+#
+# Both Gauss sweeps are DPs over the states (r, p), 0 <= r < p <= bound: the
+# Euclid step from r/p takes the digit p // r to the state (p mod r, r), so a
+# sum along the expansion of r/p is its first step's term plus its child's
+# sum.  The states lie in layers p = 1, 2, ... of p states each; a layer
+# reads only earlier ones, and one loop (_gauss_layers) fills both DPs.
+# gcd(r, p) > 1 is marked in each state (-1 in the table, NaN in the
+# weights), since (0, p) is coprime only for p = 1 and every coprime state
+# has a coprime child.
 
 
 def _gauss_index(r, p):
     """Position of state (r, p) in the DP array: layers p = 1, 2, ... of p
     states each, r = 0..p-1."""
     return p * (p - 1) // 2 + r
+
+
+def _gauss_pair(k):
+    """The states (r, p) at the positions k, inverting _gauss_index by a
+    float square root, exact for p < 2^25.  Whatever the rounding,
+    _gauss_index(r, p) == k, since r is taken as the remainder."""
+    p = (0.5 + 0.5 * np.sqrt(8.0 * k + 1.0)).astype(np.int64)
+    return k - _gauss_index(0, p), p
+
+
+def _gauss_children(r, p, first):
+    """The Euclid step from the states (r, p), r >= 1, given the positions
+    first of the states (0, r): the digits p // r and the positions of the
+    child states (p mod r, r)."""
+    j, rem = np.divmod(p, r)
+    return j, first + rem
+
+
+def _gauss_layers(bound: int, fill):
+    """Call fill(start, j, child) for the layers p = 2..bound in order: start
+    is the position of the state (0, p), and j, child the _gauss_children of
+    the states (r, p), r = 1..p-1, which follow it."""
+    r = np.arange(1, bound, dtype=np.int32)
+    first = _gauss_index(0, r.astype(np.int64))
+    for p in range(2, bound + 1):
+        fill(_gauss_index(0, p), *_gauss_children(r[: p - 1], np.int32(p), first[: p - 1]))
 
 
 def _gauss_words(bound: int, ntargets: int):
@@ -235,38 +237,64 @@ def _gauss_words(bound: int, ntargets: int):
 
 
 def _gauss_states(bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
-    """int16[word, state]: the packed counts of every state with p <= bound,
-    built layer by layer in p."""
+    """int16[word, state]: the digit counts of every state with p <= bound,
+    a few targets per word in a fixed radix, target 0 most significant."""
     weight = np.zeros((words, bound + 1), np.int16)  # the digit j adds weight[:, j]
     for i, t in enumerate(targets):
         if 1 <= t <= bound:
             weight[i // per, t] += radix ** (per - 1 - i % per)
     state = np.empty((words, _gauss_index(0, bound + 1)), np.int16)
     state[:, 0] = 0  # (0, 1), where every coprime expansion ends
-    r = np.arange(1, bound, dtype=np.int32)
-    first = _gauss_index(0, r.astype(np.int64))  # first state of layer r
-    for p in range(2, bound + 1):
-        j, child = np.divmod(np.int32(p), r[: p - 1])
-        child = first[: p - 1] + child
+
+    def fill(start, j, child):
         coprime = state[0].take(child) >= 0
-        start = _gauss_index(0, p)
         state[:, start] = -1
         for w in range(words):
-            state[w, start + 1 : start + p] = np.where(coprime, state[w].take(child) + weight[w].take(j), -1)
+            state[w, start + 1 : start + 1 + len(j)] = np.where(coprime, state[w].take(child) + weight[w].take(j), -1)
+
+    _gauss_layers(bound, fill)
     return state
 
 
 def _gauss_rows(qs, state, radix, per, ntargets):
-    """Table rows of the denominators [qlo, qhi], read from the DP states."""
+    """Table rows of the denominators [qlo, qhi], read from the DP states.
+
+    The packed words are histogrammed as they are, in one int64 key of
+    mixed radix whose digits are q and the words, with spans taken from
+    the data.  Where the next word would overflow the key, np.unique first
+    replaces the key by its rank among the distinct keys so far, so any
+    number of words works.  Counts are packed target 0 first, so the keys
+    sort in (q, counts) order.  Only the distinct rows are unpacked, and
+    the -1 rows of gcd > 1 are dropped then.
+    """
     qlo, qhi = qs
     packed = state[:, _gauss_index(0, qlo) : _gauss_index(0, qhi + 1)]
-    q = np.repeat(np.arange(qlo, qhi + 1, dtype=np.int64), np.arange(qlo, qhi + 1))
-    coprime = packed[0] >= 0
-    words = packed[:, coprime]
-    cnt = np.empty((ntargets, words.shape[1]), np.int16)
-    for i in range(ntargets):  # unpacked, so the histogram key spans each target's counts
-        cnt[i] = words[i // per] // radix ** (per - 1 - i % per) % radix
-    return _histogram(q[coprime], cnt)
+    key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int64), np.arange(qlo, qhi + 1))  # q - qlo
+    size, lows, spans, ranked = qhi - qlo + 1, [], [], []  # key < size
+    for word in packed:
+        low = int(word.min())
+        span = int(word.max()) - low + 1
+        distinct = None
+        if size * span >= 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key = key * span - low + word  # int64 from the first product on
+        size *= span
+        lows.append(low)
+        spans.append(span)
+        ranked.append(distinct)
+    key, mult = np.unique(key, return_counts=True)
+    rows = np.empty((len(packed), len(key)), np.int64)
+    for w in reversed(range(len(packed))):
+        key, rows[w] = np.divmod(key, spans[w])
+        rows[w] += lows[w]
+        if ranked[w] is not None:
+            key = ranked[w][key]
+    coprime = rows[0] >= 0
+    cnt = np.empty((ntargets, np.count_nonzero(coprime)), np.int64)
+    for i in range(ntargets):
+        cnt[i] = rows[i // per, coprime] // radix ** (per - 1 - i % per) % radix
+    return key[coprime] + qlo, cnt.T, mult[coprime].astype(np.int64)
 
 
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -303,6 +331,14 @@ def _memory_bytes() -> int:
     return have
 
 
+def _require_memory(need: int, what: str):
+    """Raise BudgetError if `need` bytes of DP states exceed _memory_bytes()."""
+    have = _memory_bytes()
+    if need > have:
+        raise BudgetError(f"{what} needs {need / 2**30:.1f} GiB of DP states, "
+                          f"more than the {have / 2**30:.1f} GiB of physical memory or cgroup limit")
+
+
 def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for all coprime p/q with 2 <= q <= bound.
 
@@ -315,37 +351,75 @@ def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """
     targets = tuple(targets)
     radix, per, words = _gauss_words(bound, len(targets))
-    need = 2 * _gauss_index(0, bound + 1) * words
-    have = _memory_bytes()
-    if need > have:
-        raise BudgetError(f"the Gauss table at q <= {bound} needs {need / 2**30:.1f} GiB of DP states, "
-                          f"more than the {have / 2**30:.1f} GiB of physical memory or cgroup limit")
+    _require_memory(2 * _gauss_index(0, bound + 1) * words, f"the Gauss table at q <= {bound}")
     state = _gauss_states(max(bound, 1), targets, radix, per, words)
     blocks = _blocks(2, bound, lambda q: q)
     parts = _run_blocks(_gauss_rows, blocks, workers, state, radix, per, len(targets))
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
-def _gauss_verify_block(qs):
-    p0, q0 = _gauss_lanes(*qs)
-    cols, work, new = _column_buffers(len(q0), 2)
-    wacc = np.zeros(len(q0))
+def _gauss_weights(bound: int) -> np.ndarray:
+    """float64[state]: W(r, p), the sum of the forward log-Jacobians
+    2 (log b - log a) over the Euclid steps a/b of r/p, last step first,
+    for every state with p <= bound; NaN where gcd(r, p) > 1."""
+    log2 = 2.0 * np.log(np.arange(1, bound + 1))  # log2[k - 1] = 2 log k; doubling is exact
+    wsum = np.empty(_gauss_index(0, bound + 1))
+    wsum[0] = 0.0  # (0, 1)
 
-    def recompose(lanes, j, a, b):
-        # M <- M @ [[0, 1], [1, j]] maps the columns (c1, c2) to (c2, c1 + j c2)
-        c = np.take(cols, lanes, axis=0, out=work[: len(lanes)])
-        new2 = c[:, :, 0] + j[:, None] * c[:, :, 1]
-        cols[lanes] = np.stack([c[:, :, 1], new2], axis=2, out=new[: len(lanes)])
-        wacc[lanes] += 2.0 * (np.log(b) - np.log(a))
+    def fill(start, j, child):
+        n = len(j)  # the layer p = n + 1
+        wsum[start] = np.nan
+        wsum[start + 1 : start + 1 + n] = (log2[n] - log2[:n]) + wsum.take(child)
 
-    _gauss_walk(p0, q0, recompose)
-    return _roundtrip_report(cols, wacc, np.stack([p0, q0], axis=1), 2)
+    _gauss_layers(bound, fill)
+    return wsum
+
+
+def _gauss_check(qs, wsum):
+    """Round-trip and weight check of the coprime states (r, p), r >= 1, with
+    p in [qlo, qhi]: the child the DP read for (r, p), decoded from its
+    position into (r', p'), must satisfy B(j) (r', p') = (r, p) with
+    B(j) = [[0, 1], [1, j]] and j = p // r, and W(r, p) must equal 2 log p."""
+    qlo, qhi = qs
+    lo, hi = _gauss_index(0, qlo), _gauss_index(0, qhi + 1)
+    q = np.arange(qlo, qhi + 1, dtype=np.int64)
+    p = np.repeat(q, q)
+    r = np.arange(lo, hi) - _gauss_index(0, p)
+    w = wsum[lo:hi]
+    k = np.flatnonzero(~np.isnan(w) & (r > 0))  # r = 0 is NaN but for a lost gcd mark
+    r, p, w = r[k], p[k], w[k]
+    j, child = _gauss_children(r, p, _gauss_index(0, r))
+    # rc, pc encode child exactly, so a pass means child is the position of (p mod r, r)
+    rc, pc = _gauss_pair(child)
+    top, bottom = pc, rc + j * pc
+    fails = np.count_nonzero((top != r) | (bottom != p))
+    werr = float(np.abs(w - 2.0 * np.log(p)).max())
+    return len(k), int(fails), werr, int(max(top.max(), bottom.max()))
 
 
 def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
-    """Exact round-trip and weight-telescoping check over all coprime p/q."""
+    """Exact round-trip and weight-telescoping check over all coprime p/q
+    with 2 <= q <= bound.
+
+    A second DP over the table's states holds the weight sum W(r, p) of
+    every state (_gauss_weights), and every coprime state with r >= 1 is
+    checked against the child it read (_gauss_check).  By induction on p
+    this proves every point: the composed inverse branches M(r/p) =
+    B(j) M(r'/p') of the expansion give back (r, p) = B(j) (r', p') from
+    the child's round trip and the base (0, 1), and W(r, p) = 2 (log p -
+    log r) + W(r', p') telescopes to 2 log p.  roundtrip_failures counts
+    the states whose step check fails, and max_matrix_entry is the largest
+    entry of the checked products B(j) (r', p').
+
+    The weights take 8 bytes per state, 4 * bound * (bound + 1) bytes in
+    all, held in the calling process; BudgetError is raised before they are
+    allocated if they exceed physical memory or the process's cgroup
+    memory limit.
+    """
+    _require_memory(8 * _gauss_index(0, bound + 1), f"the Gauss verify sweep at q <= {bound}")
+    wsum = _gauss_weights(max(bound, 1))
     blocks = _blocks(2, bound, lambda q: q)
-    return _merge_reports(_run_blocks(_gauss_verify_block, blocks, workers))
+    return _merge_reports(_run_blocks(_gauss_check, blocks, workers, wsum))
 
 
 # ---------------------------------------------------------------------------

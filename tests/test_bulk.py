@@ -8,7 +8,7 @@ import pytest
 
 from cfstats import bulk
 from cfstats.maps import BRUN2, GAUSS, JP2
-from cfstats.orbits import BudgetError, NotExpandableError, enumerate_trajectories, jp_digits
+from cfstats.orbits import BudgetError, NotExpandableError, enumerate_trajectories, euclid_digits, jp_digits
 from cfstats.stats import EnsembleTable
 
 
@@ -22,6 +22,7 @@ def tables_equal(a, b):
 
 SWEEPS = {
     "gauss": lambda workers: bulk.gauss_ensemble_table(80, targets=(1,), workers=workers),
+    "gauss_verify": lambda workers: bulk.gauss_verify(80, workers=workers),
     "jp_table": lambda workers: bulk.jp_ensemble_table(30, targets=((1, 2), (0, 1)), workers=workers),
     "jp_verify": lambda workers: bulk.jp_verify(30, workers=workers),
 }
@@ -91,11 +92,34 @@ class TestTableAgreement:
         )
         monkeypatch.setattr(bulk, "_jp_choice_table", lambda bound: built.append(bound) or choice_table(bound))
         one, two = SWEEPS[sweep](1), SWEEPS[sweep](2)
-        assert one == two if sweep == "jp_verify" else tables_equal(one, two)
+        assert one == two if sweep.endswith("verify") else tables_equal(one, two)
         assert len(tasks) > 2  # both runs had more than one block, so two workers ran
         # tasks are denominator blocks; the JP choice table is built once per sweep, not sent with them
         assert max(len(pickle.dumps(t)) for t in tasks) < 200
         assert len(built) == (2 if sweep.startswith("jp") else 0)
+
+
+def euclid_verify(bound):
+    """(checked, failures, max weight error, max matrix entry) of the Gauss
+    verify sweep, composing B(j) = [[0, 1], [1, j]] along the Euclid digits
+    of every coprime p/q and summing the forward log-Jacobians first to last."""
+    checked = failures = top = 0
+    werr = 0.0
+    for q in range(2, bound + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) > 1:
+                continue
+            m = [[1, 0], [0, 1]]
+            w, a, b = 0.0, p, q
+            for d in euclid_digits(p, q):
+                m = [[row[1], row[0] + d.j * row[1]] for row in m]  # m @ B(j)
+                w += 2.0 * (math.log(b) - math.log(a))
+                a, b = b % a, a
+            checked += 1
+            failures += (m[0][1], m[1][1]) != (p, q)
+            werr = max(werr, abs(w - 2.0 * math.log(q)))
+            top = max(top, *m[0], *m[1])
+    return checked, failures, werr, top
 
 
 class TestVerifySweeps:
@@ -115,6 +139,19 @@ class TestVerifySweeps:
         rep = bulk.jp_verify(40)
         assert rep.roundtrip_failures == 0
         assert rep.max_weight_error < 1e-9
+
+    def test_gauss_matches_pure_python_composition(self):
+        rep = bulk.gauss_verify(200)
+        checked, failures, werr, top = euclid_verify(200)
+        assert (rep.checked, rep.roundtrip_failures, rep.max_matrix_entry) == (checked, failures, top)
+        assert failures == 0 and werr < 1e-12 and rep.max_weight_error < 1e-12
+
+    # the largest bound with no point: q <= 1 for gauss and jp, t1 <= 0 for brun
+    @pytest.mark.parametrize("sweep, bound", [(bulk.gauss_verify, 1), (bulk.jp_verify, 1), (bulk.brun2_verify, 0)])
+    def test_empty_ensemble(self, sweep, bound):
+        with pytest.raises(ValueError, match="empty ensemble"):
+            sweep(bound)
+        assert sweep(bound + 1).checked > 0
 
     def test_jp_expandable_count_matches_record_path(self):
         n_records = sum(1 for _ in enumerate_trajectories(JP2, denominator_cap=30))
@@ -222,6 +259,9 @@ class TestGaussDP:
         bulk.gauss_ensemble_table(400)  # 160,800 bytes of states
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.gauss_ensemble_table(1000)  # 1,001,000 bytes
+        bulk.gauss_verify(200)  # the verify DP takes 8 bytes per state: 160,800
+        with pytest.raises(BudgetError, match="cgroup limit"):
+            bulk.gauss_verify(400)  # 641,600 bytes
 
     def test_table_bytes_pinned(self):
         # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
@@ -238,8 +278,11 @@ class TestGaussDP:
             raise AssertionError("the DP was started")
 
         monkeypatch.setattr(bulk, "_gauss_states", no_states)
+        monkeypatch.setattr(bulk, "_gauss_weights", no_states)
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.gauss_ensemble_table(10**7)
+        with pytest.raises(BudgetError, match="physical memory"):
+            bulk.gauss_verify(10**7)  # 4 * 10^14 bytes of weights
 
 
 class TestTotient:
