@@ -9,8 +9,8 @@ For every workload in AFTER_DIR/BENCHMARK.json, pair i runs
 `perfbench/run.py --trace 0 --seed 700+i` in BEFORE_DIR and in AFTER_DIR,
 at perfbench's own run length, for ten pairs: BEFORE_DIR first in even
 pairs and AFTER_DIR first in odd ones, so slow phases of the host hit
-both sides alike.  gauss-ensemble then gets one `--trace 1` run per side,
-for its per-layer metrics.  The JSON holds every run's metrics, the
+both sides alike.  Every workload then gets one `--trace 1` run per
+side, for its per-layer metrics.  The JSON holds every run's metrics, the
 median and quartiles of each end-to-end metric per side, the number of
 pairs the after side won, and whether both sides printed the same
 digests in every pair.
@@ -26,7 +26,6 @@ import sys
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # all lower-is-better
 PAIRS = 10
 SEED = 700
-TRACED = "gauss-ensemble"
 
 
 def run(checkout: str, workload: str, seed: int, trace: int) -> dict:
@@ -72,9 +71,8 @@ def main(argv=None) -> int:
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("before", "after")},
             "correct": all(p[s]["correct"] for p in pairs for s in ("before", "after")),
             "pairs": pairs,
+            "traced": {side: run(getattr(args, side), workload, SEED, 1) for side in ("before", "after")},
         }
-    report["workloads"][TRACED]["traced"] = {
-        side: run(getattr(args, side), TRACED, SEED, 1) for side in ("before", "after")}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
     return 0

@@ -1,27 +1,30 @@
-"""Vectorized ensemble sweeps over denominator-partitioned blocks.
+"""Vectorized ensemble sweeps.
 
-These builders produce the same per-point digit counts as the record
-generators in orbits.py, but handle all points of a block at once, block
-by block in denominator order.  Both Gauss sweeps read DPs with one state
-per pair r < p <= bound, filled layer by layer in p by one loop
-(_gauss_layers): the table's packed digit counts (_gauss_states) and the
-verify sweep's weight sums (_gauss_weights), whose blocks check each
-state's Euclid step against the child it read.  The Brun and JP sweeps
-walk their lanes: each has one walk, which hands every step to an
-on_digit callback: _brun2_walk (the Brun GCD, m = 2) and _jp_replay (the
-canonical Jacobi-Perron expansion, read from a choice table).  Table
-blocks count target digits there, and one histogram packs each lane's
-(q, counts) into an int64 key, so a table takes any number of targets.
-Verify blocks recompose each trajectory's homography there with exact
-integer column recursions and sum forward log-Jacobians, then check the
-round trip and the closed-form weight.  Every sweep splits its
-denominators into blocks of about _LANE_BUDGET lanes by one rule.
+Table sweeps count target digits per point; verify sweeps prove that
+every point's canonical expansion recomposes to it exactly (the round
+trip) and that its forward log-Jacobians sum to (m + 1) log q.
+
+Every verify sweep is a DP over the states of its algorithm, filled
+layer by layer in the denominator: one float64 weight sum per state, the
+first step's log-Jacobian plus the sum of the child it steps to, NaN
+where the gcd exceeds 1.  A second pass decodes each coprime state's
+child from the position the DP read and checks the step's inverse branch
+exactly, B (child) = state; by induction on the denominator this proves
+the round trip of every point without composing any matrix.  The Gauss
+table is a DP over the same states as its verify sweep (_gauss_layers
+fills both); the JP DPs share the layer loop (_jp_layers) of the choice
+table, which settles every canonical expansion.  The Brun and JP table
+sweeps walk their lanes, one step for all lanes at a time: _brun2_walk
+(the Brun GCD, m = 2) and _jp_replay (read from the choice table).  One
+histogram packs each lane's (q, counts) into an int64 key, so a table
+takes any number of targets.  Every sweep splits its denominators into
+blocks of about _LANE_BUDGET lanes or states by one rule.
 
 Blocks are independent pure computations, so a process pool may run
 them; results merge in block order and every reduction is
-integer-exact, so outputs are bit-identical for any worker count or
-block split.  Matrix entries stay far below 2^63 for the bounds used
-here; VerifyReport.ok fails if the largest one reaches 2^62.
+integer-exact or a maximum, so outputs are bit-identical for any worker
+count or block split.  Checked products stay far below 2^63 for the
+bounds used here; VerifyReport.ok fails if the largest one reaches 2^62.
 """
 
 from __future__ import annotations
@@ -142,27 +145,17 @@ def _histogram(q, cnt):
     return rows[0], rows[1:].T, mult.astype(np.int64)
 
 
-def _column_buffers(n: int, m: int):
-    """n copies of the m x m identity (cols[:, :, k] is the k-th column) and two
-    buffers of that shape for a step's gathered and new columns, allocated once
-    per block: freeing step temporaries this large on every callback return
-    made the allocator trim and fault in the heap again on every step."""
-    cols = np.broadcast_to(np.eye(m, dtype=np.int64), (n, m, m)).copy()
-    return cols, np.empty_like(cols), np.empty_like(cols)
-
-
-def _roundtrip_report(cols, wacc, point, multiplier):
-    """Block summary (checked, failures, max weight error, max matrix entry).
-
-    The last column of each lane's recomposed matrix must equal its point,
-    whose last coordinate is the denominator q, and its forward weight sum
-    must equal multiplier * log q.
-    """
-    if not len(wacc):
-        return 0, 0, 0.0, 1
-    fails = np.count_nonzero((cols[:, :, -1] != point).any(axis=1))
-    werr = float(np.abs(wacc - multiplier * np.log(point[:, -1])).max())
-    return len(wacc), int(fails), werr, int(cols.max())
+def _layer_of(k, start):
+    """The layers q of the DP positions k, and the positions start(q) where
+    they begin, for the JP and Brun layouts, whose layer q starts at
+    (q^3 - q) / 3 and q^3 / 3 + q^2 / 2 + q / 6 - 1: a float32 cube root of
+    3k is within one of q for q < 10^6, and one step each way makes it
+    exact."""
+    starts = start(np.arange(int(np.cbrt(3.0 * k.max(initial=0))) + 4))
+    q = np.cbrt(np.float32(3.0) * k.astype(np.float32)).astype(np.int64)
+    q += starts[q + 1] <= k
+    q -= starts[q] > k
+    return q, starts[q]
 
 
 def _merge_reports(parts) -> VerifyReport:
@@ -424,6 +417,46 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
 
 # ---------------------------------------------------------------------------
 # Brun, m = 2
+#
+# The Brun step from (q; u1, u2) divides q by its largest numerator um, u1 on
+# ties, taking the digit j = q // um, to the child (um; u2, q - j um) if
+# um = u1 and to (um; q - j um, u1) if not.  Children need not be sorted, so
+# the verify DP has a state for every (u1, u2) in [0, q]^2, in layers
+# q = 1, 2, ...; (q; 0, 0) ends every expansion, and is coprime only for
+# q = 1.  The table sweep walks its lanes, the sorted triples.
+
+
+def _brun2_index(q, u1, u2):
+    """Position of state (q; u1, u2) in the verify DP: layers q = 1, 2, ...
+    of (q + 1)^2 states each, rows u1 = 0..q, columns u2 = 0..q."""
+    return q * (q + 1) * (2 * q + 1) // 6 - 1 + u1 * (q + 1) + u2
+
+
+def _brun2_state(k):
+    """The states (q, u1, u2) at the positions k, inverting _brun2_index,
+    with (u1, u2) taken from the remainder, so _brun2_index(q, u1, u2) == k
+    whatever q is found."""
+    q, start = _layer_of(k, lambda q: _brun2_index(q, 0, 0))
+    rem = k - start
+    u1 = rem // (q + 1)
+    return q, u1, rem - u1 * (q + 1)
+
+
+def _brun2_step(q, u1, u2):
+    """The Brun step from the states (q; u1, u2), (u1, u2) != (0, 0): the
+    digits j, whether each divides by u1, and the children (um, c1, c2)."""
+    i1 = u1 >= u2  # smallest index wins ties
+    um = np.where(i1, u1, u2)
+    j = q // um
+    r = q - j * um
+    return j, i1, (um, np.where(i1, u2, r), np.where(i1, r, u1))
+
+
+def _brun2_children(q, u1, u2):
+    """_brun2_step, with the children's denominators um and positions in
+    the verify DP in place of the children."""
+    j, i1, child = _brun2_step(q, u1, u2)
+    return j, i1, child[0], _brun2_index(*child)
 
 
 def _brun2_lanes(qlo, qhi):
@@ -446,20 +479,12 @@ def _brun2_lanes(qlo, qhi):
 
 
 def _brun2_walk(q, u1, u2, on_digit):
-    """Run the Brun GCD on every lane (q; u1, u2).
-
-    Calls on_digit(lanes, j, i1, q, um) once per step with the lanes that
-    divide q by their largest numerator um, which is u1 where i1 is set
-    (ties included) and u2 elsewhere, taking the digit j = q // um.
-    """
+    """Run the Brun GCD on every lane (q; u1, u2), calling on_digit(lanes, j)
+    once per step with the lanes that take the digit j."""
     lanes = np.arange(len(q))
     while len(lanes):
-        i1 = u1 >= u2  # smallest index wins ties
-        um = np.where(i1, u1, u2)
-        j = q // um
-        on_digit(lanes, j, i1, q, um)
-        r = q - j * um
-        q, u1, u2 = um, np.where(i1, u2, r), np.where(i1, r, u1)
+        j, _, (q, u1, u2) = _brun2_step(q, u1, u2)
+        on_digit(lanes, j)
         live = (u1 > 0) | (u2 > 0)
         q, u1, u2, lanes = q[live], u1[live], u2[live], lanes[live]
 
@@ -468,7 +493,7 @@ def _brun2_table_block(args):
     qs, targets = args
     q, u1, u2 = _brun2_lanes(*qs)
     cnt = np.zeros((len(targets), len(q)), np.int64)
-    _brun2_walk(q, u1, u2, lambda lanes, j, *state: _count(cnt, lanes, [j == t for t in targets]))
+    _brun2_walk(q, u1, u2, lambda lanes, j: _count(cnt, lanes, [j == t for t in targets]))
     return _histogram(q, cnt)
 
 
@@ -479,28 +504,75 @@ def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
-def _brun2_verify_block(qs):
-    q0, u10, u20 = _brun2_lanes(*qs)
-    cols, work, new = _column_buffers(len(q0), 3)
-    wacc = np.zeros(len(q0))
+def _brun2_weights(bound: int) -> np.ndarray:
+    """float64[state]: W(q; u1, u2), the sum of the forward log-Jacobians
+    3 (log q - log um) over the Brun steps of (q; u1, u2), last step first,
+    for every state with q <= bound; NaN where gcd(q, u1, u2) > 1."""
+    logs = np.log(np.arange(1, bound + 1))  # logs[k - 1] = log k
+    wsum = np.empty(_brun2_index(bound + 1, 0, 0))
+    for q in range(1, bound + 1):
+        start = _brun2_index(q, 0, 0)
+        wsum[start] = 0.0 if q == 1 else np.nan  # (q; 0, 0)
+        u1, u2 = np.divmod(np.arange(1, (q + 1) ** 2), q + 1)  # the rest of the layer
+        _, _, um, pos = _brun2_children(q, u1, u2)
+        term = 3.0 * (logs[q - 1] - logs[um - 1])
+        layer = wsum[start + 1 : start + (q + 1) ** 2]
+        # um = q steps within the layer, to (q; u, 0) or (q; 0, u), and only
+        # (q; q, q) steps to such a state that does so again, (q; q, 0)
+        for sel in (um < q, (um == q) & (u1 != u2), (um == q) & (u1 == u2)):
+            layer[sel] = term[sel] + wsum.take(pos[sel])
+    return wsum
 
-    def recompose(lanes, j, i1, q, um):
-        # M <- M @ B(i, j); B(1,j) cols = (e2, e3, e1 + j e3), B(2,j) cols = (e3, e1, e2 + j e3)
-        c = np.take(cols, lanes, axis=0, out=work[: len(lanes)])
-        s = i1[:, None]
-        c1 = np.where(s, c[:, :, 1], c[:, :, 2])
-        c2 = np.where(s, c[:, :, 2], c[:, :, 0])
-        c3 = np.where(s, c[:, :, 0], c[:, :, 1]) + j[:, None] * c[:, :, 2]
-        cols[lanes] = np.stack([c1, c2, c3], axis=2, out=new[: len(lanes)])
-        wacc[lanes] += 3.0 * (np.log(q) - np.log(um))
 
-    _brun2_walk(q0, u10, u20, recompose)
-    return _roundtrip_report(cols, wacc, np.stack([u10, u20, q0], axis=1), 3)
+def _brun2_check(qs, wsum):
+    """Round-trip and weight check of the coprime states (q; u1, u2),
+    (u1, u2) != (0, 0), with q in [qlo, qhi]: the child (um; c1, c2) the DP
+    read, decoded from its position, must satisfy B(1, j) (c1, c2, um) =
+    (um, c1, c2 + j um) = (u1, u2, q) where the step divides by u1, and
+    B(2, j) (c1, c2, um) = (c2, um, c1 + j um) = (u1, u2, q) where it
+    divides by u2.  Lanes, the sorted triples, must have W = 3 log q."""
+    qlo, qhi = qs
+    lo = _brun2_index(qlo, 0, 0)
+    k = lo + np.flatnonzero(~np.isnan(wsum[lo : _brun2_index(qhi + 1, 0, 0)]))
+    q, u1, u2 = _brun2_state(k)
+    step = (u1 > 0) | (u2 > 0)  # (1; 0, 0) is the origin
+    q, u1, u2, w = q[step], u1[step], u2[step], wsum[k[step]]
+    j, i1, _, pos = _brun2_children(q, u1, u2)
+    # cq, c1, c2 encode pos exactly, so a pass means it holds the child
+    cq, c1, c2 = _brun2_state(pos)
+    x, y, z = np.where(i1, cq, c2), np.where(i1, c1, cq), np.where(i1, c2, c1) + j * cq
+    fails = np.count_nonzero((x != u1) | (y != u2) | (z != q))
+    lane = (u1 >= u2) & (u2 >= 1)
+    werr = float(np.abs(w[lane] - 3.0 * np.log(q[lane])).max(initial=0.0))
+    top = max(x.max(initial=0), y.max(initial=0), z.max(initial=0))
+    return int(np.count_nonzero(lane)), int(fails), werr, int(top)
 
 
 def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
-    blocks = _blocks(1, bound, lambda q: q * (q + 1) // 2)
-    return _merge_reports(_run_blocks(_brun2_verify_block, blocks, workers))
+    """Exact round-trip and weight-telescoping check over all coprime
+    descending triples (t1, t2, t3) with t1 <= bound.
+
+    A DP holds the weight sum W(q; u1, u2) of every state with q <= bound
+    (_brun2_weights), and every coprime state but the origin is checked
+    against the child it read (_brun2_check).  By induction on q this proves
+    every point: the composed inverse branches M(q; u1, u2) = B(i, j) M(child)
+    of the expansion give back (u1, u2, q) = B(i, j) (c1, c2, um) from the
+    child's round trip and the base (1; 0, 0), and W(q; u1, u2) =
+    3 (log q - log um) + W(child) telescopes to 3 log q.  A step with um = q
+    reads a state of its own layer, filled first.  checked counts the lanes
+    (t2, t3, t1) = (u1, u2, q), roundtrip_failures the states whose step
+    check fails, and max_matrix_entry is the largest entry of the checked
+    products.
+
+    The weights take 8 bytes per state, 8 * sum((q + 1)^2 for q <= bound)
+    bytes in all, 73 MB at t1 <= 300, held in the calling process;
+    BudgetError is raised before they are allocated if they exceed
+    physical memory or the process's cgroup memory limit.
+    """
+    _require_memory(8 * _brun2_index(bound + 1, 0, 0), f"the Brun verify sweep at t1 <= {bound}")
+    wsum = _brun2_weights(max(bound, 1))
+    blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
+    return _merge_reports(_run_blocks(_brun2_check, blocks, workers, wsum))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +585,8 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
 # into it was diagonal, so one choice table settles every expansion: for
 # each state (p, r, q) and each value of that flag it holds the first child
 # k whose subtree succeeds, or -1.  Child k = 2 da + db is the digit
-# (r // p - da, q // p - db); the fixed order of k is the DFS's order.
+# (r // p - da, q // p - db); the fixed order of k is the DFS's order.  The
+# verify DP keeps a weight sum for every (flag, state) of the same table.
 
 
 def _jp_index(p, r, q):
@@ -522,17 +595,37 @@ def _jp_index(p, r, q):
     return (q - 1) * q * (q + 1) // 3 + (p - 1) * (q + 1) + r
 
 
+def _jp_state(k):
+    """The states (p, r, q) at the positions k, inverting _jp_index, with
+    (p, r) taken from the remainder, so _jp_index(p, r, q) == k whatever q
+    is found."""
+    q, start = _layer_of(k, lambda q: _jp_index(1, 0, q))
+    rem = k - start
+    p = rem // (q + 1)
+    return p + 1, rem - p * (q + 1), q
+
+
+def _jp_layers(bound: int, fill):
+    """Call fill(p, r, q) for the states of the layers q = 1..bound in order,
+    in two parts per layer: the rows p < q, whose children lie in layer p,
+    and then the row p = q, whose children lie in rows p < q of its own
+    layer, or are (q, 0, q), which has no admissible child."""
+    for q in range(1, bound + 1):
+        p, r = np.divmod(np.arange(q * (q + 1)), q + 1)
+        p += 1
+        split = (q - 1) * (q + 1)
+        if split:
+            fill(p[:split], r[:split], q)
+        fill(p[split:], r[split:], q)
+
+
 def _jp_choice_table(bound: int) -> np.ndarray:
     """int8[after-diagonal flag, state]: the canonical child of every state
-    with q <= bound, built layer by layer in q."""
+    with q <= bound, built layer by layer in q.  The row p = q reads (q, 0, q)
+    before the row is filled, which is right, since it has no child and
+    starts at -1."""
     choice = np.full((2, _jp_index(1, 0, bound + 1)), -1, np.int8)
-    for q in range(1, bound + 1):
-        p, r = np.meshgrid(np.arange(1, q + 1), np.arange(q + 1), indexing="ij")
-        # children of row p < q lie in layer p; row p = q has children in
-        # rows p < q of its own layer, plus (q, 0, q), which has no
-        # admissible child and so is already -1
-        for rows in (slice(0, q - 1), slice(q - 1, q)):
-            _jp_resolve(choice, p[rows].ravel(), r[rows].ravel(), q)
+    _jp_layers(bound, functools.partial(_jp_resolve, choice))
     return choice
 
 
@@ -561,6 +654,42 @@ def _jp_resolve(choice, p, r, q):
     choice[:, _jp_index(p, r, q)] = _LOWEST_BIT[good]
 
 
+def _jp_step(k, p, r, q):
+    """The digits (a, b) that the choices k take from the states (p, r, q),
+    and the first coordinates and numerators (r - a p, q - b p) of the
+    children, whose denominator is p; the step ends where r - a p = 0."""
+    a = r // p - (k >> 1)
+    b = q // p - (k & 1)
+    return a, b, r - a * p, q - b * p
+
+
+def _jp_children(k, p, r, q, n: int):
+    """_jp_step, plus the positions of the children in a [flag, state] array
+    of n states per flag, flattened, with the flag a == b; 0 where the step
+    ends or k < 0."""
+    a, b, np_, nr = _jp_step(k, p, r, q)
+    pos = np.where((k >= 0) & (np_ > 0), (a == b) * n + _jp_index(np_, nr, p), 0)
+    return a, b, np_, nr, pos
+
+
+def _jp_require(bad, what, p, r, q):
+    """Raise RuntimeError naming the first state (p, r, q) where bad is set."""
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        state = (int(np.broadcast_to(x, bad.shape)[i]) for x in (p, r, q))
+        raise RuntimeError(f"JP replay: {what} at state ({', '.join(map(str, state))})")
+
+
+def _jp_require_admissible(on, after_diag, a, b, np_, nr, p, r, q):
+    """Raise RuntimeError where a step marked by `on` that takes the digit
+    (a, b) from the state (p, r, q), after a diagonal digit where after_diag
+    is set, is no child, or leaves the admissible strings."""
+    end = np_ == 0
+    _jp_require(on & ((a < 0) | (a > b) | (b < 1) | (np_ > p) | (nr > p)), "a choice that is no child", p, r, q)
+    _jp_require(on & after_diag & (a == 0), "a = 0 right after a diagonal digit", p, r, q)
+    _jp_require(on & end & ((nr != 0) | (b < 2)), "an end off the origin or with b < 2", p, r, q)
+
+
 def _jp_lanes(qlo, qhi):
     qs, ps, rs = [], [], []
     for q in range(qlo, qhi + 1):
@@ -581,9 +710,8 @@ def _jp_lanes(qlo, qhi):
 def _jp_replay(choice, p, r, q, on_digit):
     """Walk every lane along its canonical expansion, read from `choice`.
 
-    Calls on_digit(lanes, a, b, p, q) once per step with the lanes that
-    take the digit (a, b) from a state of first coordinate p and
-    denominator q, and returns the mask of expandable lanes.  Raises
+    Calls on_digit(lanes, a, b) once per step with the lanes that take the
+    digit (a, b), and returns the mask of expandable lanes.  Raises
     RuntimeError where the table leads a lane off an admissible string.
     """
     k = choice[0, _jp_index(p, r, q)]
@@ -591,26 +719,15 @@ def _jp_replay(choice, p, r, q, on_digit):
     lanes = np.nonzero(expandable)[0]
     p, r, q, k = p[lanes], r[lanes], q[lanes], k[lanes]
     after_diag = np.zeros(len(lanes), bool)
-
-    def require(bad, what):
-        if bad.any():
-            i = np.argmax(bad)
-            raise RuntimeError(f"JP replay: {what} at state ({p[i]}, {r[i]}, {q[i]})")
-
     while len(lanes):
-        a = r // p - (k >> 1)
-        b = q // p - (k & 1)
-        np_, nr = r - a * p, q - b * p
-        end = np_ == 0
-        require((a < 0) | (a > b) | (b < 1) | (np_ > p) | (nr > p), "a choice that is no child")
-        require(after_diag & (a == 0), "a = 0 right after a diagonal digit")
-        require(end & ((nr != 0) | (b < 2)), "an end off the origin or with b < 2")
-        on_digit(lanes, a, b, p, q)
-        live = ~end
+        a, b, np_, nr = _jp_step(k, p, r, q)
+        _jp_require_admissible(True, after_diag, a, b, np_, nr, p, r, q)
+        on_digit(lanes, a, b)
+        live = np_ > 0
         after_diag = (a == b)[live]
         p, r, q, lanes = np_[live], nr[live], p[live], lanes[live]
         k = choice[after_diag.astype(np.intp), _jp_index(p, r, q)]
-        require(k < 0, "no admissible choice")
+        _jp_require(k < 0, "no admissible choice", p, r, q)
     return expandable
 
 
@@ -619,7 +736,7 @@ def _jp_table_block(args, choice):
     p, r, q = _jp_lanes(*qs)
     cnt = np.zeros((len(targets), len(q)), np.int64)
 
-    def count(lanes, a, b, *state):
+    def count(lanes, a, b):
         _count(cnt, lanes, [(a == ta) & (b == tb) for ta, tb in targets])
 
     exp = _jp_replay(choice, p, r, q, count)
@@ -633,23 +750,88 @@ def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     return _table_from_parts(parts, "jp", 3, targets, bound)
 
 
-def _jp_verify_block(qs, choice):
-    """Round-trip and weight check over every expandable triple in the block."""
-    p0, r0, q0 = _jp_lanes(*qs)
-    cols, work, new = _column_buffers(len(q0), 3)
-    wacc = np.zeros(len(q0))
+def _jp_weights(choice: np.ndarray, bound: int) -> np.ndarray:
+    """float64[after-diagonal flag, state]: W(flag, p, r, q), the sum of the
+    forward log-Jacobians 3 (log q - log p) over the canonical expansion of
+    (p, r, q) after a digit of that flag, last step first, for every state
+    with q <= bound; NaN where gcd(p, r, q) > 1 or there is no expansion.
 
-    def recompose(lanes, a, b, p, q):
-        # M <- M @ B(a, b) maps the columns (c1, c2, c3) to (c2, c3, c1 + a c2 + b c3)
-        c = np.take(cols, lanes, axis=0, out=work[: len(lanes)])
-        new3 = c[:, :, 0] + a[:, None] * c[:, :, 1] + b[:, None] * c[:, :, 2]
-        cols[lanes] = np.stack([c[:, :, 1], c[:, :, 2], new3], axis=2, out=new[: len(lanes)])
-        wacc[lanes] += 3.0 * (np.log(q) - np.log(p))
+    Raises RuntimeError, as _jp_replay does, where a choice is no child,
+    leaves the admissible strings or leads to a state with no choice.
+    """
+    n = choice.shape[1]
+    logs = np.log(np.arange(1, bound + 1))  # logs[k - 1] = log k
+    wsum = np.empty((2, n))
+    flat_w, flat_c = wsum.reshape(-1), choice.reshape(-1)
+    after_diag = np.array([[False], [True]])  # the flag of each row
 
-    sel = _jp_replay(choice, p0, r0, q0, recompose)
-    return _roundtrip_report(cols[sel], wacc[sel], np.stack([p0, r0, q0], axis=1)[sel], 3)
+    def fill(p, r, q):
+        lo = _jp_index(p[0], r[0], q)
+        k = choice[:, lo : lo + len(p)]
+        a, b, np_, nr, pos = _jp_children(k, p, r, q, n)
+        on, end = k >= 0, np_ == 0
+        _jp_require_admissible(on, after_diag, a, b, np_, nr, p, r, q)
+        _jp_require(on & ~end & (flat_c.take(pos) < 0), "no admissible choice", p, r, q)
+        child = np.where(end, np.where(p == 1, 0.0, np.nan), flat_w.take(pos))  # the origin (0, 0, p) at an end
+        wsum[:, lo : lo + len(p)] = np.where(on, 3.0 * (logs[q - 1] - logs[p - 1]) + child, np.nan)
+
+    _jp_layers(bound, fill)
+    return wsum
+
+
+def _jp_check(qs, choice, wsum):
+    """Round-trip and weight check of the (flag, state) pairs with a finite
+    weight and q in [qlo, qhi]: the child the DP read, decoded from its
+    position into its flag and (p', r', q'), or the origin (0, 0, 1) at an
+    end, must satisfy B(a, b) (p', r', q') = (q', p' + a q', r' + b q') =
+    (p, r, q) with the flag a == b.  Lanes, the states with q >= 2 at flag
+    0, must have W = 3 log q."""
+    qlo, qhi = qs
+    n = choice.shape[1]
+    lo = _jp_index(1, 0, qlo)
+    flag, k = np.nonzero(~np.isnan(wsum[:, lo : _jp_index(1, 0, qhi + 1)]))
+    k += lo
+    p, r, q = _jp_state(k)
+    a, b, np_, nr, pos = _jp_children(choice[flag, k], p, r, q, n)
+    end = np_ == 0
+    # the decoded flag and state encode pos exactly, so a pass means it holds the child
+    cflag, ck = np.divmod(pos, n)
+    cp, cr, cq = _jp_state(ck)
+    cp, cr, cq = np.where(end, 0, cp), np.where(end, 0, cr), np.where(end, 1, cq)
+    x, y, z = cq, cp + a * cq, cr + b * cq
+    fails = np.count_nonzero((x != p) | (y != r) | (z != q) | (~end & (cflag != (a == b))))
+    lane = (flag == 0) & (q >= 2)
+    werr = float(np.abs(wsum[0, k[lane]] - 3.0 * np.log(q[lane])).max(initial=0.0))
+    top = max(x.max(initial=0), y.max(initial=0), z.max(initial=0))
+    return int(np.count_nonzero(lane)), int(fails), werr, int(top)
 
 
 def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
-    blocks = _blocks(2, bound, lambda q: q * (q + 1))
-    return _merge_reports(_run_blocks(_jp_verify_block, blocks, workers, _jp_choice_table(bound)))
+    """Exact round-trip and weight-telescoping check over all expandable
+    coprime (p, r, q) with 2 <= q <= bound.
+
+    A DP over the choice table holds the weight sum W(flag, p, r, q) of
+    every state and after-diagonal flag (_jp_weights), checking as it goes
+    that every choice takes an admissible digit, and every (flag, state)
+    with a finite weight is checked against the child it read (_jp_check).
+    By induction on q this proves every expandable point: the composed
+    inverse branches M(p, r, q) = B(a, b) M(child) of its canonical
+    expansion give back (p, r, q) = B(a, b) (p', r', q') from the child's
+    round trip and the base, the origin (0, 0, 1), and W(flag, p, r, q) =
+    3 (log q - log p) + W(a == b, child) telescopes to 3 log q.  A state of
+    the row p = q reads one of rows p < q of its own layer, filled first.
+    checked counts the lanes, roundtrip_failures the (flag, state) pairs
+    whose step check fails, and max_matrix_entry is the largest entry of
+    the checked products.
+
+    The choice table and the weights take 18 bytes per state,
+    6 * bound * (bound + 1) * (bound + 2) bytes in all, 164 MB at q <= 300,
+    held in the calling process; BudgetError is raised before they are
+    allocated if they exceed physical memory or the process's cgroup
+    memory limit.
+    """
+    _require_memory(18 * _jp_index(1, 0, bound + 1), f"the JP verify sweep at q <= {bound}")
+    choice = _jp_choice_table(max(bound, 1))
+    wsum = _jp_weights(choice, max(bound, 1))
+    blocks = _blocks(1, bound, lambda q: 2 * q * (q + 1))
+    return _merge_reports(_run_blocks(_jp_check, blocks, workers, choice, wsum))

@@ -8,7 +8,14 @@ import pytest
 
 from cfstats import bulk
 from cfstats.maps import BRUN2, GAUSS, JP2
-from cfstats.orbits import BudgetError, NotExpandableError, enumerate_trajectories, euclid_digits, jp_digits
+from cfstats.orbits import (
+    BudgetError,
+    NotExpandableError,
+    brun_trajectory_digits,
+    enumerate_trajectories,
+    euclid_digits,
+    jp_digits,
+)
 from cfstats.stats import EnsembleTable
 
 
@@ -25,6 +32,8 @@ SWEEPS = {
     "gauss_verify": lambda workers: bulk.gauss_verify(80, workers=workers),
     "jp_table": lambda workers: bulk.jp_ensemble_table(30, targets=((1, 2), (0, 1)), workers=workers),
     "jp_verify": lambda workers: bulk.jp_verify(30, workers=workers),
+    "brun_table": lambda workers: bulk.brun2_ensemble_table(30, targets=(1, 2), workers=workers),
+    "brun_verify": lambda workers: bulk.brun2_verify(30, workers=workers),
 }
 
 
@@ -122,6 +131,68 @@ def euclid_verify(bound):
     return checked, failures, werr, top
 
 
+def matmul3(m, b):
+    return [[sum(m[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def composition_report(points, multiplier):
+    """(checked, failures, max weight error, max matrix entry) over `points`,
+    each a (point, [(B, q, q') per step]) with the step's branch matrix B
+    and the denominators before and after it: composes M = B_1 B_2 ...,
+    compares its last column with the point, and sums the forward
+    log-Jacobians multiplier * (log q - log q') first to last."""
+    checked = failures = top = 0
+    werr = 0.0
+    for point, steps in points:
+        m = [[int(i == j) for j in range(3)] for i in range(3)]
+        w = 0.0
+        for b, q, qc in steps:
+            m = matmul3(m, b)
+            w += multiplier * (math.log(q) - math.log(qc))
+        checked += 1
+        failures += [row[2] for row in m] != list(point)
+        werr = max(werr, abs(w - multiplier * math.log(point[-1])))
+        top = max(top, *(x for row in m for x in row))
+    return checked, failures, werr, top
+
+
+def brun_points(bound):
+    """Every coprime descending triple (t1, t2, t3), t1 <= bound, as the point
+    (t2, t3, t1) with the steps of orbits.brun_trajectory_digits, where
+    B(1, j) (x, y, z) = (z, x, y + j z) and B(2, j) (x, y, z) = (y, z, x + j z)."""
+    for t1 in range(1, bound + 1):
+        for t2 in range(1, t1 + 1):
+            for t3 in range(1, t2 + 1):
+                if math.gcd(t1, t2, t3) > 1:
+                    continue
+                steps, q, u = [], t1, [t2, t3]
+                for d in brun_trajectory_digits((t1, t2, t3)):
+                    b = [[0, 0, 1], [1, 0, 0], [0, 1, d.j]] if d.i == 1 else [[0, 1, 0], [0, 0, 1], [1, 0, d.j]]
+                    um = u[d.i - 1]
+                    steps.append((b, q, um))
+                    q, u = um, u[d.i :] + [q - d.j * um] + u[: d.i - 1]
+                yield (t2, t3, t1), steps
+
+
+def jp_points(bound):
+    """Every expandable coprime (p, r, q), 2 <= q <= bound, with the steps of
+    orbits.jp_digits, where B(a, b) (x, y, z) = (z, x + a z, y + b z)."""
+    for q in range(2, bound + 1):
+        for p in range(1, q + 1):
+            for r in range(q + 1):
+                if math.gcd(p, r, q) > 1:
+                    continue
+                try:
+                    digits = jp_digits(p, r, q)
+                except NotExpandableError:
+                    continue
+                steps, (x, y, z) = [], (p, r, q)
+                for d in digits:
+                    steps.append(([[0, 0, 1], [1, 0, d.a], [0, 1, d.b]], z, x))
+                    x, y, z = y - d.a * x, z - d.b * x, x
+                yield (p, r, q), steps
+
+
 class TestVerifySweeps:
     def test_gauss(self):
         rep = bulk.gauss_verify(400)
@@ -146,11 +217,22 @@ class TestVerifySweeps:
         assert (rep.checked, rep.roundtrip_failures, rep.max_matrix_entry) == (checked, failures, top)
         assert failures == 0 and werr < 1e-12 and rep.max_weight_error < 1e-12
 
+    @pytest.mark.parametrize("sweep, points, bound", [
+        (bulk.brun2_verify, brun_points, 40),
+        (bulk.jp_verify, jp_points, 30),
+    ])
+    def test_matches_pure_python_composition(self, sweep, points, bound):
+        rep = sweep(bound)
+        checked, failures, werr, top = composition_report(points(bound), 3)
+        assert (rep.checked, rep.roundtrip_failures, rep.max_matrix_entry) == (checked, failures, top)
+        assert failures == 0 and werr < 1e-12 and rep.max_weight_error < 1e-12
+
     # the largest bound with no point: q <= 1 for gauss and jp, t1 <= 0 for brun
     @pytest.mark.parametrize("sweep, bound", [(bulk.gauss_verify, 1), (bulk.jp_verify, 1), (bulk.brun2_verify, 0)])
     def test_empty_ensemble(self, sweep, bound):
-        with pytest.raises(ValueError, match="empty ensemble"):
-            sweep(bound)
+        for empty in (bound - 1, bound):
+            with pytest.raises(ValueError, match="empty ensemble"):
+                sweep(empty)
         assert sweep(bound + 1).checked > 0
 
     def test_jp_expandable_count_matches_record_path(self):
@@ -262,6 +344,12 @@ class TestGaussDP:
         bulk.gauss_verify(200)  # the verify DP takes 8 bytes per state: 160,800
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.gauss_verify(400)  # 641,600 bytes
+        bulk.brun2_verify(50)  # 8 bytes per state: 364,200
+        with pytest.raises(BudgetError, match="cgroup limit"):
+            bulk.brun2_verify(60)  # 620,240 bytes
+        bulk.jp_verify(40)  # 18 bytes per state, choices and weights: 413,280
+        with pytest.raises(BudgetError, match="cgroup limit"):
+            bulk.jp_verify(50)  # 795,600 bytes
 
     def test_table_bytes_pinned(self):
         # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
@@ -277,12 +365,16 @@ class TestGaussDP:
         def no_states(*args):
             raise AssertionError("the DP was started")
 
-        monkeypatch.setattr(bulk, "_gauss_states", no_states)
-        monkeypatch.setattr(bulk, "_gauss_weights", no_states)
+        for dp in ("_gauss_states", "_gauss_weights", "_brun2_weights", "_jp_choice_table", "_jp_weights"):
+            monkeypatch.setattr(bulk, dp, no_states)
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.gauss_ensemble_table(10**7)
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.gauss_verify(10**7)  # 4 * 10^14 bytes of weights
+        with pytest.raises(BudgetError, match="physical memory"):
+            bulk.brun2_verify(10**7)  # 2.7 * 10^21 bytes of weights
+        with pytest.raises(BudgetError, match="physical memory"):
+            bulk.jp_verify(10**7)  # 6 * 10^21 bytes of choices and weights
 
 
 class TestTotient:
