@@ -4,24 +4,28 @@ Table sweeps count target digits per point; verify sweeps prove that
 every point's canonical expansion recomposes to it exactly (the round
 trip) and that its forward log-Jacobians sum to (m + 1) log q.
 
-Every verify sweep is a DP over the states of its algorithm, filled
-layer by layer in the denominator: one float64 weight sum per state, the
-first step's log-Jacobian plus the sum of the child it steps to, NaN
-where the gcd exceeds 1.  A second pass decodes each coprime state's
-child from the position the DP read and checks the step's inverse branch
-exactly, B (child) = state; by induction on the denominator this proves
-the round trip of every point without composing any matrix.  The Gauss
-table is a DP over the same states as its verify sweep (_gauss_layers
-fills both); the JP DPs share the layer loop (_jp_layers) of the choice
-table, which settles every canonical expansion.  The Brun and JP table
-sweeps walk their lanes, one step for all lanes at a time: _brun2_walk
-(the Brun GCD, m = 2) and _jp_replay (read from the choice table).  One
-histogram packs each lane's (q, counts) into an int64 key, so a table
-takes any number of targets.  Every sweep splits its denominators into
-blocks of about _LANE_BUDGET lanes or states by one rule.
+Every sweep is a DP over the states of its algorithm, filled layer by
+layer in the denominator: a state's value is its first step's term plus
+the value of the child it steps to.  A table DP packs the target counts
+of every state a few per int16 word, in a radix one above the longest
+expansion, -1 where the gcd exceeds 1 or there is no expansion; one
+histogram of the packed words (_table_rows) turns the lanes' states into
+table rows, for any number of targets.  A verify DP holds a float64
+weight sum per state, NaN where the gcd exceeds 1; a second pass decodes
+each coprime state's child from the position the DP read and checks the
+step's inverse branch exactly, B (child) = state, so by induction on the
+denominator it proves every point's round trip without composing any
+matrix.  An algorithm's two DPs share its layer loop: _gauss_layers,
+_brun2_layers (the Brun GCD, m = 2) and _jp_layers, which also fills the
+JP choice table that settles every canonical expansion.
 
-Blocks are independent pure computations, so a process pool may run
-them; results merge in block order and every reduction is
+The DPs run in the calling process.  Every sweep raises BudgetError
+before it allocates its DP if the DP's bytes, given in its docstring,
+exceed physical memory or the process's cgroup memory limit
+(_require_memory); the check counts neither memory in use nor the
+histograms.  Blocks of about _LANE_BUDGET states, split by one rule, are
+independent pure computations, so a process pool may run their rows or
+checks; results merge in block order and every reduction is
 integer-exact or a maximum, so outputs are bit-identical for any worker
 count or block split.  Checked products stay far below 2^63 for the
 bounds used here; VerifyReport.ok fails if the largest one reaches 2^62.
@@ -30,7 +34,6 @@ bounds used here; VerifyReport.ok fails if the largest one reaches 2^62.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -41,7 +44,8 @@ from .orbits import BudgetError
 from .orbits import jp_digits  # noqa: F401  the JP reference; tracers patch bulk.jp_digits
 from .stats import EnsembleTable
 
-# lanes per block, for every sweep; larger blocks cost memory and buy no speed
+# DP states per block of rows or checks, for every sweep; larger blocks cost
+# memory and buy no speed
 _LANE_BUDGET = 2**15
 
 
@@ -66,14 +70,14 @@ def totient_sum(n: int) -> int:
     return int(phi[2:].sum())
 
 
-def _blocks(lo: int, hi: int, lanes_per_q):
-    """Split denominators [lo, hi] into ranges of about _LANE_BUDGET lanes,
-    counting lanes_per_q(q) lanes at denominator q."""
+def _blocks(lo: int, hi: int, states_per_q):
+    """Split denominators [lo, hi] into ranges of about _LANE_BUDGET states,
+    counting states_per_q(q) states at denominator q."""
     out = []
     start = lo
     acc = 0
     for q in range(lo, hi + 1):
-        acc += lanes_per_q(q)
+        acc += states_per_q(q)
         if acc >= _LANE_BUDGET:
             out.append((start, q))
             start, acc = q + 1, 0
@@ -115,36 +119,6 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
 
 
-def _count(cnt, lanes, hits):
-    """Add one to cnt[k, lane] for each of `lanes` that hits[k] marks."""
-    for k, hit in enumerate(hits):
-        cnt[k, lanes[hit]] += 1
-
-
-def _histogram(q, cnt):
-    """Per-lane denominators q and digit counts cnt[target, lane] -> sorted
-    sparse rows (q, counts, mult).
-
-    Each lane's (q, counts) becomes one mixed-radix int64 key whose digit
-    spans are taken from the data, q most significant, so the sorted
-    unique keys are the rows in (q, counts) order.
-    """
-    digits = np.vstack([q, cnt])  # one row per key digit, q first
-    lo = digits.min(axis=1)
-    span = digits.max(axis=1) - lo + 1
-    if math.prod(int(s) for s in span) >= 2**63:
-        raise OverflowError("histogram key does not fit in int64")
-    key = np.zeros(digits.shape[1], np.int64)
-    for row, low, size in zip(digits, lo, span):
-        key = key * size + (row - low)
-    key, mult = np.unique(key, return_counts=True)
-    rows = np.empty((len(digits), len(key)), np.int64)
-    for k in reversed(range(len(digits))):
-        key, rows[k] = np.divmod(key, span[k])
-    rows += lo[:, None]
-    return rows[0], rows[1:].T, mult.astype(np.int64)
-
-
 def _layer_of(k, start):
     """The layers q of the DP positions k, and the positions start(q) where
     they begin, for the JP and Brun layouts, whose layer q starts at
@@ -167,6 +141,95 @@ def _merge_reports(parts) -> VerifyReport:
         max(p[2] for p in parts),
         max(p[3] for p in parts),
     )
+
+
+def _count_words(longest: int, ntargets: int):
+    """(radix, targets per int16 word, words) of digit counts packed for
+    expansions of at most `longest` digits: the radix is longest + 1, at
+    least 2, and a word holds as many targets as keep it below 2^15."""
+    radix, per = max(longest, 1) + 1, 1
+    while radix ** (per + 1) <= 2**15:
+        per += 1
+    return radix, per, max(1, -(-ntargets // per))
+
+
+def _digit_weights(digits, ndigits: int, radix: int, per: int, words: int) -> np.ndarray:
+    """int16[word, digit index]: what each of the ndigits digits adds to
+    the packed counts, given each target's digit index, -1 for a target
+    that no expansion takes; target 0 is the most significant."""
+    weight = np.zeros((words, ndigits), np.int16)
+    for i, d in enumerate(digits):
+        if d >= 0:
+            weight[i // per, d] += radix ** (per - 1 - i % per)
+    return weight
+
+
+def _count_states(layers, size: int, bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
+    """int16[word, state]: the digit counts of the `size` states of a Gauss
+    or Brun DP with denominators up to bound, packed by _digit_weights; -1
+    where the gcd exceeds 1.  layers(bound, fill) calls fill(k, j, child, ...)
+    with the positions k of the states of each layer in order, their digits
+    j, 1 <= j <= bound, and the positions of their children; the state at
+    position 0 ends every coprime expansion."""
+    weight = _digit_weights([t if 1 <= t <= bound else -1 for t in targets], bound + 1, radix, per, words)
+    state = np.full((words, size), -1, np.int16)
+    state[:, 0] = 0
+
+    def fill(k, j, child, *_):
+        coprime = state[0].take(child) >= 0
+        for w in range(words):
+            state[w, k] = np.where(coprime, state[w].take(child) + weight[w].take(j), -1)
+
+    layers(bound, fill)
+    return state
+
+
+def _table_rows(qs, state, starts, lane, radix, per, ntargets):
+    """Table rows of the denominators [qlo, qhi], read from the packed
+    counts int16[word, state] of a DP whose layer q begins at the position
+    starts[q]; lane(k) marks the lanes among the positions k, or lane is
+    None where every state is a lane.
+
+    The packed words are histogrammed as they are, in one int64 key of
+    mixed radix whose digits are q and the words, with spans taken from
+    the data.  Where the next word would overflow the key, np.unique first
+    replaces the key by its rank among the distinct keys so far, so any
+    number of words works.  Counts are packed target 0 first, so the keys
+    sort in (q, counts) order.  Only the distinct rows are unpacked, and
+    the -1 rows of gcd > 1 or no expansion are dropped then.
+    """
+    qlo, qhi = qs
+    lo, hi = starts[qlo], starts[qhi + 1]
+    packed = state[:, lo:hi]
+    key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int64), np.diff(starts[qlo : qhi + 2]))  # q - qlo
+    if lane is not None:
+        keep = lane(np.arange(lo, hi))
+        packed, key = packed[:, keep], key[keep]
+    size, lows, spans, ranked = qhi - qlo + 1, [], [], []  # key < size
+    for word in packed:
+        low = int(word.min())
+        span = int(word.max()) - low + 1
+        distinct = None
+        if size * span >= 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key = key * span - low + word  # int64 from the first product on
+        size *= span
+        lows.append(low)
+        spans.append(span)
+        ranked.append(distinct)
+    key, mult = np.unique(key, return_counts=True)
+    rows = np.empty((len(packed), len(key)), np.int64)
+    for w in reversed(range(len(packed))):
+        key, rows[w] = np.divmod(key, spans[w])
+        rows[w] += lows[w]
+        if ranked[w] is not None:
+            key = ranked[w][key]
+    coprime = rows[0] >= 0
+    cnt = np.empty((ntargets, np.count_nonzero(coprime)), np.int64)
+    for i in range(ntargets):
+        cnt[i] = rows[i // per, coprime] // radix ** (per - 1 - i % per) % radix
+    return key[coprime] + qlo, cnt.T, mult[coprime].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -205,89 +268,23 @@ def _gauss_children(r, p, first):
 
 
 def _gauss_layers(bound: int, fill):
-    """Call fill(start, j, child) for the layers p = 2..bound in order: start
-    is the position of the state (0, p), and j, child the _gauss_children of
-    the states (r, p), r = 1..p-1, which follow it."""
+    """Call fill(k, j, child) for the layers p = 2..bound in order: k is the
+    slice of positions of the states (r, p), r = 1..p-1, and j, child are
+    their _gauss_children."""
     r = np.arange(1, bound, dtype=np.int32)
     first = _gauss_index(0, r.astype(np.int64))
     for p in range(2, bound + 1):
-        fill(_gauss_index(0, p), *_gauss_children(r[: p - 1], np.int32(p), first[: p - 1]))
+        start = _gauss_index(0, p) + 1
+        fill(slice(start, start + p - 1), *_gauss_children(r[: p - 1], np.int32(p), first[: p - 1]))
 
 
-def _gauss_words(bound: int, ntargets: int):
-    """(radix, targets per int16 word, words) of the packed counts.
-
-    The radix is one more than the longest Euclid expansion of a p/q with
-    q <= bound: n digits need q >= F(n + 2), reached by the digits 1, ..., 1, 2.
-    """
-    radix, f, g = 2, 2, 3  # radix n + 1 while F(n + 2) = f <= bound, g = F(n + 3)
+def _euclid_longest(bound: int) -> int:
+    """The longest Euclid expansion of a p/q with q <= bound: n digits need
+    q >= F(n + 2), reached by the digits 1, ..., 1, 2."""
+    n, f, g = 1, 2, 3  # F(n + 2) = f <= bound, g = F(n + 3)
     while g <= bound:
-        radix, f, g = radix + 1, g, f + g
-    per = 1
-    while radix ** (per + 1) <= 2**15:
-        per += 1
-    return radix, per, max(1, -(-ntargets // per))
-
-
-def _gauss_states(bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
-    """int16[word, state]: the digit counts of every state with p <= bound,
-    a few targets per word in a fixed radix, target 0 most significant."""
-    weight = np.zeros((words, bound + 1), np.int16)  # the digit j adds weight[:, j]
-    for i, t in enumerate(targets):
-        if 1 <= t <= bound:
-            weight[i // per, t] += radix ** (per - 1 - i % per)
-    state = np.empty((words, _gauss_index(0, bound + 1)), np.int16)
-    state[:, 0] = 0  # (0, 1), where every coprime expansion ends
-
-    def fill(start, j, child):
-        coprime = state[0].take(child) >= 0
-        state[:, start] = -1
-        for w in range(words):
-            state[w, start + 1 : start + 1 + len(j)] = np.where(coprime, state[w].take(child) + weight[w].take(j), -1)
-
-    _gauss_layers(bound, fill)
-    return state
-
-
-def _gauss_rows(qs, state, radix, per, ntargets):
-    """Table rows of the denominators [qlo, qhi], read from the DP states.
-
-    The packed words are histogrammed as they are, in one int64 key of
-    mixed radix whose digits are q and the words, with spans taken from
-    the data.  Where the next word would overflow the key, np.unique first
-    replaces the key by its rank among the distinct keys so far, so any
-    number of words works.  Counts are packed target 0 first, so the keys
-    sort in (q, counts) order.  Only the distinct rows are unpacked, and
-    the -1 rows of gcd > 1 are dropped then.
-    """
-    qlo, qhi = qs
-    packed = state[:, _gauss_index(0, qlo) : _gauss_index(0, qhi + 1)]
-    key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int64), np.arange(qlo, qhi + 1))  # q - qlo
-    size, lows, spans, ranked = qhi - qlo + 1, [], [], []  # key < size
-    for word in packed:
-        low = int(word.min())
-        span = int(word.max()) - low + 1
-        distinct = None
-        if size * span >= 2**63:
-            distinct, key = np.unique(key, return_inverse=True)
-            size = len(distinct)
-        key = key * span - low + word  # int64 from the first product on
-        size *= span
-        lows.append(low)
-        spans.append(span)
-        ranked.append(distinct)
-    key, mult = np.unique(key, return_counts=True)
-    rows = np.empty((len(packed), len(key)), np.int64)
-    for w in reversed(range(len(packed))):
-        key, rows[w] = np.divmod(key, spans[w])
-        rows[w] += lows[w]
-        if ranked[w] is not None:
-            key = ranked[w][key]
-    coprime = rows[0] >= 0
-    cnt = np.empty((ntargets, np.count_nonzero(coprime)), np.int64)
-    for i in range(ntargets):
-        cnt[i] = rows[i // per, coprime] // radix ** (per - 1 - i % per) % radix
-    return key[coprime] + qlo, cnt.T, mult[coprime].astype(np.int64)
+        n, f, g = n + 1, g, f + g
+    return n
 
 
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -335,19 +332,21 @@ def _require_memory(need: int, what: str):
 def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for all coprime p/q with 2 <= q <= bound.
 
-    The DP runs in one process, the calling one, and its states take
-    bound * (bound + 1) bytes per word; `workers` processes then
-    histogram their denominator blocks.  Raises BudgetError before any
-    work if the states alone exceed physical memory or the process's
-    cgroup memory limit; a bound that passes may still run out of memory,
-    since the check counts neither memory in use nor the histograms.
+    A DP holds the packed target counts of every state (r, p) with
+    p <= bound (_count_states); by induction on p each coprime state holds
+    the counts of its expansion, C(r, p) = [p // r = t] + C(p mod r, r), from
+    the base (0, 1), which holds none; (0, p) holds -1 for p >= 2.
+    `workers` processes then histogram the denominator blocks of states
+    (_table_rows).  The states take bound * (bound + 1) bytes per word.
     """
     targets = tuple(targets)
-    radix, per, words = _gauss_words(bound, len(targets))
+    radix, per, words = _count_words(_euclid_longest(bound), len(targets))
     _require_memory(2 * _gauss_index(0, bound + 1) * words, f"the Gauss table at q <= {bound}")
-    state = _gauss_states(max(bound, 1), targets, radix, per, words)
+    size = _gauss_index(0, max(bound, 1) + 1)
+    state = _count_states(_gauss_layers, size, max(bound, 1), targets, radix, per, words)
+    starts = _gauss_index(0, np.arange(bound + 2, dtype=np.int64))
     blocks = _blocks(2, bound, lambda q: q)
-    parts = _run_blocks(_gauss_rows, blocks, workers, state, radix, per, len(targets))
+    parts = _run_blocks(_table_rows, blocks, workers, state, starts, None, radix, per, len(targets))
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
@@ -356,13 +355,12 @@ def _gauss_weights(bound: int) -> np.ndarray:
     2 (log b - log a) over the Euclid steps a/b of r/p, last step first,
     for every state with p <= bound; NaN where gcd(r, p) > 1."""
     log2 = 2.0 * np.log(np.arange(1, bound + 1))  # log2[k - 1] = 2 log k; doubling is exact
-    wsum = np.empty(_gauss_index(0, bound + 1))
+    wsum = np.full(_gauss_index(0, bound + 1), np.nan)
     wsum[0] = 0.0  # (0, 1)
 
-    def fill(start, j, child):
+    def fill(k, j, child):
         n = len(j)  # the layer p = n + 1
-        wsum[start] = np.nan
-        wsum[start + 1 : start + 1 + n] = (log2[n] - log2[:n]) + wsum.take(child)
+        wsum[k] = (log2[n] - log2[:n]) + wsum.take(child)
 
     _gauss_layers(bound, fill)
     return wsum
@@ -405,9 +403,7 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
     entry of the checked products B(j) (r', p').
 
     The weights take 8 bytes per state, 4 * bound * (bound + 1) bytes in
-    all, held in the calling process; BudgetError is raised before they are
-    allocated if they exceed physical memory or the process's cgroup
-    memory limit.
+    all.
     """
     _require_memory(8 * _gauss_index(0, bound + 1), f"the Gauss verify sweep at q <= {bound}")
     wsum = _gauss_weights(max(bound, 1))
@@ -423,7 +419,8 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
 # um = u1 and to (um; q - j um, u1) if not.  Children need not be sorted, so
 # the verify DP has a state for every (u1, u2) in [0, q]^2, in layers
 # q = 1, 2, ...; (q; 0, 0) ends every expansion, and is coprime only for
-# q = 1.  The table sweep walks its lanes, the sorted triples.
+# q = 1.  Both DPs share the layer loop (_brun2_layers), and the lanes are
+# the sorted triples.
 
 
 def _brun2_index(q, u1, u2):
@@ -442,65 +439,64 @@ def _brun2_state(k):
     return q, u1, rem - u1 * (q + 1)
 
 
-def _brun2_step(q, u1, u2):
+def _brun2_children(q, u1, u2):
     """The Brun step from the states (q; u1, u2), (u1, u2) != (0, 0): the
-    digits j, whether each divides by u1, and the children (um, c1, c2)."""
+    digits j, whether each divides by u1, and the children's denominators
+    um and positions."""
     i1 = u1 >= u2  # smallest index wins ties
     um = np.where(i1, u1, u2)
     j = q // um
     r = q - j * um
-    return j, i1, (um, np.where(i1, u2, r), np.where(i1, r, u1))
+    return j, i1, um, _brun2_index(um, np.where(i1, u2, r), np.where(i1, r, u1))
 
 
-def _brun2_children(q, u1, u2):
-    """_brun2_step, with the children's denominators um and positions in
-    the verify DP in place of the children."""
-    j, i1, child = _brun2_step(q, u1, u2)
-    return j, i1, child[0], _brun2_index(*child)
+def _brun2_is_lane(k):
+    """Whether the positions k hold lanes, the sorted triples (q; u1, u2)
+    with u1 >= u2 >= 1."""
+    _, u1, u2 = _brun2_state(k)
+    return (u1 >= u2) & (u2 >= 1)
 
 
-def _brun2_lanes(qlo, qhi):
-    """All coprime weakly-descending positive triples with t1 in [qlo, qhi]."""
-    qs, u1s, u2s = [], [], []
-    for t1 in range(qlo, qhi + 1):
-        t2, t3 = np.meshgrid(
-            np.arange(1, t1 + 1, dtype=np.int64),
-            np.arange(1, t1 + 1, dtype=np.int64),
-            indexing="ij",
-        )
-        keep = t3 <= t2
-        t2, t3 = t2[keep], t3[keep]
-        cop = np.gcd(np.gcd(t2, t3), t1) == 1
-        t2, t3 = t2[cop], t3[cop]
-        qs.append(np.full(len(t2), t1, np.int64))
-        u1s.append(t2)
-        u2s.append(t3)
-    return np.concatenate(qs), np.concatenate(u1s), np.concatenate(u2s)
-
-
-def _brun2_walk(q, u1, u2, on_digit):
-    """Run the Brun GCD on every lane (q; u1, u2), calling on_digit(lanes, j)
-    once per step with the lanes that take the digit j."""
-    lanes = np.arange(len(q))
-    while len(lanes):
-        j, _, (q, u1, u2) = _brun2_step(q, u1, u2)
-        on_digit(lanes, j)
-        live = (u1 > 0) | (u2 > 0)
-        q, u1, u2, lanes = q[live], u1[live], u2[live], lanes[live]
-
-
-def _brun2_table_block(args):
-    qs, targets = args
-    q, u1, u2 = _brun2_lanes(*qs)
-    cnt = np.zeros((len(targets), len(q)), np.int64)
-    _brun2_walk(q, u1, u2, lambda lanes, j: _count(cnt, lanes, [j == t for t in targets]))
-    return _histogram(q, cnt)
+def _brun2_layers(bound: int, fill):
+    """Call fill(k, j, pos, q, um) for the states (q; u1, u2), (u1, u2) !=
+    (0, 0), of the layers q = 1..bound in order: k are their positions, and
+    j, pos, um the digits, the children's positions and the children's
+    denominators (_brun2_children).  A step with um = q reads its own layer, so
+    each layer comes in three passes: the steps with um < q, which read
+    earlier layers; those with um = q from states other than (q; q, q),
+    which step to a state of the first pass, (q; u, 0) or (q; 0, u) with
+    u < q; and last (q; q, q), which steps to (q; q, 0) of the second."""
+    for q in range(1, bound + 1):
+        start = _brun2_index(q, 0, 0)
+        k = np.arange(start + 1, start + (q + 1) ** 2)
+        u1, u2 = np.divmod(k - start, q + 1)
+        j, _, um, pos = _brun2_children(q, u1, u2)
+        for sel in (um < q, (um == q) & (u1 != u2), (um == q) & (u1 == u2)):
+            fill(k[sel], j[sel], pos[sel], q, um[sel])
 
 
 def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
-    """Digit-count table for coprime descending triples with t1 <= bound."""
-    tasks = [(b, tuple(targets)) for b in _blocks(1, bound, lambda q: q * (q + 1) // 2)]
-    parts = _run_blocks(_brun2_table_block, tasks, workers)
+    """Digit-count table for coprime descending triples with t1 <= bound.
+
+    A DP holds the packed target counts of every state (q; u1, u2) with
+    q <= bound (_count_states); by induction on q, each layer in the order
+    of _brun2_layers, every coprime state holds the counts of its
+    expansion, C(q; u1, u2) = [j = t] + C(child), from the base (1; 0, 0),
+    which holds none.  A Brun expansion takes at most three steps per
+    denominator, so at most 3 * bound digits, which sets the radix.
+    `workers` processes then histogram the lanes (t2, t3, t1) = (u1, u2, q)
+    of the denominator blocks (_table_rows).  The states take 2 bytes per
+    word, 2 * sum((q + 1)^2 for q <= bound) bytes per word in all, 18 MB
+    at t1 <= 300.
+    """
+    targets = tuple(targets)
+    radix, per, words = _count_words(3 * bound, len(targets))
+    _require_memory(2 * words * _brun2_index(bound + 1, 0, 0), f"the Brun table at t1 <= {bound}")
+    size = _brun2_index(max(bound, 1) + 1, 0, 0)
+    state = _count_states(_brun2_layers, size, max(bound, 1), targets, radix, per, words)
+    starts = _brun2_index(np.arange(bound + 2, dtype=np.int64), 0, 0)
+    blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
+    parts = _run_blocks(_table_rows, blocks, workers, state, starts, _brun2_is_lane, radix, per, len(targets))
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
@@ -509,18 +505,13 @@ def _brun2_weights(bound: int) -> np.ndarray:
     3 (log q - log um) over the Brun steps of (q; u1, u2), last step first,
     for every state with q <= bound; NaN where gcd(q, u1, u2) > 1."""
     logs = np.log(np.arange(1, bound + 1))  # logs[k - 1] = log k
-    wsum = np.empty(_brun2_index(bound + 1, 0, 0))
-    for q in range(1, bound + 1):
-        start = _brun2_index(q, 0, 0)
-        wsum[start] = 0.0 if q == 1 else np.nan  # (q; 0, 0)
-        u1, u2 = np.divmod(np.arange(1, (q + 1) ** 2), q + 1)  # the rest of the layer
-        _, _, um, pos = _brun2_children(q, u1, u2)
-        term = 3.0 * (logs[q - 1] - logs[um - 1])
-        layer = wsum[start + 1 : start + (q + 1) ** 2]
-        # um = q steps within the layer, to (q; u, 0) or (q; 0, u), and only
-        # (q; q, q) steps to such a state that does so again, (q; q, 0)
-        for sel in (um < q, (um == q) & (u1 != u2), (um == q) & (u1 == u2)):
-            layer[sel] = term[sel] + wsum.take(pos[sel])
+    wsum = np.full(_brun2_index(bound + 1, 0, 0), np.nan)
+    wsum[0] = 0.0  # (1; 0, 0)
+
+    def fill(k, j, pos, q, um):
+        wsum[k] = 3.0 * (logs[q - 1] - logs[um - 1]) + wsum.take(pos)
+
+    _brun2_layers(bound, fill)
     return wsum
 
 
@@ -565,9 +556,7 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
     products.
 
     The weights take 8 bytes per state, 8 * sum((q + 1)^2 for q <= bound)
-    bytes in all, 73 MB at t1 <= 300, held in the calling process;
-    BudgetError is raised before they are allocated if they exceed
-    physical memory or the process's cgroup memory limit.
+    bytes in all, 73 MB at t1 <= 300.
     """
     _require_memory(8 * _brun2_index(bound + 1, 0, 0), f"the Brun verify sweep at t1 <= {bound}")
     wsum = _brun2_weights(max(bound, 1))
@@ -586,7 +575,8 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
 # each state (p, r, q) and each value of that flag it holds the first child
 # k whose subtree succeeds, or -1.  Child k = 2 da + db is the digit
 # (r // p - da, q // p - db); the fixed order of k is the DFS's order.  The
-# verify DP keeps a weight sum for every (flag, state) of the same table.
+# table DP keeps the counts, and the verify DP a weight sum, of every
+# (flag, state) of the same table, following its stored child (_jp_follow).
 
 
 def _jp_index(p, r, q):
@@ -690,63 +680,75 @@ def _jp_require_admissible(on, after_diag, a, b, np_, nr, p, r, q):
     _jp_require(on & end & ((nr != 0) | (b < 2)), "an end off the origin or with b < 2", p, r, q)
 
 
-def _jp_lanes(qlo, qhi):
-    qs, ps, rs = [], [], []
-    for q in range(qlo, qhi + 1):
-        p, r = np.meshgrid(
-            np.arange(1, q + 1, dtype=np.int64),
-            np.arange(0, q + 1, dtype=np.int64),
-            indexing="ij",
-        )
-        p, r = p.ravel(), r.ravel()
-        cop = np.gcd(np.gcd(p, r), q) == 1
-        p, r = p[cop], r[cop]
-        qs.append(np.full(len(p), q, np.int64))
-        ps.append(p)
-        rs.append(r)
-    return np.concatenate(ps), np.concatenate(rs), np.concatenate(qs)
+_AFTER_DIAG = np.array([[False], [True]])  # the flag of each row of a [flag, state] array
 
 
-def _jp_replay(choice, p, r, q, on_digit):
-    """Walk every lane along its canonical expansion, read from `choice`.
+def _jp_follow(choice, p, r, q):
+    """The stored children of the states (p, r, q) of one _jp_layers call,
+    for both flags: (cols, a, b, pos, on, end), the positions cols of the
+    states, the digits (a, b), the positions pos of the children in the
+    flattened choice table (_jp_children), where a choice is stored (on) and
+    where the step ends at (0, 0, p).
 
-    Calls on_digit(lanes, a, b) once per step with the lanes that take the
-    digit (a, b), and returns the mask of expandable lanes.  Raises
-    RuntimeError where the table leads a lane off an admissible string.
+    Raises RuntimeError where a stored choice is no child, leaves the
+    admissible strings or leads to a state with no choice.
     """
-    k = choice[0, _jp_index(p, r, q)]
-    expandable = k >= 0
-    lanes = np.nonzero(expandable)[0]
-    p, r, q, k = p[lanes], r[lanes], q[lanes], k[lanes]
-    after_diag = np.zeros(len(lanes), bool)
-    while len(lanes):
-        a, b, np_, nr = _jp_step(k, p, r, q)
-        _jp_require_admissible(True, after_diag, a, b, np_, nr, p, r, q)
-        on_digit(lanes, a, b)
-        live = np_ > 0
-        after_diag = (a == b)[live]
-        p, r, q, lanes = np_[live], nr[live], p[live], lanes[live]
-        k = choice[after_diag.astype(np.intp), _jp_index(p, r, q)]
-        _jp_require(k < 0, "no admissible choice", p, r, q)
-    return expandable
+    n = choice.shape[1]
+    lo = _jp_index(p[0], r[0], q)
+    k = choice[:, lo : lo + len(p)]
+    a, b, np_, nr, pos = _jp_children(k, p, r, q, n)
+    on, end = k >= 0, np_ == 0
+    _jp_require_admissible(on, _AFTER_DIAG, a, b, np_, nr, p, r, q)
+    _jp_require(on & ~end & (choice.reshape(-1).take(pos) < 0), "no admissible choice", p, r, q)
+    return slice(lo, lo + len(p)), a, b, pos, on, end
 
 
-def _jp_table_block(args, choice):
-    qs, targets = args
-    p, r, q = _jp_lanes(*qs)
-    cnt = np.zeros((len(targets), len(q)), np.int64)
+def _jp_states(choice: np.ndarray, bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
+    """int16[word, after-diagonal flag, state]: the digit counts of the
+    canonical expansion of every state with q <= bound after a digit of
+    that flag, packed by _digit_weights; -1 where gcd(p, r, q) > 1 or there
+    is no expansion.  Checks every choice as _jp_follow does."""
+    digits = [a * (bound + 1) + b if 0 <= a <= bound and 0 <= b <= bound else -1 for a, b in targets]
+    weight = _digit_weights(digits, (bound + 1) ** 2, radix, per, words)
+    state = np.empty((words, *choice.shape), np.int16)
+    flat = state.reshape(words, -1)
 
-    def count(lanes, a, b):
-        _count(cnt, lanes, [(a == ta) & (b == tb) for ta, tb in targets])
+    def fill(p, r, q):
+        cols, a, b, pos, on, end = _jp_follow(choice, p, r, q)
+        digit = np.where(on, a * (bound + 1) + b, 0)
+        ok = on & np.where(end, p == 1, flat[0].take(pos) >= 0)  # the origin (0, 0, p) at an end
+        for w in range(words):
+            child = np.where(end, 0, flat[w].take(pos))
+            state[w, :, cols] = np.where(ok, child + weight[w].take(digit), -1)
 
-    exp = _jp_replay(choice, p, r, q, count)
-    return _histogram(q[exp], cnt[:, exp])
+    _jp_layers(bound, fill)
+    return state
 
 
 def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
-    """Digit-count table over all expandable coprime (p, r, q), q <= bound."""
-    tasks = [(b, tuple(targets)) for b in _blocks(2, bound, lambda q: q * (q + 1))]
-    parts = _run_blocks(_jp_table_block, tasks, workers, _jp_choice_table(bound))
+    """Digit-count table over all expandable coprime (p, r, q), q <= bound.
+
+    A DP over the choice table holds the packed target counts of every
+    state and after-diagonal flag (_jp_states), checking as it goes that
+    every choice takes an admissible digit; by induction on q, each layer
+    in the order of _jp_layers, every expandable state holds the counts of
+    its canonical expansion, C(flag, p, r, q) = [(a, b) = t] + C(a == b,
+    child), from the base, the origin (0, 0, 1), which holds none.  A JP
+    expansion takes at most two steps per denominator, so at most 2 * bound
+    digits, which sets the radix.  `workers` processes then histogram the
+    lanes, the states at flag 0, of the denominator blocks (_table_rows).
+    The choice table and the counts take 2 + 4 * words bytes per state,
+    (2 + 4 * words) * bound * (bound + 1) * (bound + 2) / 3 bytes in all,
+    252 MB at q <= 500 with one word.
+    """
+    targets = tuple(targets)
+    radix, per, words = _count_words(2 * bound, len(targets))
+    _require_memory((2 + 4 * words) * _jp_index(1, 0, bound + 1), f"the JP table at q <= {bound}")
+    choice = _jp_choice_table(max(bound, 1))
+    state = _jp_states(choice, max(bound, 1), targets, radix, per, words)
+    starts = _jp_index(1, 0, np.arange(bound + 2, dtype=np.int64))
+    blocks = _blocks(2, bound, lambda q: q * (q + 1))
+    parts = _run_blocks(_table_rows, blocks, workers, state[:, 0], starts, None, radix, per, len(targets))
     return _table_from_parts(parts, "jp", 3, targets, bound)
 
 
@@ -755,25 +757,16 @@ def _jp_weights(choice: np.ndarray, bound: int) -> np.ndarray:
     forward log-Jacobians 3 (log q - log p) over the canonical expansion of
     (p, r, q) after a digit of that flag, last step first, for every state
     with q <= bound; NaN where gcd(p, r, q) > 1 or there is no expansion.
-
-    Raises RuntimeError, as _jp_replay does, where a choice is no child,
-    leaves the admissible strings or leads to a state with no choice.
+    Checks every choice as _jp_follow does.
     """
-    n = choice.shape[1]
     logs = np.log(np.arange(1, bound + 1))  # logs[k - 1] = log k
-    wsum = np.empty((2, n))
-    flat_w, flat_c = wsum.reshape(-1), choice.reshape(-1)
-    after_diag = np.array([[False], [True]])  # the flag of each row
+    wsum = np.empty(choice.shape)
+    flat_w = wsum.reshape(-1)
 
     def fill(p, r, q):
-        lo = _jp_index(p[0], r[0], q)
-        k = choice[:, lo : lo + len(p)]
-        a, b, np_, nr, pos = _jp_children(k, p, r, q, n)
-        on, end = k >= 0, np_ == 0
-        _jp_require_admissible(on, after_diag, a, b, np_, nr, p, r, q)
-        _jp_require(on & ~end & (flat_c.take(pos) < 0), "no admissible choice", p, r, q)
+        cols, _, _, pos, on, end = _jp_follow(choice, p, r, q)
         child = np.where(end, np.where(p == 1, 0.0, np.nan), flat_w.take(pos))  # the origin (0, 0, p) at an end
-        wsum[:, lo : lo + len(p)] = np.where(on, 3.0 * (logs[q - 1] - logs[p - 1]) + child, np.nan)
+        wsum[:, cols] = np.where(on, 3.0 * (logs[q - 1] - logs[p - 1]) + child, np.nan)
 
     _jp_layers(bound, fill)
     return wsum
@@ -825,10 +818,7 @@ def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
     the checked products.
 
     The choice table and the weights take 18 bytes per state,
-    6 * bound * (bound + 1) * (bound + 2) bytes in all, 164 MB at q <= 300,
-    held in the calling process; BudgetError is raised before they are
-    allocated if they exceed physical memory or the process's cgroup
-    memory limit.
+    6 * bound * (bound + 1) * (bound + 2) bytes in all, 164 MB at q <= 300.
     """
     _require_memory(18 * _jp_index(1, 0, bound + 1), f"the JP verify sweep at q <= {bound}")
     choice = _jp_choice_table(max(bound, 1))

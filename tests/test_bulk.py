@@ -27,6 +27,14 @@ def tables_equal(a, b):
     )
 
 
+def table_digest(t):
+    """SHA-256 of a table's header and int64 arrays (perfbench's table digest recipe)."""
+    h = hashlib.sha256(repr((t.algorithm, t.multiplier, t.targets, t.denominator_bound)).encode())
+    for arr in (t.qs, t.counts, t.mult):
+        h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 SWEEPS = {
     "gauss": lambda workers: bulk.gauss_ensemble_table(80, targets=(1,), workers=workers),
     "gauss_verify": lambda workers: bulk.gauss_verify(80, workers=workers),
@@ -85,11 +93,40 @@ class TestTableAgreement:
         records = EnsembleTable.from_records(enumerate_trajectories(desc, denominator_cap=bound), targets)
         assert tables_equal(sweep(bound, targets), records)
 
-    def test_histogram_rejects_keys_beyond_int64(self):
-        q = np.array([2, 3], np.int64)
-        cnt = np.array([[0, 2**21], [0, 2**21], [0, 2**21]], np.int64)
-        with pytest.raises(OverflowError):
-            bulk._histogram(q, cnt)
+    # table_digest of the Brun and JP tables as computed by the earlier
+    # per-lane walks
+    @pytest.mark.parametrize("sweep, bound, targets, pin", [
+        (bulk.brun2_ensemble_table, 150, (1, 2), "4ef695d18b9ed5e9bb3b8a7c2d100e51fabfc118cf3fdb39881eab8f5f83a986"),
+        (bulk.jp_ensemble_table, 80, ((1, 2),), "a1281f72c6fbfbabafa3036bf34ac0aca9a624cc75cfad909c55fe3c6b23b716"),
+    ])
+    def test_multidim_table_bytes_pinned(self, sweep, bound, targets, pin):
+        assert table_digest(sweep(bound, targets)) == pin
+
+    # every digit a target, one per word, so that no count carries into
+    # another: the counts sum to the expansion's length, which the radix
+    # must exceed in every state of the DP
+    @pytest.mark.parametrize("name", ["gauss", "brun", "jp"])
+    @pytest.mark.parametrize("bound", [2, 3, 8, 21])
+    def test_longest_expansion_below_radix(self, name, bound):
+        if name == "gauss":
+            targets = range(1, bound + 1)
+            radix = bulk._count_words(bulk._euclid_longest(bound), 1)[0]
+            size = bulk._gauss_index(0, bound + 1)
+            state = bulk._count_states(bulk._gauss_layers, size, bound, targets, radix, 1, len(targets))
+        elif name == "brun":
+            targets = range(1, bound + 1)
+            radix = bulk._count_words(3 * bound, 1)[0]
+            size = bulk._brun2_index(bound + 1, 0, 0)
+            state = bulk._count_states(bulk._brun2_layers, size, bound, targets, radix, 1, len(targets))
+        else:
+            targets = [(a, b) for b in range(1, bound + 1) for a in range(b + 1)]
+            radix = bulk._count_words(2 * bound, 1)[0]
+            state = bulk._jp_states(bulk._jp_choice_table(bound), bound, targets, radix, 1, len(targets))
+        state = state.reshape(len(targets), -1).astype(np.int64)
+        expandable = state[0] >= 0
+        assert np.all((state >= 0) == expandable)
+        assert expandable.any()
+        assert state[:, expandable].sum(axis=0).max() < radix
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_worker_count_does_not_change_output(self, sweep, monkeypatch):
@@ -242,21 +279,30 @@ class TestVerifySweeps:
 
 class TestJPChoiceTable:
     def test_replay_reproduces_reference_strings(self):
+        # follow the stored choices from every coprime state in pure Python
         bound = 24
-        p, r, q = bulk._jp_lanes(2, bound)
-        strings = [[] for _ in q]
-
-        def record(lanes, a, b, *state):
-            for i, ai, bi in zip(lanes, a, b):
-                strings[i].append((int(ai), int(bi)))
-
-        expandable = bulk._jp_replay(bulk._jp_choice_table(bound), p, r, q, record)
-        for i in range(len(q)):
-            try:
-                ref = [d.label for d in jp_digits(int(p[i]), int(r[i]), int(q[i]))]
-            except NotExpandableError:
-                ref = None
-            assert (strings[i] if expandable[i] else None) == ref
+        choice = bulk._jp_choice_table(bound)
+        for q in range(2, bound + 1):
+            for p in range(1, q + 1):
+                for r in range(q + 1):
+                    if math.gcd(p, r, q) > 1:
+                        continue
+                    try:
+                        ref = [d.label for d in jp_digits(p, r, q)]
+                    except NotExpandableError:
+                        ref = None
+                    state, flag, got = (p, r, q), 0, []
+                    while state[0]:
+                        k = int(choice[flag, bulk._jp_index(*state)])
+                        if k < 0:
+                            assert state == (p, r, q)  # only the first state may lack an expansion
+                            got = None
+                            break
+                        a, b, np_, nr = (int(x) for x in bulk._jp_step(k, *state))
+                        got.append((a, b))
+                        state, flag = (np_, nr, state[0]), int(a == b)
+                    assert got == ref
+                    assert got is None or state == (0, 0, 1)
 
     # (2, 1, 5) expands as (0, 2) then (1, 2) from (1, 1, 2): dropping the
     # choice at (1, 1, 2) strands it mid-path, and choice 2 at (2, 1, 5)
@@ -271,8 +317,9 @@ class TestJPChoiceTable:
             return choice
 
         monkeypatch.setattr(bulk, "_jp_choice_table", corrupted)
-        with pytest.raises(RuntimeError, match="JP replay"):
-            bulk.jp_verify(12)
+        for sweep in (bulk.jp_verify, bulk.jp_ensemble_table):
+            with pytest.raises(RuntimeError, match="JP replay"):
+                sweep(12)
 
 
 def euclid_table(bound, targets):
@@ -308,13 +355,13 @@ class TestGaussDP:
             assert np.array_equal(got, want)
 
     def test_five_targets_take_two_words(self):
-        assert bulk._gauss_words(400, 5)[2] == 2
+        assert bulk._count_words(bulk._euclid_longest(400), 5)[2] == 2
 
     # many words: a histogram key over the packed words, rather than over
     # each target's counts, would need more than 64 bits here
     @pytest.mark.parametrize("targets", [tuple(range(1, 21)), tuple(range(300, 330))])
     def test_many_targets_match_pure_python_euclid(self, targets):
-        assert bulk._gauss_words(400, len(targets))[2] >= 5
+        assert bulk._count_words(bulk._euclid_longest(400), len(targets))[2] >= 5
         table = bulk.gauss_ensemble_table(400, targets)
         for got, want in zip((table.qs, table.counts, table.mult), euclid_table(400, targets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -350,22 +397,25 @@ class TestGaussDP:
         bulk.jp_verify(40)  # 18 bytes per state, choices and weights: 413,280
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.jp_verify(50)  # 795,600 bytes
+        bulk.brun2_ensemble_table(89)  # 2 bytes per state and word: 494,128
+        with pytest.raises(BudgetError, match="cgroup limit"):
+            bulk.brun2_ensemble_table(90)  # 510,690 bytes
+        bulk.jp_ensemble_table(62)  # 2 bytes of choices and 4 per word per state: 499,968
+        with pytest.raises(BudgetError, match="cgroup limit"):
+            bulk.jp_ensemble_table(63)  # 524,160 bytes
 
     def test_table_bytes_pinned(self):
         # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
         # earlier per-lane Euclid sweep (perfbench's table digest recipe)
         t = bulk.gauss_ensemble_table(3000, (1, 2))
-        h = hashlib.sha256(repr((t.algorithm, t.multiplier, t.targets, t.denominator_bound)).encode())
-        for arr in (t.qs, t.counts, t.mult):
-            h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-        assert h.hexdigest() == "4f13d1c4ae2edfd63c9df9b4c8edc8705e9240a73f21cce4707c8c422c154e3f"
+        assert table_digest(t) == "4f13d1c4ae2edfd63c9df9b4c8edc8705e9240a73f21cce4707c8c422c154e3f"
 
     def test_oversized_bound_rejected_before_allocating(self, monkeypatch):
         # 10^14 bytes of states: rejected before the DP starts
         def no_states(*args):
             raise AssertionError("the DP was started")
 
-        for dp in ("_gauss_states", "_gauss_weights", "_brun2_weights", "_jp_choice_table", "_jp_weights"):
+        for dp in ("_count_states", "_gauss_weights", "_brun2_weights", "_jp_choice_table", "_jp_states", "_jp_weights"):
             monkeypatch.setattr(bulk, dp, no_states)
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.gauss_ensemble_table(10**7)
@@ -375,6 +425,10 @@ class TestGaussDP:
             bulk.brun2_verify(10**7)  # 2.7 * 10^21 bytes of weights
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.jp_verify(10**7)  # 6 * 10^21 bytes of choices and weights
+        with pytest.raises(BudgetError, match="physical memory"):
+            bulk.brun2_ensemble_table(10**7)  # 6.7 * 10^20 bytes of counts
+        with pytest.raises(BudgetError, match="physical memory"):
+            bulk.jp_ensemble_table(10**7)  # 2 * 10^21 bytes of choices and counts
 
 
 class TestTotient:
