@@ -248,7 +248,8 @@ def a6_brun_density(ctx: AcceptanceContext) -> CriterionResult:
         "A6",
         rel < 5e-2,
         f"density rel sup error = {rel:.2e} (tol 5e-2), lambda(1,0) = {res.eigenvalue:.6f}",
-        {"rel_sup_err": rel, "eigenvalue": res.eigenvalue, "lambda_err": lam_err},
+        {"rel_sup_err": rel, "eigenvalue": res.eigenvalue, "lambda_err": lam_err,
+         "iterations": res.iterations, "residual": res.residual},
     )
 
 

@@ -36,8 +36,8 @@ from .schemas import SCHEMAS, SCHEMA_VERSION
 ALGORITHMS = {"gauss": GAUSS, "brun2": BRUN2, "brun3": BRUN3, "jp2": JP2}
 
 # (grid, branch cap) defaults of the spectral constants; the derivatives
-# assemble the operator as a dense G^m x G^m matrix, so a 2d grid is at
-# most 64 (raise --grid / --jmax toward it for sharper constants)
+# invert a dense bordered matrix of G^m + 1 rows, so a 2d grid is at most
+# 64 (raise --grid / --jmax toward it for sharper constants)
 _SPECTRAL_DEFAULTS = {
     "gauss": (1024, 10_000),
     "brun2": (32, 128),
@@ -72,10 +72,10 @@ class ExperimentConfig:
             raise ValidationError("set exactly one of Q and denominator bound")
         if not self.targets:
             raise ValidationError("target set must be nonempty")
-        for name in ("grid", "jmax"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValidationError(f"{name} must be positive")
+        if self.grid is not None and self.grid < 2:
+            raise ValidationError("grid must be at least 2")
+        if self.jmax is not None and self.jmax <= 0:
+            raise ValidationError("jmax must be positive")
         if self.threads < 1 or self.budget < 1 or self.histogram_bins < 2:
             raise ValidationError("numeric fields must be positive")
         if any(e <= 0 for e in self.epsilon):
@@ -318,6 +318,8 @@ def cmd_spectral(cfg: ExperimentConfig) -> int:
         "algorithm": cfg.algorithm,
         "eigenvalue_at_1": deriv.solve.eigenvalue,
         "eigenvalue_tail_bar": deriv.solve.tail_bar,
+        "eigenvalue_iterations": deriv.solve.iterations,
+        "eigenvalue_residual": deriv.solve.residual,
         "entropy": -deriv.lambda_s,
         "entropy_bar": deriv.lambda_s_bar,
         "lambda": lam,

@@ -54,6 +54,9 @@ SCHEMAS = {
         "algorithm": "string",
         "eigenvalue_at_1": "leading eigenvalue at (s, t) = (1, 0)",
         "eigenvalue_tail_bar": "bracket half-width from the truncated branch tail",
+        "eigenvalue_iterations": "int, power-iteration steps of the solve at (1, 0)",
+        "eigenvalue_residual": "sup |L phi - lambda phi| / lambda at the returned eigenpair, "
+        "phi normalized to sup norm 1",
         "entropy": "-lambda_s(1, 0)",
         "entropy_bar": "change of lambda_s under one residual correction of the eigenpair, "
         "left eigenvector and bordered solves; excludes grid and j_max error",

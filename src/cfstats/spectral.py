@@ -17,13 +17,15 @@ their images by (bi)linear interpolation; all digits beyond the cap are
 folded into Hurwitz-zeta sums against f near the shrinking images.
 
 Two readers take the same table.  _Apply multiplies each stencil into
-one grid function: apply_operator and the power iteration.  _Assembly
-keeps the stencils as a dense matrix (operator_matrix), with its s- and
-t-derivatives as reweighted stencils; the eigenvalue derivatives at
+one grid function, for a single apply_operator call.  _Assembly is the
+one matrix reader: it sums the stencils into a sparse matrix, duplicates
+coalesced, with its s- and t-derivatives as reweighted stencils.
+leading_eigenvalue builds that matrix once and iterates products with
+it; operator_matrix is its dense form; the eigenvalue derivatives at
 (1, 0) come from perturbation theory around one leading_eigenvalue solve
-and that matrix.  The branches beyond j_max sit inside the closed-form
-fold; an integral bracket on them, the tail bar, is computed once per
-solve from the returned eigenfunction.
+and the matrix with its derivatives.  The branches beyond j_max sit
+inside the closed-form fold; an integral bracket on them, the tail bar,
+is computed once per solve from the returned eigenfunction.
 
 Dimensions 1 (Gauss) and 2 (Brun, Jacobi-Perron) are supported.  The
 invariant density, the digit frequency vector, the covariance matrix
@@ -447,14 +449,16 @@ _MAPS = {
 }
 
 
-def _branch_table(map_desc: MapDescriptor) -> tuple:
-    if map_desc.algorithm == "brun" and map_desc.m != 2:
-        raise ValueError("spectral Brun operator is implemented for m = 2")
-    return _MAPS[map_desc.algorithm]
-
-
 # ---------------------------------------------------------------------------
 # reading a branch table: the operator applied, and as a matrix
+
+
+def _branch_table(map_desc: MapDescriptor, G: int) -> tuple:
+    if map_desc.algorithm == "brun" and map_desc.m != 2:
+        raise ValueError("spectral Brun operator is implemented for m = 2")
+    if G < 2:
+        raise ValueError(f"grid G = {G} must be at least 2: the stencils read two nodes per axis")
+    return _MAPS[map_desc.algorithm]
 
 
 class _Apply:
@@ -479,73 +483,109 @@ class _Apply:
 
 
 def apply_operator(f: GridFunction, params: OperatorParams, map_desc: MapDescriptor) -> GridFunction:
-    """One application of the transfer operator to a grid function."""
+    """One application of the transfer operator to a grid function, read
+    stencil by stencil from the branch table (one apply costs less than
+    one matrix build)."""
     acc = _Apply(f)
-    _branch_table(map_desc)[0](acc, params, f.G)
+    _branch_table(map_desc, f.G)[0](acc, params, f.G)
     return GridFunction(f.m, f.G, acc.out.reshape(f.values.shape))
 
 
-# Largest grid (G^m nodes) whose operator is assembled as a dense matrix;
-# one such matrix is 134 MB, and the derivatives hold five.
+# Largest grid (G^m nodes) whose operator is made dense: operator_matrix,
+# and the bordered inverse of eigenvalue_derivatives.  One dense matrix at
+# the cap is 134 MB, and the derivatives hold two: the bordered matrix and
+# its inverse.
 _MAX_ASSEMBLED_NODES = 4096
 
 
 class _Assembly:
-    """Matrix entries of the operator and of its s- and t-derivatives.
+    """The operator as a sparse matrix, and its s- and t-derivatives.
 
     Every branch term is a coefficient times a linear stencil of node
     values.  add() takes the stencil (cols and weights, stacked on a
     leading axis) at each output node (rows), and the coefficient with
-    its first two s-derivatives (coef[0..2], orders = 3); all broadcast
-    together.  L, L_s and L_ss are summed densely.  A branch labelled
-    with target k is added again with its label and kept apart: d/dt_k of
-    the operator is exactly the entries of target k, and d2/ds dt_k their
-    s-derivative.
+    its first orders - 1 s-derivatives (coef[0..orders-1]; orders is 1
+    or 3); all broadcast together.  The entries are summed into CSR
+    matrices, duplicates coalesced: L, and for orders = 3 also L_s and
+    L_ss.  For orders = 3 a branch labelled with target k is added again
+    with its label and kept apart: d/dt_k of the operator is exactly the
+    entries of target k, and d2/ds dt_k their s-derivative.  For orders =
+    1 labelled entries are skipped.
+
+    Every add() reaches each node once per stacked entry, so the entries
+    are queued as layers of one entry per row.  A batch of S layers is a
+    CSR matrix with S entries per row as it stands, duplicates summed
+    after a sort within rows; it is merged into the sums.  A batch holds
+    at least _FLUSH entries and an eighth of the nonzeros summed so far:
+    the floor keeps a small operator's transient memory at that of one
+    stencil apply, and the fraction bounds a large one's merges, each a
+    pass over the sums, to a fixed multiple of the entries added.
     """
 
-    orders = 3
-    _FLUSH = 1 << 18  # pending entries summed into the dense matrices at once
+    _FLUSH = 1 << 15
 
-    def __init__(self, params: OperatorParams, N: int):
+    def __init__(self, params: OperatorParams, N: int, orders: int):
+        # imported here, so that the enumeration and stats paths never load it
+        from scipy.sparse import csr_matrix
+
+        self._csr = csr_matrix
         self.params = params
         self.N = N
-        self.dense = np.zeros((3, N * N))
-        self.target = [[] for _ in params.targets]
-        self._pending = []
-        self._size = 0
+        self.orders = orders
+        self._nodes = np.arange(N)
+        labels = [None] + (list(params.targets) if orders == 3 else [])
+        # per label: the CSR sums (one per order kept), and the queued (cols, vals) layers
+        self._sums = {lab: [None] * (orders if lab is None else 2) for lab in labels}
+        self._queue = {lab: [] for lab in labels}
+        self._layers = dict.fromkeys(labels, 0)
 
     def add(self, rows, cols, weight, coef, label=None):
-        vals = coef[:, None] * weight
-        key = np.broadcast_to(rows * self.N + cols, vals.shape[1:]).ravel()
-        vals = vals.reshape(3, -1)
-        if label is None:
-            self._pending.append((key, vals))
-            self._size += key.size
-            if self._size >= self._FLUSH:
-                self._flush()
-        for k, lab in enumerate(self.params.targets):
-            if lab == label:
-                self.target[k].append((key, vals[:2]))
+        if label not in self._sums:
+            return
+        if not np.array_equal(rows.ravel(), self._nodes):
+            raise ValueError("a branch table adds at every node, in order, on the trailing axes")
+        coef = coef[: len(self._sums[label])]
+        shape = np.broadcast_shapes(rows.shape, cols.shape, weight.shape, (1,) + coef.shape[1:])
+        # one stencil entry at a time, to hold a fraction of the stencil
+        for c, w in zip(np.broadcast_to(cols, shape), np.broadcast_to(weight, shape)):
+            c = np.broadcast_to(c, shape[1:]).astype(np.int32).reshape(-1, self.N)
+            vals = (coef * w).reshape(len(coef), -1, self.N)
+            lo = 0
+            while lo < len(c):
+                summed = self._sums[label][0]
+                nnz = 0 if summed is None else summed.nnz
+                batch = max(1, max(self._FLUSH, nnz >> 3) // self.N)  # in layers
+                hi = min(len(c), lo + batch - self._layers[label])
+                self._queue[label].append((c[lo:hi], vals[:, lo:hi]))
+                self._layers[label] += hi - lo
+                lo = hi
+                if self._layers[label] >= batch:
+                    self._flush(label)
 
-    def _flush(self):
-        if self._pending:
-            key = np.concatenate([p[0] for p in self._pending])
-            vals = np.concatenate([p[1] for p in self._pending], axis=1)
-            for i in range(3):
-                self.dense[i] += np.bincount(key, weights=vals[i], minlength=self.N**2)
-        self._pending, self._size = [], 0
+    def _flush(self, label):
+        queued, layers, sums = self._queue[label], self._layers[label], self._sums[label]
+        if not queued:
+            return
+        self._queue[label], self._layers[label] = [], 0
+        indptr = np.arange(0, layers * self.N + 1, layers)
+        cols = np.concatenate([c.T for c, _ in queued], axis=1).ravel()
+        for i in range(len(sums)):
+            vals = np.concatenate([v[i].T for _, v in queued], axis=1).ravel()
+            # the sort within rows is in place, and each order needs cols unsorted
+            indices = cols if i == len(sums) - 1 else cols.copy()
+            part = self._csr((vals, indices, indptr), shape=(self.N, self.N))
+            part.sum_duplicates()
+            sums[i] = part if sums[i] is None else sums[i] + part
 
     def matrices(self) -> tuple:
-        """(L, L_s, L_ss), dense, and per target (rows, cols, vals[0..1])."""
-        self._flush()
-        N = self.N
-        sparse = []
-        for parts in self.target:
-            key = np.concatenate([p[0] for p in parts]) if parts else np.zeros(0, np.int64)
-            vals = np.concatenate([p[1] for p in parts], axis=1) if parts else np.zeros((2, 0))
-            sparse.append((key // N, key % N, vals))
-        L, L_s, L_ss = (m.reshape(N, N) for m in self.dense)
-        return L, L_s, L_ss, sparse
+        """L, then for orders = 3 L_s, L_ss and per target the pair
+        (d/dt_k, d2/ds dt_k); every matrix in CSR form."""
+        empty = self._csr((self.N, self.N))
+        for label in self._sums:
+            self._flush(label)
+        sums = {lab: [empty if m is None else m for m in mats] for lab, mats in self._sums.items()}
+        per_target = [tuple(sums[lab]) for lab in self.params.targets] if self.orders == 3 else []
+        return (*sums[None], *per_target)
 
 
 def _assembled_nodes(map_desc: MapDescriptor, G: int) -> int:
@@ -558,19 +598,23 @@ def _assembled_nodes(map_desc: MapDescriptor, G: int) -> int:
     return N
 
 
-def _assemble(params: OperatorParams, map_desc: MapDescriptor, G: int) -> _Assembly:
-    acc = _Assembly(params, _assembled_nodes(map_desc, G))
-    _branch_table(map_desc)[0](acc, params, G)
-    return acc
+def _assemble(params: OperatorParams, map_desc: MapDescriptor, G: int, orders: int) -> tuple:
+    """The matrices of _Assembly.matrices, from one read of the branch table."""
+    table = _branch_table(map_desc, G)[0]
+    acc = _Assembly(params, G**map_desc.m, orders)
+    table(acc, params, G)
+    return acc.matrices()
 
 
 def operator_matrix(params: OperatorParams, map_desc: MapDescriptor, G: int) -> np.ndarray:
     """The operator as a dense (G^m, G^m) matrix acting on values.ravel().
 
-    It is read from the same branch table (one stencil per branch or
+    It is the dense form of the sparse matrix that leading_eigenvalue
+    iterates, read from the same branch table (one stencil per branch or
     fold) as apply_operator, so the two agree up to rounding.
     """
-    return _assemble(params, map_desc, G).matrices()[0]
+    _assembled_nodes(map_desc, G)
+    return _assemble(params, map_desc, G, 1)[0].toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +630,35 @@ def leading_eigenvalue(
 ) -> SpectralResult:
     """Dominant eigenvalue and positive eigenfunction by power iteration.
 
-    Starts from the constant function, renormalizes in sup norm, and
-    stops when the eigenvalue ratio changes by less than tol relatively.
-    The tail bar is evaluated once, at the returned eigenfunction.
+    The operator is built once, as a sparse matrix with duplicate
+    entries coalesced (about 60 to 200 nonzeros per row), and each step
+    is one product with it.  Starts from the constant function,
+    renormalizes in sup norm, and stops when the eigenvalue ratio changes
+    by less than tol relatively.  The residual and the tail bar are
+    evaluated once, at the returned eigenfunction.
     """
-    tail_bar = _branch_table(map_desc)[1]
-    f = GridFunction.constant(map_desc.m, G)
+    tail_bar = _branch_table(map_desc, G)[1]
+    (L,) = _assemble(params, map_desc, G, 1)
+    shape = (G,) * map_desc.m
+    f = np.ones(L.shape[0])
     lam_prev = None
     trace = []
     for it in range(1, max_iter + 1):
-        g = apply_operator(f, params, map_desc)
-        lam = g.sup_norm()
+        g = L @ f
+        lam = float(np.abs(g).max())
         if lam <= 0 or not math.isfinite(lam):
             raise ConvergenceError(f"degenerate iterate at step {it}", trace)
         trace.append(lam)
-        g.values /= lam
+        g /= lam
         if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
-            resid = float(np.abs(apply_operator(g, params, map_desc).values - lam * g.values).max())
-            if (g.values <= 0).any():
+            resid = float(np.abs(L @ g - lam * g).max())
+            if (g <= 0).any():
                 raise ConvergenceError("eigenfunction is not strictly positive", trace)
             change = abs(lam - lam_prev) / lam
-            return SpectralResult(lam, g, it, change, resid / lam, tail_bar(g.values, params), trace)
+            g = g.reshape(shape)
+            return SpectralResult(
+                lam, GridFunction(map_desc.m, G, g), it, change, resid / lam, tail_bar(g, params), trace
+            )
         lam_prev = lam
         f = g
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
@@ -678,9 +730,10 @@ def eigenvalue_derivatives(
     """First and second derivatives of the eigenvalue at (1, 0), by
     eigenvalue perturbation theory around one power-iteration solve.
 
-    The solve gives lambda and phi.  With N = G^m nodes, L is the
-    assembled operator (operator_matrix) and K the inverse of the
-    bordered matrix B = [[lambda I - L, phi], [phi^T, 0]].  For v, w in
+    The solve gives lambda and phi.  With N = G^m nodes, L is the sparse
+    operator matrix (as in the solve, built again with its s- and
+    t-derivatives) and K the inverse of the bordered matrix
+    B = [[lambda I - L, phi], [phi^T, 0]].  For v, w in
     (s, t_1, ..., t_d), with L_v and L_vw the reweighted stencils:
 
         psi       = K[N, :N]                   left eigenvector
@@ -695,7 +748,8 @@ def eigenvalue_derivatives(
     residual of phi_v.  The corrected values are returned, and each bar
     is the largest change the correction made in its group of
     derivatives (lambda_s; the t-gradient; lambda_ss, lambda_st and the
-    t-Hessian).  Raises ValueError above _MAX_ASSEMBLED_NODES nodes.
+    t-Hessian).  B and K are the only dense matrices; raises ValueError
+    above _MAX_ASSEMBLED_NODES nodes.
     """
     targets = tuple(targets)
     d = len(targets)
@@ -704,31 +758,26 @@ def eigenvalue_derivatives(
     res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13)
     lam0 = res.eigenvalue
     phi = res.eigenfunction.values.ravel()
-    L, L_s, L_ss, sparse = _assemble(params, map_desc, G).matrices()
-
-    def target_apply(k, order, x, transpose=False):
-        rows, cols, vals = sparse[k]
-        if transpose:
-            rows, cols = cols, rows
-        return np.bincount(rows, weights=vals[order] * x[cols], minlength=N)
+    L, L_s, L_ss, *per_target = _assemble(params, map_desc, G, 3)
 
     def first(x, transpose=False):
         """(L_v x) for every v, as columns."""
-        out = [x @ L_s if transpose else L_s @ x]
-        out += [target_apply(k, 0, x, transpose) for k in range(d)]
-        return np.stack(out, axis=1)
+        mats = [L_s] + [t[0] for t in per_target]
+        return np.stack([(M.T if transpose else M) @ x for M in mats], axis=1)
 
     def second(psi, phi):
         """psi^T L_vw phi; d2/dt_k dt_l is d/dt_k for k = l and 0 otherwise."""
         h = np.zeros((d + 1, d + 1))
-        h[0, 0] = psi @ L_ss @ phi
-        for k in range(d):
-            h[0, k + 1] = h[k + 1, 0] = psi @ target_apply(k, 1, phi)
-            h[k + 1, k + 1] = psi @ target_apply(k, 0, phi)
+        h[0, 0] = psi @ (L_ss @ phi)
+        for k, (L_t, L_st) in enumerate(per_target):
+            h[0, k + 1] = h[k + 1, 0] = psi @ (L_st @ phi)
+            h[k + 1, k + 1] = psi @ (L_t @ phi)
         return h
 
+    # only the bordered matrix and its inverse are dense
     B = np.zeros((N + 1, N + 1))
-    np.negative(L, out=B[:N, :N])
+    L = L.tocoo()
+    B[L.row, L.col] = -L.data
     B[np.arange(N), np.arange(N)] += lam0
     B[:N, N] = B[N, :N] = phi
     K = np.linalg.inv(B)

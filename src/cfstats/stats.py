@@ -181,14 +181,18 @@ def _rows_sorted(keys) -> bool:
 
 
 def empirical_lambda(table: EnsembleTable, Q: float | None = None) -> np.ndarray:
-    """Ensemble mean of counts over Q, one entry per target."""
+    """Ensemble mean of counts over Q, one entry per target.
+
+    The count sums are exact (int64 products and sums, below 2^63) and
+    divided once."""
     if table.size == 0:
         raise ValueError("empty ensemble")
     Q = table.Q_nominal() if Q is None else Q
-    m = table.mult.astype(np.float64)
-    return np.array(
-        [_dot(m, table.counts[:, k]) / (Q * table.size) for k in range(table.d)]
-    )
+    m = table.mult.astype(np.int64, copy=False)
+    return np.array([
+        int(np.dot(m, table.counts[:, k].astype(np.int64, copy=False))) / (Q * table.size)
+        for k in range(table.d)
+    ])
 
 
 def growth_constant(table: EnsembleTable, Q: float | None = None) -> tuple:

@@ -55,6 +55,8 @@ def test_a5_gauss_ldp(ctx):
 def test_a6_brun_density(ctx):
     r = _run(ctx, "A6")
     assert r.passed, r.detail
+    assert r.values["iterations"] > 1
+    assert 0 <= r.values["residual"] < 1e-10
 
 
 def test_a7_jp_admissibility(ctx):

@@ -169,7 +169,14 @@ class TestSpectral:
         assert data["witnesses"][0] == pytest.approx(-0.9624236501, abs=1e-6)
         assert data["witnesses"][1] == pytest.approx(-1.7627471740, abs=1e-6)
         assert abs(data["eigenvalue_at_1"] - 1) < 1e-4
+        assert data["eigenvalue_iterations"] > 1
+        assert 0 <= data["eigenvalue_residual"] < 1e-10
         assert (out / "density.csv").exists()
+
+    def test_grid_below_two_is_a_validation_error(self, tmp_path, capsys):
+        assert run(["spectral", "--algorithm", "gauss", "--targets", "1", "--grid", "1",
+                    "--out", str(tmp_path / "o")]) == 1
+        assert "error: grid must be at least 2" in capsys.readouterr().err
 
     def test_one_solve_per_operator(self, tmp_path, monkeypatch):
         from cfstats import spectral
@@ -196,6 +203,8 @@ class TestSpectral:
         data = json.loads(read(out / "constants.json"))
         assert data["lambda"][0] > 0
         assert data["lambda"][1] == 0
+        assert data["eigenvalue_iterations"] > 1
+        assert 0 <= data["eigenvalue_residual"] < 1e-10
 
     def test_brun3_rejected(self, tmp_path):
         assert run(["spectral", "--algorithm", "brun3", "--targets", "1",

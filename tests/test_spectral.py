@@ -133,6 +133,17 @@ class TestLeadingEigenvalue:
         assert abs(res.eigenvalue - 1.0) < 5e-3
         assert (res.eigenfunction.values > 0).all()
 
+    def test_grid_below_two_rejected(self):
+        params = OperatorParams(1.0, (), (), 16)
+        with pytest.raises(ValueError, match="at least 2"):
+            leading_eigenvalue(params, GAUSS, G=1)
+        with pytest.raises(ValueError, match="at least 2"):
+            eigenvalue_derivatives(GAUSS, (1,), G=1, j_max=16)
+        with pytest.raises(ValueError, match="at least 2"):
+            apply_operator(GridFunction.constant(1, 1), params, GAUSS)
+        with pytest.raises(ValueError, match="at least 2"):
+            spectral.operator_matrix(params, BRUN2, 1)
+
     def test_nonconvergence_reports_trace(self):
         with pytest.raises(ConvergenceError) as err:
             leading_eigenvalue(OperatorParams(1.0, (), (), 512), GAUSS, G=64, max_iter=2)
@@ -272,6 +283,43 @@ class TestOperatorMatrix:
             f = GridFunction(desc.m, G, rng.uniform(0.5, 1.5, shape))
             g = apply_operator(f, params, desc).values.ravel()
             assert np.abs(mat @ f.values.ravel() - g).max() <= 1e-13 * np.abs(g).max()
+
+
+class TestOneBuildPerSolve:
+    @staticmethod
+    def count_reads(monkeypatch, name):
+        reads = []
+        table, tail_bar = spectral._MAPS[name]
+
+        def counted(acc, params, G):
+            reads.append(acc.orders)
+            table(acc, params, G)
+
+        monkeypatch.setitem(spectral._MAPS, name, (counted, tail_bar))
+        return reads
+
+    def test_power_iteration_reads_the_table_once(self, monkeypatch):
+        reads = self.count_reads(monkeypatch, "gauss")
+        for tol in (1e-6, 1e-12):
+            res = leading_eigenvalue(OperatorParams(1.0, (), (), 256), GAUSS, G=64, tol=tol)
+            assert res.iterations > 5
+            assert reads == [1]
+            reads.clear()
+
+    @pytest.mark.parametrize("name, desc, targets", [("brun", BRUN2, (1, 2)), ("jp", JP2, ((1, 2),))])
+    def test_derivatives_read_the_table_at_most_twice(self, monkeypatch, name, desc, targets):
+        reads = self.count_reads(monkeypatch, name)
+        eigenvalue_derivatives(desc, targets, G=8, j_max=8)
+        assert 1 <= len(reads) <= 2
+
+    def test_sparse_matvec_matches_apply_above_the_dense_cap(self):
+        G = 72
+        assert G * G > spectral._MAX_ASSEMBLED_NODES
+        params = OperatorParams(1.05, (0.2,), (1,), 40)
+        (L,) = spectral._assemble(params, BRUN2, G, 1)
+        f = GridFunction(2, G, np.random.default_rng(3).uniform(0.5, 1.5, (G, G)))
+        g = apply_operator(f, params, BRUN2).values.ravel()
+        assert np.abs(L @ f.values.ravel() - g).max() <= 1e-13 * np.abs(g).max()
 
 
 class TestZetaDerivatives:

@@ -120,6 +120,13 @@ class TestEmpiricalLambda:
         with pytest.raises(ValueError):
             empirical_lambda(empty)
 
+    def test_count_sums_are_exact_integers(self):
+        # float64 rounds the multiplicity 2**53 + 1 to 2**53, so a float sum
+        # gives 2**53 where the exact count sum is 2**53 + 2
+        t = synthetic_table([(2, (1,), 2**53 + 1), (3, (1,), 1)])
+        assert float(t.mult.astype(np.float64) @ t.counts[:, 0]) == 2.0**53
+        assert empirical_lambda(t, 1.0).tolist() == [1.0]
+
     def test_streaming_equals_batch_bitwise(self):
         recs = list(enumerate_trajectories(GAUSS, denominator_cap=80))
         t_all = EnsembleTable.from_records(iter(recs), (1, 2), "gauss")
