@@ -13,7 +13,8 @@ both sides alike.  Every workload then gets one `--trace 1` run per
 side, for its per-layer metrics.  The JSON holds every run's metrics, the
 median and quartiles of each end-to-end metric per side, the number of
 pairs the after side won, and whether both sides printed the same
-digests in every pair.
+digests in every pair: all of them (digests_equal), and each digest key
+on its own (digests_equal_by_key).
 """
 
 import argparse
@@ -65,9 +66,13 @@ def main(argv=None) -> int:
             a = [p["after"]["metrics"][k] for p in pairs]
             summary[k] = {"before": spread(b), "after": spread(a),
                           "after_better_in": sum(y < x for x, y in zip(b, a)), "pairs": len(pairs)}
+        keys = sorted({k for p in pairs for side in p.values() for k in side["digests"]})
         report["workloads"][workload] = {
             "summary": summary,
             "digests_equal": all(p["before"]["digests"] == p["after"]["digests"] for p in pairs),
+            "digests_equal_by_key": {
+                k: all(p["before"]["digests"].get(k) == p["after"]["digests"].get(k) for p in pairs) for k in keys
+            },
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("before", "after")},
             "correct": all(p[s]["correct"] for p in pairs for s in ("before", "after")),
             "pairs": pairs,

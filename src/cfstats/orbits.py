@@ -151,10 +151,9 @@ def brun_trajectory_digits(t: Sequence[int]) -> list:
     if math.gcd(*t) != 1:
         raise ValueError("tuple is not coprime")
     q, u = t[0], list(t[1:])
-    m = len(u)
     digits = []
     while any(u):
-        i = max(range(m), key=lambda k: (u[k], -k))
+        i = u.index(max(u))  # the first maximum: ties take the smallest index
         j = q // u[i]
         digits.append(BrunDigit(i + 1, j))
         q, u = u[i], u[i + 1 :] + [q - j * u[i]] + u[:i]

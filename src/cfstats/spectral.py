@@ -12,20 +12,24 @@ axis), and the leading eigenvalue comes from sup-norm power iteration.
 Each map has one branch table (_assemble_gauss, _assemble_brun2,
 _assemble_jp).  It emits every branch as a stencil: a coefficient, the
 branch weight |J_h|^s e^<t, e(h)>, times a fixed linear combination of
-node values.  Digits up to an exact cap are single branches, read at
-their images by (bi)linear interpolation; all digits beyond the cap are
-folded into Hurwitz-zeta sums against f near the shrinking images.
+node values.  A stencil reaches its reader as a sequence of (cols,
+weight) entries, made one (bi)linear corner at a time, never stacked.
+Digits up to an exact cap are single branches, read at their images by
+(bi)linear interpolation; all digits beyond the cap are folded into
+Hurwitz-zeta sums against f near the shrinking images.
 
-Two readers take the same table.  _Apply multiplies each stencil into
-one grid function, for a single apply_operator call.  _Assembly is the
-one matrix reader: it sums the stencils into a sparse matrix, duplicates
-coalesced, with its s- and t-derivatives as reweighted stencils.
-leading_eigenvalue builds that matrix once and iterates products with
-it; operator_matrix is its dense form; the eigenvalue derivatives at
-(1, 0) come from perturbation theory around one leading_eigenvalue solve
-and the matrix with its derivatives.  The branches beyond j_max sit
-inside the closed-form fold; an integral bracket on them, the tail bar,
-is computed once per solve from the returned eigenfunction.
+Two readers take the same table.  _Apply accumulates each stencil's
+entries in place into one buffer, for a single apply_operator call.
+_Assembly is the one matrix reader: it sums the entries into a sparse
+matrix, duplicates coalesced batch by batch and the batches merged as a
+stack of partial sums, with its s- and t-derivatives as reweighted
+stencils.  leading_eigenvalue builds that matrix once and iterates
+products with it; operator_matrix is its dense form; the eigenvalue
+derivatives at (1, 0) come from perturbation theory around one
+leading_eigenvalue solve and the matrix with its derivatives.  The
+branches beyond j_max sit inside the closed-form fold; an integral
+bracket on them, the tail bar, is computed once per solve from the
+returned eigenfunction.
 
 Dimensions 1 (Gauss) and 2 (Brun, Jacobi-Perron) are supported.  The
 invariant density, the digit frequency vector, the covariance matrix
@@ -135,9 +139,12 @@ def _stencil1(y: np.ndarray, G: int) -> tuple:
     """Left node index and fraction of the linear stencil at y: piecewise-
     linear interpolation on midpoint nodes, extrapolating linearly at both
     ends (queries stay within half a spacing of the node range)."""
-    pos = y * G - 0.5
-    idx = np.clip(np.floor(pos).astype(np.int64), 0, G - 2)
-    return idx, pos - idx
+    pos = y * G
+    pos -= 0.5
+    left = np.floor(pos)
+    np.clip(left, 0, G - 2, out=left)
+    pos -= left
+    return left.astype(np.int64), pos
 
 
 def _stencil2(yx: np.ndarray, yy: np.ndarray, G: int) -> tuple:
@@ -147,14 +154,22 @@ def _stencil2(yx: np.ndarray, yy: np.ndarray, G: int) -> tuple:
     return ix, iy, fx, fy
 
 
-def _corner_entries(ix, iy, fx, fy, G: int) -> tuple:
-    """Flat node indices and weights of the four bilinear corners, stacked
-    in the order (ix, iy), (ix, iy + 1), (ix + 1, iy), (ix + 1, iy + 1)."""
+def _linear_entries(idx: np.ndarray, frac: np.ndarray):
+    """The two (cols, weight) entries of the linear stencil at (idx, frac),
+    left node first."""
+    yield idx, 1.0 - frac
+    yield idx + 1, frac
+
+
+def _corner_entries(ix, iy, fx, fy, G: int):
+    """The four (cols, weight) entries of the bilinear stencil, flat node
+    indices and weights, one corner at a time in the order (ix, iy),
+    (ix, iy + 1), (ix + 1, iy), (ix + 1, iy + 1)."""
     base = ix * G + iy
-    cols = base + np.array([0, 1, G, G + 1]).reshape((4,) + (1,) * base.ndim)
-    fx, fy = (f.reshape((1,) * (base.ndim - f.ndim) + f.shape) for f in (fx, fy))
-    weights = np.stack([1 - fx, fx])[:, None] * np.stack([1 - fy, fy])[None, :]
-    return cols, weights.reshape((4,) + weights.shape[2:])
+    ys = ((0, 1 - fy), (1, fy))
+    for dx, wx in ((0, 1 - fx), (G, fx)):
+        for dy, wy in ys:
+            yield base + (dx + dy), wx * wy
 
 
 def _jp_cells(G: int) -> tuple:
@@ -313,19 +328,20 @@ def _exact_cap(params: OperatorParams, cap: int, kind: str) -> int:
     return cap
 
 
-def _add_branches(acc, params: OperatorParams, rows, labels: list, cols, weight, coef) -> None:
-    """Add the branches labelled by labels, stacked on axis 1 of cols,
-    weight and coef (axis 0 stacks the stencil entries, resp. the
+def _add_branches(acc, params: OperatorParams, rows, labels: list, entries, coef) -> None:
+    """Add the branches labelled by labels, stacked on axis 0 of every
+    stencil entry (cols, weight) and on axis 1 of coef (axis 0 stacks the
     s-derivatives).  The branch of target k is weighted by exp(t_k), and
-    added once more under its label."""
+    added once more under its label, sliced out of every entry."""
     hits = [i for i, lab in enumerate(labels) if lab in params.targets]
     if hits:
+        entries = list(entries)  # read again for every hit
         tf = np.ones(len(labels))
         tf[hits] = [math.exp(params.t[params.targets.index(labels[i])]) for i in hits]
         coef = coef * tf.reshape((1, -1) + (1,) * (coef.ndim - 2))
-    acc.add(rows, cols, weight, coef)
+    acc.add(rows, entries, coef)
     for i in hits:
-        acc.add(rows, cols[:, i], weight[:, i], coef[:, i], label=labels[i])
+        acc.add(rows, [(c[i], w[i]) for c, w in entries], coef[:, i], label=labels[i])
 
 
 def _assemble_gauss(acc, params: OperatorParams, G: int) -> None:
@@ -336,15 +352,16 @@ def _assemble_gauss(acc, params: OperatorParams, G: int) -> None:
     for lo in range(1, cap + 1, step):
         j = np.arange(lo, min(lo + step, cap + 1))
         den = j[:, None] + x[None, :]
-        idx, frac = _stencil1(1.0 / den, G)
-        cols, weight = np.stack([idx, idx + 1]), np.stack([1.0 - frac, frac])
+        entries = _linear_entries(*_stencil1(1.0 / den, G))
         coef = _power_coef(den, 2.0, params.s, acc.orders)
-        _add_branches(acc, params, rows, j.tolist(), cols, weight, coef)
+        _add_branches(acc, params, rows, j.tolist(), entries, coef)
     # every digit beyond cap, folded with f(y) ~ f0 + f1*y near y = 0: the
     # line through the first two nodes, f1 = G (v1 - v0), f0 = v0 - f1 / (2G)
-    edge = np.array([[0], [1]])
-    acc.add(rows, edge, np.array([[1.5], [-0.5]]), _zeta_coef(2.0, 0.0, params.s, cap + 1 + x, acc.orders))
-    acc.add(rows, edge, np.array([[-G], [G]]), _zeta_coef(2.0, 1.0, params.s, cap + 1 + x, acc.orders))
+    edge = np.array([0]), np.array([1])
+    fold = zip(edge, (np.array([1.5]), np.array([-0.5])))
+    acc.add(rows, fold, _zeta_coef(2.0, 0.0, params.s, cap + 1 + x, acc.orders))
+    fold = zip(edge, (np.array([-G]), np.array([G])))
+    acc.add(rows, fold, _zeta_coef(2.0, 1.0, params.s, cap + 1 + x, acc.orders))
 
 
 def _assemble_brun2(acc, params: OperatorParams, G: int) -> None:
@@ -358,18 +375,17 @@ def _assemble_brun2(acc, params: OperatorParams, G: int) -> None:
         labels = j.tolist()
         j = j[:, None, None]
         den = j + x2
-        cols, weight = _corner_entries(*_stencil2(1.0 / den, x1 / den, G), G)
-        _add_branches(acc, params, rows, labels, cols, weight, _power_coef(den, 3.0, params.s, acc.orders))
+        entries = _corner_entries(*_stencil2(1.0 / den, x1 / den, G), G)
+        _add_branches(acc, params, rows, labels, entries, _power_coef(den, 3.0, params.s, acc.orders))
         den = j + x1
-        cols, weight = _corner_entries(*_stencil2(x2 / den, 1.0 / den, G), G)
-        _add_branches(acc, params, rows, labels, cols, weight, _power_coef(den, 3.0, params.s, acc.orders))
+        entries = _corner_entries(*_stencil2(x2 / den, 1.0 / den, G), G)
+        _add_branches(acc, params, rows, labels, entries, _power_coef(den, 3.0, params.s, acc.orders))
     # both families send digits beyond cap toward the origin
     y = np.array([0.5 / (cap + 1)])
-    cols, weight = _corner_entries(*_stencil2(y, y, G), G)
     z = _zeta_coef(3.0, 0.0, params.s, cap + 1 + x2, acc.orders) + _zeta_coef(
         3.0, 0.0, params.s, cap + 1 + x1, acc.orders
     )
-    acc.add(rows, cols.reshape(4, 1, 1), weight.reshape(4, 1, 1), z)
+    acc.add(rows, _corner_entries(*_stencil2(y, y, G), G), z)
 
 
 def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
@@ -383,12 +399,12 @@ def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
         a = np.arange(b + 1)[:, None, None]
         img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
         ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, img_xi, img_eta, want_p1, G)
-        cols, weight = _corner_entries(ix, iy, fx, fy, G)
-        cols = np.concatenate([cols, (nx * G + ny)[None]])
-        weight = np.concatenate([weight * ok, (~ok)[None]])
-        weight[:, b] *= in_p1  # the diagonal branch acts on P1 only
+        entries = [(c, w * ok) for c, w in _corner_entries(ix, iy, fx, fy, G)]
+        entries.append((nx * G + ny, (~ok).astype(np.float64)))
+        for _, w in entries:
+            w[b] *= in_p1  # the diagonal branch acts on P1 only
         coef = _power_coef(b + eta, 3.0, params.s, acc.orders)[:, None]
-        _add_branches(acc, params, rows, [(a, b) for a in range(b + 1)], cols, weight, coef)
+        _add_branches(acc, params, rows, [(a, b) for a in range(b + 1)], entries, coef)
     # Tail over b > cap: the images (1/(b+eta), (xi+a)/(b+eta)) line up
     # along the left edge with eta-values spaced 1/(b+eta), so the a-sum
     # is (b+eta) times the edge integral of f (Riemann, O(1/b) error):
@@ -396,8 +412,8 @@ def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
     # of the left-edge values values[0, :] (the diagonal branch in P1 only)
     z1 = _zeta_coef(3.0, -1.0, params.s, cap + 1 + eta, acc.orders)
     z0 = _zeta_coef(3.0, 0.0, params.s, cap + 1 + eta, acc.orders)
-    acc.add(rows, np.arange(G).reshape(G, 1, 1), np.full((G, 1, 1), 1.0 / G), z1)
-    acc.add(rows, np.full((1, 1, 1), G - 1), np.ones((1, 1, 1)), (in_p1 - eta) * z0)
+    acc.add(rows, [(np.full((1, 1), k), np.full((1, 1), 1.0 / G)) for k in range(G)], z1)
+    acc.add(rows, [(np.full((1, 1), G - 1), np.ones((1, 1)))], (in_p1 - eta) * z0)
 
 
 # Integral brackets on the branches beyond j_max, which the folds of the
@@ -424,8 +440,8 @@ def _tail_bar_brun2(values: np.ndarray, params: OperatorParams) -> float:
     s3 = 3.0 * params.s
     cap = min(params.j_max, _EXACT_CAP_2D)
     y = np.array([0.5 / (cap + 1)])
-    cols, weight = _corner_entries(*_stencil2(y, y, G), G)
-    f_org = float(weight[:, 0] @ values.ravel()[cols[:, 0]])
+    cols, weight = map(np.concatenate, zip(*_corner_entries(*_stencil2(y, y, G), G)))
+    f_org = float(weight @ values.ravel()[cols])
     lo = (cap + 2 + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + 2 + x1) ** (1.0 - s3) / (s3 - 1.0)
     hi = (cap + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + x1) ** (1.0 - s3) / (s3 - 1.0)
     return float(((hi - lo) * abs(f_org)).max() + abs(f_org) * 2.0 * (cap ** -1.0) / G)
@@ -465,9 +481,14 @@ class _Apply:
     """The operator applied to one grid function, stencil by stencil.
 
     add() takes the arguments of _Assembly.add and adds coef[0] * sum_k
-    weight[k] * values[cols[k]] at the output nodes rows, summing the
+    weight_k * values[cols_k] at the output nodes rows, summing the
     leading axes that stack branches; it reads only the value row of coef
-    (orders = 1).  A labelled entry repeats a target branch and is skipped.
+    (orders = 1).  The entries (cols_k, weight_k) of one add share a shape
+    and are accumulated in place, in order, so the sum rounds as a
+    reduction over stacked entries would.  The two buffers it needs are
+    kept across adds of the same shape, so a long branch table reuses
+    them instead of allocating them per add.  A labelled entry repeats a
+    target branch and is skipped.
     """
 
     orders = 1
@@ -475,17 +496,30 @@ class _Apply:
     def __init__(self, f: GridFunction):
         self.values = f.values.ravel()
         self.out = np.zeros(self.values.size)
+        self._scratch = np.empty(0)
 
-    def add(self, rows, cols, weight, coef, label=None):
-        if label is None:
-            term = coef[0] * (weight * self.values[cols]).sum(axis=0)
-            self.out[rows] += term.reshape((-1,) + rows.shape).sum(axis=0)
+    def add(self, rows, entries, coef, label=None):
+        if label is not None:
+            return
+        entries = iter(entries)
+        cols, weight = next(entries)
+        if self._scratch.shape != (2,) + cols.shape:
+            self._scratch = np.empty((2,) + cols.shape)
+        total, term = self._scratch
+        np.take(self.values, cols, out=total)
+        total *= weight
+        for cols, weight in entries:
+            np.take(self.values, cols, out=term)
+            term *= weight
+            total += term
+        self.out[rows] += (coef[0] * total).reshape((-1,) + rows.shape).sum(axis=0)
 
 
 def apply_operator(f: GridFunction, params: OperatorParams, map_desc: MapDescriptor) -> GridFunction:
     """One application of the transfer operator to a grid function, read
-    stencil by stencil from the branch table (one apply costs less than
-    one matrix build)."""
+    stencil by stencil from the branch table.  Each stencil's entries are
+    accumulated in place, corner by corner, in table order, so an apply
+    holds no stacked stencil and costs less than one matrix build."""
     acc = _Apply(f)
     _branch_table(map_desc, f.G)[0](acc, params, f.G)
     return GridFunction(f.m, f.G, acc.out.reshape(f.values.shape))
@@ -502,24 +536,27 @@ class _Assembly:
     """The operator as a sparse matrix, and its s- and t-derivatives.
 
     Every branch term is a coefficient times a linear stencil of node
-    values.  add() takes the stencil (cols and weights, stacked on a
-    leading axis) at each output node (rows), and the coefficient with
-    its first orders - 1 s-derivatives (coef[0..orders-1]; orders is 1
-    or 3); all broadcast together.  The entries are summed into CSR
-    matrices, duplicates coalesced: L, and for orders = 3 also L_s and
-    L_ss.  For orders = 3 a branch labelled with target k is added again
-    with its label and kept apart: d/dt_k of the operator is exactly the
-    entries of target k, and d2/ds dt_k their s-derivative.  For orders =
-    1 labelled entries are skipped.
+    values.  add() takes the stencil as a sequence of (cols, weight)
+    entries at each output node (rows), and the coefficient with its
+    first orders - 1 s-derivatives (coef[0..orders-1]; orders is 1 or 3);
+    within an entry all broadcast together.  The entries are summed into
+    CSR matrices, duplicates coalesced: L, and for orders = 3 also L_s
+    and L_ss.  For orders = 3 a branch labelled with target k is added
+    again with its label and kept apart: d/dt_k of the operator is
+    exactly the entries of target k, and d2/ds dt_k their s-derivative.
+    For orders = 1 labelled entries are skipped.
 
-    Every add() reaches each node once per stacked entry, so the entries
-    are queued as layers of one entry per row.  A batch of S layers is a
-    CSR matrix with S entries per row as it stands, duplicates summed
-    after a sort within rows; it is merged into the sums.  A batch holds
-    at least _FLUSH entries and an eighth of the nonzeros summed so far:
-    the floor keeps a small operator's transient memory at that of one
-    stencil apply, and the fraction bounds a large one's merges, each a
-    pass over the sums, to a fixed multiple of the entries added.
+    Every entry reaches each node once per stacked branch, so it is
+    queued as layers of one entry per row.  A batch of S = max(4, _FLUSH
+    // N) layers is a CSR matrix with S entries per row as it stands,
+    duplicates summed after a sort within rows: the _FLUSH floor keeps a
+    small operator's transient memory at that of one stencil apply, and
+    a large one coalesces at least four entries per row before merging.
+    The coalesced batches form a stack of partial sums: the top two are
+    merged while the newer holds at least half the nonzeros of the
+    older, so each entry takes part in a logarithmic number of merges,
+    each a pass over two partial sums only, not over everything summed
+    so far.  matrices() merges what is left, newest first.
     """
 
     _FLUSH = 1 << 15
@@ -533,57 +570,64 @@ class _Assembly:
         self.N = N
         self.orders = orders
         self._nodes = np.arange(N)
+        self._batch = max(4, self._FLUSH // N)  # in layers
         labels = [None] + (list(params.targets) if orders == 3 else [])
-        # per label: the CSR sums (one per order kept), and the queued (cols, vals) layers
-        self._sums = {lab: [None] * (orders if lab is None else 2) for lab in labels}
+        # per label: the orders kept, the stack of partial sums (one CSR
+        # matrix per order each), and the queued (cols, vals) layers
+        self._orders = {lab: orders if lab is None else 2 for lab in labels}
+        self._stack = {lab: [] for lab in labels}
         self._queue = {lab: [] for lab in labels}
         self._layers = dict.fromkeys(labels, 0)
 
-    def add(self, rows, cols, weight, coef, label=None):
-        if label not in self._sums:
+    def add(self, rows, entries, coef, label=None):
+        if label not in self._stack:
             return
         if not np.array_equal(rows.ravel(), self._nodes):
             raise ValueError("a branch table adds at every node, in order, on the trailing axes")
-        coef = coef[: len(self._sums[label])]
-        shape = np.broadcast_shapes(rows.shape, cols.shape, weight.shape, (1,) + coef.shape[1:])
-        # one stencil entry at a time, to hold a fraction of the stencil
-        for c, w in zip(np.broadcast_to(cols, shape), np.broadcast_to(weight, shape)):
-            c = np.broadcast_to(c, shape[1:]).astype(np.int32).reshape(-1, self.N)
-            vals = (coef * w).reshape(len(coef), -1, self.N)
+        coef = coef[: self._orders[label]]
+        for c, w in entries:
+            shape = np.broadcast_shapes(rows.shape, c.shape, w.shape, coef.shape[1:])
+            c = np.broadcast_to(c, shape).astype(np.int32).reshape(-1, self.N)
+            vals = (coef * np.broadcast_to(w, shape)).reshape(len(coef), -1, self.N)
             lo = 0
             while lo < len(c):
-                summed = self._sums[label][0]
-                nnz = 0 if summed is None else summed.nnz
-                batch = max(1, max(self._FLUSH, nnz >> 3) // self.N)  # in layers
-                hi = min(len(c), lo + batch - self._layers[label])
+                hi = min(len(c), lo + self._batch - self._layers[label])
                 self._queue[label].append((c[lo:hi], vals[:, lo:hi]))
                 self._layers[label] += hi - lo
                 lo = hi
-                if self._layers[label] >= batch:
+                if self._layers[label] >= self._batch:
                     self._flush(label)
 
     def _flush(self, label):
-        queued, layers, sums = self._queue[label], self._layers[label], self._sums[label]
+        queued, layers, stack = self._queue[label], self._layers[label], self._stack[label]
         if not queued:
             return
         self._queue[label], self._layers[label] = [], 0
         indptr = np.arange(0, layers * self.N + 1, layers)
         cols = np.concatenate([c.T for c, _ in queued], axis=1).ravel()
-        for i in range(len(sums)):
+        part = []
+        for i in range(self._orders[label]):
             vals = np.concatenate([v[i].T for _, v in queued], axis=1).ravel()
             # the sort within rows is in place, and each order needs cols unsorted
-            indices = cols if i == len(sums) - 1 else cols.copy()
-            part = self._csr((vals, indices, indptr), shape=(self.N, self.N))
-            part.sum_duplicates()
-            sums[i] = part if sums[i] is None else sums[i] + part
+            indices = cols if i == self._orders[label] - 1 else cols.copy()
+            mat = self._csr((vals, indices, indptr), shape=(self.N, self.N))
+            mat.sum_duplicates()
+            part.append(mat)
+        stack.append(part)
+        while len(stack) > 1 and 2 * stack[-1][0].nnz >= stack[-2][0].nnz:
+            newer = stack.pop()
+            stack[-1] = [a + b for a, b in zip(stack[-1], newer)]
 
     def matrices(self) -> tuple:
         """L, then for orders = 3 L_s, L_ss and per target the pair
         (d/dt_k, d2/ds dt_k); every matrix in CSR form."""
-        empty = self._csr((self.N, self.N))
-        for label in self._sums:
+        sums = {}
+        for label, stack in self._stack.items():
             self._flush(label)
-        sums = {lab: [empty if m is None else m for m in mats] for lab, mats in self._sums.items()}
+            total = stack.pop() if stack else [self._csr((self.N, self.N))] * self._orders[label]
+            while stack:
+                total = [a + b for a, b in zip(stack.pop(), total)]
+            sums[label] = total
         per_target = [tuple(sums[lab]) for lab in self.params.targets] if self.orders == 3 else []
         return (*sums[None], *per_target)
 

@@ -322,6 +322,92 @@ class TestOneBuildPerSolve:
         assert np.abs(L @ f.values.ravel() - g).max() <= 1e-13 * np.abs(g).max()
 
 
+class _StackedApply:
+    """A stencil reader that stacks the entries of each add and reduces
+    them over axis 0, the reference for the in-place accumulation."""
+
+    orders = 1
+
+    def __init__(self, f):
+        self.values = f.values.ravel()
+        self.out = np.zeros(self.values.size)
+
+    def add(self, rows, entries, coef, label=None):
+        if label is None:
+            cols, weight = (np.stack(x) for x in zip(*entries))
+            term = coef[0] * (weight * self.values[cols]).sum(axis=0)
+            self.out[rows] += term.reshape((-1,) + rows.shape).sum(axis=0)
+
+
+class _DenseAssembly:
+    """A matrix reader that adds every entry into dense matrices by
+    np.add.at, in table order, with the layout of _Assembly.matrices."""
+
+    def __init__(self, params, N, orders):
+        self.params = params
+        self.orders = orders
+        labels = [None] + (list(params.targets) if orders == 3 else [])
+        self.mats = {lab: np.zeros((orders if lab is None else 2, N, N)) for lab in labels}
+
+    def add(self, rows, entries, coef, label=None):
+        if label not in self.mats:
+            return
+        mats = self.mats[label]
+        coef = coef[: len(mats)]
+        for c, w in entries:
+            shape = np.broadcast_shapes(rows.shape, c.shape, w.shape, coef.shape[1:])
+            at = (np.broadcast_to(rows, shape).ravel(), np.broadcast_to(c, shape).ravel())
+            vals = (coef * np.broadcast_to(w, shape)).reshape(len(coef), -1)
+            for mat, v in zip(mats, vals):
+                np.add.at(mat, at, v)
+
+    def matrices(self) -> tuple:
+        per_target = [tuple(self.mats[lab]) for lab in self.params.targets] if self.orders == 3 else []
+        return (*self.mats[None], *per_target)
+
+
+def _flat(mats) -> list:
+    return [m for x in mats for m in (x if isinstance(x, tuple) else (x,))]
+
+
+class TestStencilReaders:
+    # t != 0 on one target; each grid takes several digit chunks, and the
+    # Gauss j_max exceeds the exact cap
+    APPLY_CASES = {
+        "gauss": (GAUSS, 256, OperatorParams(1.15, (0.3,), (3,), 3000)),
+        "brun2": (BRUN2, 40, OperatorParams(1.1, (0.25,), (2,), 100)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(APPLY_CASES))
+    def test_apply_equals_the_stacked_reduction(self, name):
+        desc, G, params = self.APPLY_CASES[name]
+        f = GridFunction(desc.m, G, np.random.default_rng(11).uniform(0.5, 1.5, (G,) * desc.m))
+        ref = _StackedApply(f)
+        spectral._MAPS[desc.algorithm][0](ref, params, G)
+        assert np.array_equal(apply_operator(f, params, desc).values.ravel(), ref.out)
+
+    @pytest.mark.parametrize("orders", [1, 3])
+    def test_merged_build_matches_dense_accumulation(self, monkeypatch, orders):
+        G, params = 12, OperatorParams(1.1, (0.25, -0.1), (1, 2), 40)
+        flushes = []
+        flush = spectral._Assembly._flush
+
+        def counted(acc, label):
+            flushes.append(label)
+            flush(acc, label)
+
+        monkeypatch.setattr(spectral._Assembly, "_FLUSH", 8)
+        monkeypatch.setattr(spectral._Assembly, "_flush", counted)
+        mats = _flat(spectral._assemble(params, BRUN2, G, orders))
+        assert len(flushes) > 50
+        dense = _DenseAssembly(params, G * G, orders)
+        spectral._MAPS["brun"][0](dense, params, G)
+        ref = _flat(dense.matrices())
+        assert len(mats) == len(ref) == (1 if orders == 1 else 7)
+        for got, want in zip(mats, ref):
+            assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestZetaDerivatives:
     # the exponents of the three tails near s = 1, and their shifts a >= 2
     SIGMAS = sorted({k * s + c for s in (0.9, 1.0, 1.1) for k, c in ((2, 0), (2, 1), (3, -1), (3, 0))})
