@@ -9,12 +9,15 @@ For every workload in AFTER_DIR/BENCHMARK.json, pair i runs
 `perfbench/run.py --trace 0 --seed 700+i` in BEFORE_DIR and in AFTER_DIR,
 at perfbench's own run length, for ten pairs: BEFORE_DIR first in even
 pairs and AFTER_DIR first in odd ones, so slow phases of the host hit
-both sides alike.  Every workload then gets one `--trace 1` run per
-side, for its per-layer metrics.  The JSON holds every run's metrics, the
-median and quartiles of each end-to-end metric per side, the number of
-pairs the after side won, and whether both sides printed the same
-digests in every pair: all of them (digests_equal), and each digest key
-on its own (digests_equal_by_key).
+both sides alike.  Every workload then gets five `--trace 1` pairs,
+alternating the same way (seeds 700-704), for its per-layer metrics: a
+single traced run per side cannot resolve a 10-20% per-layer change on a
+host whose speed drifts between runs.  The JSON holds every run's
+metrics, the median and quartiles of each end-to-end metric (summary)
+and of each per-layer metric (traced_summary) per side, the number of
+pairs in which the after side was better, and whether both sides
+printed the same digests in every untraced pair: all of them
+(digests_equal), and each digest key on its own (digests_equal_by_key).
 """
 
 import argparse
@@ -26,6 +29,7 @@ import sys
 
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # all lower-is-better
 PAIRS = 10
+TRACED_PAIRS = 5
 SEED = 700
 
 
@@ -43,6 +47,29 @@ def spread(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def alternating_pairs(args, workload: str, count: int, trace: int) -> list:
+    """count pairs of runs, before first in even pairs and after first in odd ones."""
+    pairs = []
+    for i in range(count):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        pair = {side: run(getattr(args, side), workload, SEED + i, trace) for side in order}
+        pairs.append(pair)
+        key = "trace.overhead_s" if trace else "wall_s"
+        print(workload, SEED + i, key, {s: pair[s]["metrics"][key] for s in pair}, file=sys.stderr)
+    return pairs
+
+
+def compare(pairs, metrics) -> dict:
+    """Median and quartiles per side of each (name, better) metric, and the pairs won by after."""
+    out = {}
+    for k, better in metrics:
+        b = [p["before"]["metrics"][k] for p in pairs]
+        a = [p["after"]["metrics"][k] for p in pairs]
+        won = sum(y < x if better == "lower" else y > x for x, y in zip(b, a))
+        out[k] = {"before": spread(b), "after": spread(a), "after_better_in": won, "pairs": len(pairs)}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("before")
@@ -51,24 +78,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.after, "BENCHMARK.json")) as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    per_layer = [(m["name"], m["better"]) for m in bench["per_layer"]]
     report = {"nproc": os.cpu_count(), "workloads": {}}
     for workload in workloads:
-        pairs = []
-        for i in range(PAIRS):
-            order = ("before", "after") if i % 2 == 0 else ("after", "before")
-            pair = {side: run(getattr(args, side), workload, SEED + i, 0) for side in order}
-            pairs.append(pair)
-            print(workload, SEED + i, {s: pair[s]["metrics"]["wall_s"] for s in pair}, file=sys.stderr)
-        summary = {}
-        for k in END_TO_END:
-            b = [p["before"]["metrics"][k] for p in pairs]
-            a = [p["after"]["metrics"][k] for p in pairs]
-            summary[k] = {"before": spread(b), "after": spread(a),
-                          "after_better_in": sum(y < x for x, y in zip(b, a)), "pairs": len(pairs)}
+        pairs = alternating_pairs(args, workload, PAIRS, 0)
+        traced = alternating_pairs(args, workload, TRACED_PAIRS, 1)
         keys = sorted({k for p in pairs for side in p.values() for k in side["digests"]})
         report["workloads"][workload] = {
-            "summary": summary,
+            "summary": compare(pairs, [(k, "lower") for k in END_TO_END]),
+            "traced_summary": compare(traced, per_layer),
             "digests_equal": all(p["before"]["digests"] == p["after"]["digests"] for p in pairs),
             "digests_equal_by_key": {
                 k: all(p["before"]["digests"].get(k) == p["after"]["digests"].get(k) for p in pairs) for k in keys
@@ -76,7 +96,7 @@ def main(argv=None) -> int:
             "failed": {s: sum(p[s]["failed"] for p in pairs) for s in ("before", "after")},
             "correct": all(p[s]["correct"] for p in pairs for s in ("before", "after")),
             "pairs": pairs,
-            "traced": {side: run(getattr(args, side), workload, SEED, 1) for side in ("before", "after")},
+            "traced": traced,
         }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -12,6 +12,12 @@ Floating-point reductions over a table are correctly rounded sums
 chunks, so results are bit-reproducible across runs and do not depend
 on how the work was partitioned.
 
+moment_table builds the powers of each centred count by repeated
+multiplication (phi, phi * phi, phi * phi * phi, ...), never by pow.
+Entries whose powers are all at most 2 are therefore the same floats as
+a pow-based loop gives (x**2 is x * x); entries with a third or higher
+power can differ from it in the last bits.
+
 The empirical covariance reported for the rescaled centred counts is
 the uncentered second-moment matrix: the centring already happened
 through the weight term, the limit law has mean zero, and this choice
@@ -309,6 +315,8 @@ def clt_summary(
     [-5 sigma, 5 sigma] and the reference Gaussians for the KS
     distances; it defaults to the empirical second moment.
     """
+    if table.size == 0:
+        raise ValueError("empty ensemble")
     Q = table.Q_nominal() if Q is None else Q
     lam = np.asarray(lambda_bar, dtype=np.float64)
     phi = _phi_matrix(table, lam, Q)
@@ -370,21 +378,33 @@ def moment_table(table: EnsembleTable, lambda_bar, Q: float | None = None, max_o
     Entry p-hat maps to sum of phi^p-hat over the ensemble divided by
     (size * Q^{|p-hat|/2}).  Even orders approach the Gaussian pairing
     values, odd orders approach zero.
+
+    The power columns phi_k^p are built once per target by repeated
+    multiplication, each the previous times phi_k, and every monomial is
+    the product of its columns in target order.
     """
+    if table.size == 0:
+        raise ValueError("empty ensemble")
     Q = table.Q_nominal() if Q is None else Q
     lam = np.asarray(lambda_bar, dtype=np.float64)
     w = table.weights
-    phi = table.counts.astype(np.float64) - w[:, None] * lam[None, :]
+    powers = []  # powers[k][p - 1] = phi_k^p
+    for k in range(table.d):
+        col = table.counts[:, k].astype(np.float64) - w * lam[k]
+        cols = [col]
+        for _ in range(1, max_order):
+            cols.append(cols[-1] * col)
+        powers.append(cols)
     m = table.mult.astype(np.float64)
     total = table.size
     out = {}
     for ix in _multi_indices(table.d, max_order):
-        order = sum(ix)
-        term = np.ones(len(w))
+        term = None
         for k, power in enumerate(ix):
             if power:
-                term = term * phi[:, k] ** power
-        out[ix] = _dot(m, term) / (total * Q ** (order / 2.0))
+                col = powers[k][power - 1]
+                term = col if term is None else term * col
+        out[ix] = _dot(m, term) / (total * Q ** (sum(ix) / 2.0))
     return out
 
 
@@ -428,6 +448,8 @@ def ldp_tail(
         raise ValueError("need at least 4 grid points")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if any(table.size == 0 for _, table in tables_by_Q):
+        raise ValueError("empty ensemble")
     Qs, props = [], []
     for Q, table in tables_by_Q:
         m = table.mult.astype(np.float64)

@@ -149,6 +149,15 @@ class TestCltLdp:
         assert set(ldp) == {"0.10000000000000001", "0.20000000000000001"}
         assert len(ldp["0.10000000000000001"]["proportion"]) == 4
 
+    @pytest.mark.parametrize("command, grid", [("clt", "1,6"), ("ldp", "1,4,5,6")])
+    def test_empty_sub_ensemble_is_a_validation_error(self, tmp_path, capsys, command, grid):
+        # Q = 1 lies below the smallest Gauss weight 2 log 2
+        assert run([command, "--algorithm", "gauss", "--denominator-bound", "50",
+                    "--targets", "1", "--grid", "64", "--jmax", "256",
+                    "--q-grid", grid, "--out", str(tmp_path / "o")]) == 1
+        assert "error: empty ensemble" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_clt_run_ks_by_q(self, tmp_path):
         out = tmp_path / "o"
         code = run(["clt", "--algorithm", "gauss", "--denominator-bound", "200",

@@ -297,7 +297,64 @@ class TestCLTSummary:
         assert edges[0] == pytest.approx(-5 * sig) and edges[-1] == pytest.approx(5 * sig)
 
 
+def pow_moment_table(table, lambda_bar, Q, max_order):
+    """moment_table as it was computed with libm pow, the reference for its arithmetic."""
+    lam = np.asarray(lambda_bar, dtype=np.float64)
+    w = table.weights
+    phi = table.counts.astype(np.float64) - w[:, None] * lam[None, :]
+    m = table.mult.astype(np.float64)
+    out = {}
+    for ix in stats._multi_indices(table.d, max_order):
+        term = np.ones(len(w))
+        for k, power in enumerate(ix):
+            if power:
+                term = term * phi[:, k] ** power
+        out[ix] = stats._dot(m, term) / (table.size * Q ** (sum(ix) / 2.0))
+    return out, phi
+
+
+def synthetic_d3_table(rows=5000, seed=11):
+    rng = np.random.default_rng(seed)
+    qs = rng.integers(2, 20_000, rows)
+    counts = rng.integers(0, 25, (rows, 3))
+    mult = rng.integers(1, 40, rows)
+    return EnsembleTable("gauss", 2, (1, 2, 3), qs, counts, mult, int(qs.max()))
+
+
 class TestMoments:
+    @pytest.mark.parametrize("case", ["gauss_small", "synthetic_d3"])
+    def test_matches_the_pow_reference(self, case, gauss_small_table):
+        if case == "gauss_small":
+            table, lam, max_order = gauss_small_table, np.array([0.415, 0.17]), 4
+        else:
+            table, lam, max_order = synthetic_d3_table(), np.array([0.415, 0.17, 0.093]), 6
+        Q = table.Q_nominal()
+        got = moment_table(table, lam, Q=Q, max_order=max_order)
+        ref, phi = pow_moment_table(table, lam, Q, max_order)
+        assert list(got) == list(ref)
+        m = table.mult.astype(np.float64)
+        bound_factor = (8 + 2 * stats._CHUNK) * np.finfo(np.float64).eps
+        exact = higher = 0
+        for ix, value in ref.items():
+            if max(ix) <= 2:
+                assert got[ix] == value, ix  # x**2 is x*x, so nothing changed
+                exact += 1
+                continue
+            mag = np.ones(len(m))
+            for k, power in enumerate(ix):
+                mag = mag * np.abs(phi[:, k]) ** power
+            bound = bound_factor * float(m @ mag) / (table.size * Q ** (sum(ix) / 2.0))
+            assert abs(got[ix] - value) <= bound, (ix, got[ix], value, bound)
+            higher += 1
+        assert exact > 0 and higher > 0
+
+    def test_empty_ensemble_raises(self, gauss_small_table):
+        empty = gauss_small_table.restrict(1)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            moment_table(empty, np.array([0.4, 0.2]), Q=1.0)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            clt_summary(empty, np.array([0.4, 0.2]), Q=1.0)
+
     def test_second_moment_equals_covariance_bitwise(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
         Q = gauss_small_table.Q_nominal()
@@ -355,6 +412,13 @@ class TestLDP:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             ldp_tail(self.synthetic_grid()[:3], 0, 0.1, eps=0.1)
+
+    @pytest.mark.parametrize("continuity", [False, True])
+    def test_empty_sub_ensemble_raises(self, gauss_small_table, continuity):
+        tables = [(Q, gauss_small_table.restrict_weight(Q)) for Q in (1.0, 4.0, 5.0, 6.0)]
+        assert tables[0][1].size == 0
+        with pytest.raises(ValueError, match="empty ensemble"):
+            ldp_tail(tables, 0, 0.4, eps=0.1, continuity=continuity)
 
     def test_continuity_corrected_band_mass(self):
         # N = 3 spread over [2.5, 3.5]; at Q = 10 the band is [1.9, 3.1],
