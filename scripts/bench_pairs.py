@@ -18,9 +18,12 @@ and of each per-layer metric (traced_summary) per side, the number of
 pairs in which the after side was better, and whether both sides
 printed the same digests in every untraced pair: all of them
 (digests_equal), and each digest key on its own (digests_equal_by_key).
+It also records each checkout's source size, the number of lines of
+src/**/*.py (src_lines).
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -40,6 +43,15 @@ def run(checkout: str, workload: str, seed: int, trace: int) -> dict:
     return {"seed": seed, "digests": info["digests"], "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def src_lines(checkout: str) -> int:
+    """Number of lines of src/**/*.py in checkout."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, "rb") as fh:
+            total += len(fh.read().splitlines())
+    return total
 
 
 def spread(values) -> dict:
@@ -81,7 +93,8 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     per_layer = [(m["name"], m["better"]) for m in bench["per_layer"]]
-    report = {"nproc": os.cpu_count(), "workloads": {}}
+    sizes = {side: src_lines(getattr(args, side)) for side in ("before", "after")}
+    report = {"nproc": os.cpu_count(), "src_lines": sizes, "workloads": {}}
     for workload in workloads:
         pairs = alternating_pairs(args, workload, PAIRS, 0)
         traced = alternating_pairs(args, workload, TRACED_PAIRS, 1)

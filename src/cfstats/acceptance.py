@@ -56,8 +56,7 @@ class CriterionResult:
 class AcceptanceContext:
     """Lazily computed shared artifacts for the acceptance criteria."""
 
-    def __init__(self, workers: int = 1):
-        self.workers = workers
+    def __init__(self):
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -67,10 +66,7 @@ class AcceptanceContext:
 
     @property
     def gauss_table(self) -> stats.EnsembleTable:
-        return self._get(
-            "gauss_table",
-            lambda: bulk.gauss_ensemble_table(GAUSS_BOUND, targets=(1, 2), workers=self.workers),
-        )
+        return self._get("gauss_table", lambda: bulk.gauss_ensemble_table(GAUSS_BOUND, targets=(1, 2)))
 
     @property
     def gauss_grid(self) -> list:
@@ -98,27 +94,19 @@ class AcceptanceContext:
     @property
     def jp_table(self) -> stats.EnsembleTable:
         """JP table over q <= JP_ADMISSIBILITY_BOUND; its restrictions hold every smaller count."""
-        return self._get(
-            "jp_table", lambda: bulk.jp_ensemble_table(JP_ADMISSIBILITY_BOUND, ((1, 2),), self.workers)
-        )
+        return self._get("jp_table", lambda: bulk.jp_ensemble_table(JP_ADMISSIBILITY_BOUND, ((1, 2),)))
 
     @property
     def gauss_verify_report(self) -> bulk.VerifyReport:
-        return self._get(
-            "gauss_verify", lambda: bulk.gauss_verify(GAUSS_ROUNDTRIP_BOUND, workers=self.workers)
-        )
+        return self._get("gauss_verify", lambda: bulk.gauss_verify(GAUSS_ROUNDTRIP_BOUND))
 
     @property
     def jp_verify_report(self) -> bulk.VerifyReport:
-        return self._get(
-            "jp_verify", lambda: bulk.jp_verify(JP_ROUNDTRIP_BOUND, workers=self.workers)
-        )
+        return self._get("jp_verify", lambda: bulk.jp_verify(JP_ROUNDTRIP_BOUND))
 
     @property
     def brun_verify_report(self) -> bulk.VerifyReport:
-        return self._get(
-            "brun_verify", lambda: bulk.brun2_verify(BRUN_ROUNDTRIP_BOUND, workers=self.workers)
-        )
+        return self._get("brun_verify", lambda: bulk.brun2_verify(BRUN_ROUNDTRIP_BOUND))
 
 
 def _slope_grid(ctx: AcceptanceContext) -> list:
@@ -386,7 +374,7 @@ def a13_growth(ctx: AcceptanceContext) -> CriterionResult:
     ref = 3.0 / math.pi**2
     rel = abs(scaled / ref - 1.0)
     n1, n2 = GROWTH_PAIR_BOUNDS
-    brun = bulk.brun2_ensemble_table(n2, targets=(1,), workers=ctx.workers)
+    brun = bulk.brun2_ensemble_table(n2, targets=(1,))
     brun_r = [brun.restrict(n).size / n**3 for n in (n1, n2)]
     jp_r = [ctx.jp_table.restrict(n).size / n**3 for n in (n1, n2)]
     brun_drift = abs(brun_r[1] / brun_r[0] - 1.0)
@@ -419,9 +407,9 @@ CRITERIA = {
 }
 
 
-def run_all(names=None, workers: int = 1, ctx: AcceptanceContext | None = None):
+def run_all(names=None, ctx: AcceptanceContext | None = None):
     """Run the selected criteria (all by default) and return their results."""
-    ctx = ctx or AcceptanceContext(workers=workers)
+    ctx = ctx or AcceptanceContext()
     selected = list(CRITERIA) if names is None else list(names)
     results = []
     for name in selected:

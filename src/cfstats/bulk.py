@@ -19,16 +19,17 @@ matrix.  An algorithm's two DPs share its layer loop: _gauss_layers,
 _brun2_layers (the Brun GCD, m = 2) and _jp_layers, which also fills the
 JP choice table that settles every canonical expansion.
 
-The DPs run in the calling process.  Every sweep raises BudgetError
+Every sweep runs in the calling process, and raises BudgetError
 before it allocates its DP if the DP's bytes, given in its docstring,
 exceed physical memory or the process's cgroup memory limit
 (_require_memory); the check counts neither memory in use nor the
-histograms.  Blocks of about _LANE_BUDGET states, split by one rule, are
-independent pure computations, so a process pool may run their rows or
-checks; results merge in block order and every reduction is
-integer-exact or a maximum, so outputs are bit-identical for any worker
-count or block split.  Checked products stay far below 2^63 for the
-bounds used here; VerifyReport.ok fails if the largest one reaches 2^62.
+histograms.  Rows and checks run over blocks of about _LANE_BUDGET
+states, split by one rule, which bounds their temporaries; results merge
+in block order and every reduction is integer-exact or a maximum, so
+outputs are bit-identical for any block split.  The six public sweeps
+take a `workers` keyword that is ignored, kept for callers that still
+pass it.  Checked products stay far below 2^63 for the bounds used here;
+VerifyReport.ok fails if the largest one reaches 2^62.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -84,30 +84,6 @@ def _blocks(lo: int, hi: int, states_per_q):
     if start <= hi:
         out.append((start, hi))
     return out
-
-
-def _run_blocks(fn, blocks, workers: int, *shared):
-    """[fn(block, *shared) for block in blocks], on `workers` processes.
-
-    Workers receive `shared` once, when they are forked, rather than
-    pickled with every block.
-    """
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(b, *shared) for b in blocks]
-    with get_context("fork").Pool(workers, _keep_shared, (shared,)) as pool:
-        return pool.map(functools.partial(_with_shared, fn), blocks)
-
-
-_worker_shared = ()  # set only inside pool workers, by _keep_shared
-
-
-def _keep_shared(shared):
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _with_shared(fn, block):
-    return fn(block, *_worker_shared)
 
 
 def _table_from_parts(parts, algorithm, multiplier, targets, bound):
@@ -336,8 +312,8 @@ def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     p <= bound (_count_states); by induction on p each coprime state holds
     the counts of its expansion, C(r, p) = [p // r = t] + C(p mod r, r), from
     the base (0, 1), which holds none; (0, p) holds -1 for p >= 2.
-    `workers` processes then histogram the denominator blocks of states
-    (_table_rows).  The states take bound * (bound + 1) bytes per word.
+    The denominator blocks of states are then histogrammed (_table_rows).
+    The states take bound * (bound + 1) bytes per word.
     """
     targets = tuple(targets)
     radix, per, words = _count_words(_euclid_longest(bound), len(targets))
@@ -346,7 +322,7 @@ def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     state = _count_states(_gauss_layers, size, max(bound, 1), targets, radix, per, words)
     starts = _gauss_index(0, np.arange(bound + 2, dtype=np.int64))
     blocks = _blocks(2, bound, lambda q: q)
-    parts = _run_blocks(_table_rows, blocks, workers, state, starts, None, radix, per, len(targets))
+    parts = [_table_rows(b, state, starts, None, radix, per, len(targets)) for b in blocks]
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
@@ -408,7 +384,7 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
     _require_memory(8 * _gauss_index(0, bound + 1), f"the Gauss verify sweep at q <= {bound}")
     wsum = _gauss_weights(max(bound, 1))
     blocks = _blocks(2, bound, lambda q: q)
-    return _merge_reports(_run_blocks(_gauss_check, blocks, workers, wsum))
+    return _merge_reports([_gauss_check(b, wsum) for b in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +460,10 @@ def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     expansion, C(q; u1, u2) = [j = t] + C(child), from the base (1; 0, 0),
     which holds none.  A Brun expansion takes at most three steps per
     denominator, so at most 3 * bound digits, which sets the radix.
-    `workers` processes then histogram the lanes (t2, t3, t1) = (u1, u2, q)
-    of the denominator blocks (_table_rows).  The states take 2 bytes per
-    word, 2 * sum((q + 1)^2 for q <= bound) bytes per word in all, 18 MB
-    at t1 <= 300.
+    The lanes (t2, t3, t1) = (u1, u2, q) of the denominator blocks are
+    then histogrammed (_table_rows).  The states take 2 bytes per word,
+    2 * sum((q + 1)^2 for q <= bound) bytes per word in all, 18 MB at
+    t1 <= 300.
     """
     targets = tuple(targets)
     radix, per, words = _count_words(3 * bound, len(targets))
@@ -496,7 +472,7 @@ def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     state = _count_states(_brun2_layers, size, max(bound, 1), targets, radix, per, words)
     starts = _brun2_index(np.arange(bound + 2, dtype=np.int64), 0, 0)
     blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
-    parts = _run_blocks(_table_rows, blocks, workers, state, starts, _brun2_is_lane, radix, per, len(targets))
+    parts = [_table_rows(b, state, starts, _brun2_is_lane, radix, per, len(targets)) for b in blocks]
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
@@ -561,7 +537,7 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
     _require_memory(8 * _brun2_index(bound + 1, 0, 0), f"the Brun verify sweep at t1 <= {bound}")
     wsum = _brun2_weights(max(bound, 1))
     blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
-    return _merge_reports(_run_blocks(_brun2_check, blocks, workers, wsum))
+    return _merge_reports([_brun2_check(b, wsum) for b in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +711,9 @@ def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     its canonical expansion, C(flag, p, r, q) = [(a, b) = t] + C(a == b,
     child), from the base, the origin (0, 0, 1), which holds none.  A JP
     expansion takes at most two steps per denominator, so at most 2 * bound
-    digits, which sets the radix.  `workers` processes then histogram the
-    lanes, the states at flag 0, of the denominator blocks (_table_rows).
-    The choice table and the counts take 2 + 4 * words bytes per state,
+    digits, which sets the radix.  The lanes, the states at flag 0, of the
+    denominator blocks are then histogrammed (_table_rows).  The choice
+    table and the counts take 2 + 4 * words bytes per state,
     (2 + 4 * words) * bound * (bound + 1) * (bound + 2) / 3 bytes in all,
     252 MB at q <= 500 with one word.
     """
@@ -748,7 +724,7 @@ def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     state = _jp_states(choice, max(bound, 1), targets, radix, per, words)
     starts = _jp_index(1, 0, np.arange(bound + 2, dtype=np.int64))
     blocks = _blocks(2, bound, lambda q: q * (q + 1))
-    parts = _run_blocks(_table_rows, blocks, workers, state[:, 0], starts, None, radix, per, len(targets))
+    parts = [_table_rows(b, state[:, 0], starts, None, radix, per, len(targets)) for b in blocks]
     return _table_from_parts(parts, "jp", 3, targets, bound)
 
 
@@ -824,4 +800,4 @@ def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
     choice = _jp_choice_table(max(bound, 1))
     wsum = _jp_weights(choice, max(bound, 1))
     blocks = _blocks(1, bound, lambda q: 2 * q * (q + 1))
-    return _merge_reports(_run_blocks(_jp_check, blocks, workers, choice, wsum))
+    return _merge_reports([_jp_check(b, choice, wsum) for b in blocks])

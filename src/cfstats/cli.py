@@ -9,12 +9,13 @@ Subcommands
     verify      run the acceptance criteria and report pass/fail
 
 A JSON config file (--config) supplies defaults; explicit flags win.
-Identical configurations produce byte-identical outputs for any thread
-count: floats are always serialized with 17 significant digits, JSON
-keys are sorted, and all reductions are deterministic.
+Identical configurations produce byte-identical outputs: floats are
+always serialized with 17 significant digits, JSON keys are sorted, and
+all reductions are deterministic.  A run that exits with code 1 or 3
+creates no output directory.
 
-Exit codes: 0 success, 1 validation error, 2 criterion failure from
-verify, 3 resource budget exceeded.
+Exit codes: 0 success, 1 validation or usage error, 2 criterion failure
+from verify, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class ExperimentConfig:
     jmax: int | None = None
     epsilon: tuple = (0.05,)
     q_grid: tuple = ()
-    threads: int = 1
     out: str = "out"
     budget: int = 5_000_000
     histogram_bins: int = 101
@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ValidationError("grid must be at least 2")
         if self.jmax is not None and self.jmax <= 0:
             raise ValidationError("jmax must be positive")
-        if self.threads < 1 or self.budget < 1 or self.histogram_bins < 2:
+        if self.budget < 1 or self.histogram_bins < 2:
             raise ValidationError("numeric fields must be positive")
         if any(e <= 0 for e in self.epsilon):
             raise ValidationError("epsilon values must be positive")
@@ -152,7 +152,10 @@ def write_json(path: str, obj: dict) -> None:
         fh.write(text)
 
 
-def _write_schema(outdir: str) -> None:
+def _make_outdir(outdir: str) -> None:
+    """Create outdir with its schema.json; commands call it once their
+    results are computed, so a failed run leaves no directory."""
+    os.makedirs(outdir, exist_ok=True)
     write_json(os.path.join(outdir, "schema.json"), {"schemas": SCHEMAS})
 
 
@@ -175,7 +178,7 @@ def _build_table(cfg: ExperimentConfig) -> stats.EnsembleTable:
     bound = cfg.bound()
     if bound > cfg.budget:
         raise BudgetError(f"denominator bound {bound} exceeds budget {cfg.budget}")
-    table = _BULK_SWEEPS[cfg.algorithm](bound, cfg.targets, workers=cfg.threads)
+    table = _BULK_SWEEPS[cfg.algorithm](bound, cfg.targets)
     if cfg.Q is not None:
         table = table.restrict_weight(cfg.Q)
     return table
@@ -206,8 +209,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
     bound = cfg.bound()
     if bound > cfg.budget:
         raise BudgetError(f"denominator bound {bound} exceeds budget {cfg.budget}")
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_schema(cfg.out)
+    _make_outdir(cfg.out)
     path = os.path.join(cfg.out, "trajectories.csv")
     m = cfg.map_desc.m
     labels = [_label_str(t) for t in cfg.targets]
@@ -276,8 +278,6 @@ def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
         raise ValidationError("clt needs a Q grid with at least 2 points")
     if mode == "ldp" and len(cfg.q_grid) < 4:
         raise ValidationError("ldp needs a Q grid with at least 4 points")
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_schema(cfg.out)
     table = _build_table(cfg)
     _, lam_spec, sigma_spec = _spectral_constants(cfg)
     summ, payload = _summary_payload(cfg, table, lam_spec, sigma_spec)
@@ -301,6 +301,7 @@ def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
             ldp[_label_str(label)] = per_eps
         payload["ldp"] = ldp
 
+    _make_outdir(cfg.out)
     write_json(os.path.join(cfg.out, "summary.json"), payload)
     _write_histograms(cfg, summ)
     print(f"wrote {os.path.join(cfg.out, 'summary.json')}")
@@ -310,8 +311,6 @@ def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
 def cmd_spectral(cfg: ExperimentConfig) -> int:
     cfg.validate(need_bound=False)
     G, jmax = _spectral_grid(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_schema(cfg.out)
     deriv, lam, sigma = _spectral_constants(cfg)
     payload = {
         "config": _config_payload(cfg),
@@ -333,9 +332,10 @@ def cmd_spectral(cfg: ExperimentConfig) -> int:
         payload["witnesses"] = w.values
         payload["witness_fixed_points"] = w.fixed_points
         payload["witness_ratio_cf"] = w.ratio_cf
-    write_json(os.path.join(cfg.out, "constants.json"), payload)
     # density dump for plotting
     dens = spectral.invariant_density(cfg.map_desc, G=min(G, 512), j_max=jmax)
+    _make_outdir(cfg.out)
+    write_json(os.path.join(cfg.out, "constants.json"), payload)
     with open(os.path.join(cfg.out, "density.csv"), "w") as fh:
         fh.write("# schema=cfstats.density.v1\n")
         if dens.m == 1:
@@ -356,11 +356,10 @@ def cmd_spectral(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, names=None) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_schema(cfg.out)
-    results = acceptance.run_all(names, workers=cfg.threads)
+    results = acceptance.run_all(names)
     for r in results:
         print(r.line())
+    _make_outdir(cfg.out)
     # each criterion as {name, passed, detail, values}
     write_json(os.path.join(cfg.out, "verify_report.json"), {"criteria": [asdict(r) for r in results]})
     return 0 if all(r.passed for r in results) else 2
@@ -385,8 +384,16 @@ def _config_payload(cfg: ExperimentConfig) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValidationError on a usage error, which argparse would report
+    with exit code 2, the code of a failed criterion."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cfstats", description=__doc__.split("\n")[0])
+    ap = _Parser(prog="cfstats", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("enumerate", "stats", "clt", "ldp", "spectral", "verify"):
         p = sub.add_parser(name)
@@ -399,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jmax", type=int)
         p.add_argument("--epsilon", help="comma list of deviation thresholds")
         p.add_argument("--q-grid", dest="q_grid", help="comma list of Q values")
-        p.add_argument("--threads", type=int)
         p.add_argument("--out")
         p.add_argument("--budget", type=int)
         if name == "verify":
@@ -407,24 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the config keys set as they are; targets, epsilon and q_grid are lists
+_SCALAR_KEYS = (
+    "algorithm",
+    "Q",
+    "denominator_bound",
+    "grid",
+    "jmax",
+    "out",
+    "budget",
+    "histogram_bins",
+    "use_empirical_lambda",
+)
+
+
 def _load_config(ns) -> ExperimentConfig:
     data = {}
     if ns.config:
         with open(ns.config) as fh:
             data = json.load(fh)
+    unknown = sorted(set(data) - {*_SCALAR_KEYS, "targets", "epsilon", "q_grid"})
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     cfg = ExperimentConfig()
-    for key in (
-        "algorithm",
-        "Q",
-        "denominator_bound",
-        "grid",
-        "jmax",
-        "threads",
-        "out",
-        "budget",
-        "histogram_bins",
-        "use_empirical_lambda",
-    ):
+    for key in _SCALAR_KEYS:
         if key in data and data[key] is not None:
             setattr(cfg, key, data[key])
         if getattr(ns, key, None) is not None:
@@ -445,8 +457,8 @@ def _load_config(ns) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         cfg = _load_config(ns)
         if ns.command == "enumerate":
             return cmd_enumerate(cfg)

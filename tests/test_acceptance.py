@@ -18,7 +18,7 @@ from cfstats import acceptance
 
 @pytest.fixture(scope="session")
 def ctx():
-    return acceptance.AcceptanceContext(workers=1)
+    return acceptance.AcceptanceContext()
 
 
 def _run(ctx, name):
@@ -98,7 +98,7 @@ class PerturbedContext(acceptance.AcceptanceContext):
     """The session context with its spectral constants scaled entrywise."""
 
     def __init__(self, base, lambda_scale=1.0, sigma_scale=1.0):
-        super().__init__(workers=base.workers)
+        super().__init__()
         self._cache = base._cache
         self.lambda_scale = np.asarray(lambda_scale)
         self.sigma_scale = sigma_scale

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -36,12 +35,12 @@ def table_digest(t):
 
 
 SWEEPS = {
-    "gauss": lambda workers: bulk.gauss_ensemble_table(80, targets=(1,), workers=workers),
-    "gauss_verify": lambda workers: bulk.gauss_verify(80, workers=workers),
-    "jp_table": lambda workers: bulk.jp_ensemble_table(30, targets=((1, 2), (0, 1)), workers=workers),
-    "jp_verify": lambda workers: bulk.jp_verify(30, workers=workers),
-    "brun_table": lambda workers: bulk.brun2_ensemble_table(30, targets=(1, 2), workers=workers),
-    "brun_verify": lambda workers: bulk.brun2_verify(30, workers=workers),
+    "gauss": lambda: bulk.gauss_ensemble_table(100, targets=(1,)),
+    "gauss_verify": lambda: bulk.gauss_verify(100),
+    "jp_table": lambda: bulk.jp_ensemble_table(30, targets=((1, 2), (0, 1))),
+    "jp_verify": lambda: bulk.jp_verify(30),
+    "brun_table": lambda: bulk.brun2_ensemble_table(30, targets=(1, 2)),
+    "brun_verify": lambda: bulk.brun2_verify(30),
 }
 
 
@@ -129,19 +128,22 @@ class TestTableAgreement:
         assert state[:, expandable].sum(axis=0).max() < radix
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
-    def test_worker_count_does_not_change_output(self, sweep, monkeypatch):
-        monkeypatch.setattr(bulk, "_LANE_BUDGET", 2000)  # several blocks per sweep
-        tasks, built = [], []
-        run_blocks, choice_table = bulk._run_blocks, bulk._jp_choice_table
-        monkeypatch.setattr(
-            bulk, "_run_blocks", lambda fn, blocks, *rest: tasks.extend(blocks) or run_blocks(fn, blocks, *rest)
-        )
+    def test_block_split_does_not_change_output(self, sweep, monkeypatch):
+        splits, built = [], []
+        blocks, choice_table = bulk._blocks, bulk._jp_choice_table
+
+        def recorded_blocks(*args):
+            splits.append(blocks(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(bulk, "_blocks", recorded_blocks)
         monkeypatch.setattr(bulk, "_jp_choice_table", lambda bound: built.append(bound) or choice_table(bound))
-        one, two = SWEEPS[sweep](1), SWEEPS[sweep](2)
-        assert one == two if sweep.endswith("verify") else tables_equal(one, two)
-        assert len(tasks) > 2  # both runs had more than one block, so two workers ran
-        # tasks are denominator blocks; the JP choice table is built once per sweep, not sent with them
-        assert max(len(pickle.dumps(t)) for t in tasks) < 200
+        whole = SWEEPS[sweep]()
+        monkeypatch.setattr(bulk, "_LANE_BUDGET", 2000)  # several blocks per sweep
+        split = SWEEPS[sweep]()
+        assert whole == split if sweep.endswith("verify") else tables_equal(whole, split)
+        assert len(splits) == 2 and len(splits[1]) > 2
+        # the JP choice table is built once per sweep, not once per block
         assert len(built) == (2 if sweep.startswith("jp") else 0)
 
 

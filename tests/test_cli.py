@@ -95,11 +95,17 @@ class TestStats:
         assert read(o1 / "summary.json") == read(o2 / "summary.json")
         assert read(o1 / "histogram.csv") == read(o2 / "histogram.csv")
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        o1, o2 = tmp_path / "a", tmp_path / "b"
-        run(["stats", *self.ARGS, "--threads", "1", "--out", str(o1)])
-        run(["stats", *self.ARGS, "--threads", "2", "--out", str(o2)])
-        assert read(o1 / "summary.json") == read(o2 / "summary.json")
+    def test_threads_option_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["stats", *self.ARGS, "--threads", "2", "--out", str(tmp_path / "o")]) == 1
+        assert "error: unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [["stats", "--bogus", "1"], ["stats", "--grid", "x"], []],
+                             ids=["unknown-option", "malformed-value", "no-command"])
+    def test_usage_errors_exit_one(self, args, capsys):
+        # exit code 2 is kept for a failed criterion
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -113,6 +119,13 @@ class TestStats:
         data = json.loads(read(out / "summary.json"))
         assert data["config"]["denominator_bound"] == 80  # flag wins
 
+    @pytest.mark.parametrize("key", ["threads", "denominator-bound"])
+    def test_unknown_config_key_is_a_validation_error(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"algorithm": "gauss", "denominator_bound": 60, key: 2}))
+        assert run(["stats", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_empty_ensemble_is_a_validation_error(self, tmp_path, capsys):
         assert run(["stats", "--algorithm", "gauss", "--denominator-bound", "1",
@@ -156,7 +169,7 @@ class TestCltLdp:
                     "--targets", "1", "--grid", "64", "--jmax", "256",
                     "--q-grid", grid, "--out", str(tmp_path / "o")]) == 1
         assert "error: empty ensemble" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "summary.json").exists()
+        assert not (tmp_path / "o").exists()  # the table is built before the directory
 
     def test_clt_run_ks_by_q(self, tmp_path):
         out = tmp_path / "o"
