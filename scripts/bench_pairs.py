@@ -19,7 +19,10 @@ pairs in which the after side was better, and whether both sides
 printed the same digests in every untraced pair: all of them
 (digests_equal), and each digest key on its own (digests_equal_by_key).
 It also records each checkout's source size, the number of lines of
-src/**/*.py (src_lines).
+src/**/*.py (src_lines), and its cold import cost: the median over seven
+fresh `python -X importtime -c "import cfstats.cli"` processes of the
+cumulative import time of cfstats.cli (import_ms), and whether any scipy
+module was imported in them (import_loads_scipy).
 """
 
 import argparse
@@ -34,6 +37,7 @@ END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # all lower-is-bette
 PAIRS = 10
 TRACED_PAIRS = 5
 SEED = 700
+IMPORT_PROBES = 7
 
 
 def run(checkout: str, workload: str, seed: int, trace: int) -> dict:
@@ -52,6 +56,22 @@ def src_lines(checkout: str) -> int:
         with open(path, "rb") as fh:
             total += len(fh.read().splitlines())
     return total
+
+
+def import_cost(checkout: str) -> tuple:
+    """(median ms, any scipy module imported) of `import cfstats.cli` in
+    IMPORT_PROBES fresh interpreters that import cfstats from checkout/src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    cmd = [sys.executable, "-X", "importtime", "-c", "import cfstats.cli"]
+    times, scipy = [], False
+    for _ in range(IMPORT_PROBES):
+        err = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True).stderr
+        # lines "import time: self [us] | cumulative | imported package", nesting indented
+        rows = [line.split("|") for line in err.splitlines() if line.startswith("import time:")]
+        names = {row[2].strip(): row for row in rows if len(row) == 3}
+        times.append(int(names["cfstats.cli"][1]) / 1000)
+        scipy = scipy or any(n == "scipy" or n.startswith("scipy.") for n in names)
+    return statistics.median(times), scipy
 
 
 def spread(values) -> dict:
@@ -94,7 +114,14 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     per_layer = [(m["name"], m["better"]) for m in bench["per_layer"]]
     sizes = {side: src_lines(getattr(args, side)) for side in ("before", "after")}
-    report = {"nproc": os.cpu_count(), "src_lines": sizes, "workloads": {}}
+    imports = {side: import_cost(getattr(args, side)) for side in ("before", "after")}
+    report = {
+        "nproc": os.cpu_count(),
+        "src_lines": sizes,
+        "import_ms": {side: imports[side][0] for side in imports},
+        "import_loads_scipy": {side: imports[side][1] for side in imports},
+        "workloads": {},
+    }
     for workload in workloads:
         pairs = alternating_pairs(args, workload, PAIRS, 0)
         traced = alternating_pairs(args, workload, TRACED_PAIRS, 1)

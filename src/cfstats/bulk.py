@@ -163,8 +163,8 @@ def _count_states(layers, size: int, bound: int, targets, radix: int, per: int, 
 def _table_rows(qs, state, starts, lane, radix, per, ntargets):
     """Table rows of the denominators [qlo, qhi], read from the packed
     counts int16[word, state] of a DP whose layer q begins at the position
-    starts[q]; lane(k) marks the lanes among the positions k, or lane is
-    None where every state is a lane.
+    starts[q]; lane(k, q) marks the lanes among the positions k of the
+    layers q, or lane is None where every state is a lane.
 
     The packed words are histogrammed as they are, in one int64 key of
     mixed radix whose digits are q and the words, with spans taken from
@@ -179,7 +179,7 @@ def _table_rows(qs, state, starts, lane, radix, per, ntargets):
     packed = state[:, lo:hi]
     key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int64), np.diff(starts[qlo : qhi + 2]))  # q - qlo
     if lane is not None:
-        keep = lane(np.arange(lo, hi))
+        keep = lane(np.arange(lo, hi), key + qlo)
         packed, key = packed[:, keep], key[keep]
     size, lows, spans, ranked = qhi - qlo + 1, [], [], []  # key < size
     for word in packed:
@@ -426,10 +426,10 @@ def _brun2_children(q, u1, u2):
     return j, i1, um, _brun2_index(um, np.where(i1, u2, r), np.where(i1, r, u1))
 
 
-def _brun2_is_lane(k):
-    """Whether the positions k hold lanes, the sorted triples (q; u1, u2)
-    with u1 >= u2 >= 1."""
-    _, u1, u2 = _brun2_state(k)
+def _brun2_is_lane(k, q):
+    """Whether the positions k of the layers q hold lanes, the sorted
+    triples (q; u1, u2) with u1 >= u2 >= 1."""
+    u1, u2 = np.divmod(k - _brun2_index(q, 0, 0), q + 1)
     return (u1 >= u2) & (u2 >= 1)
 
 

@@ -18,6 +18,9 @@ Entries whose powers are all at most 2 are therefore the same floats as
 a pow-based loop gives (x**2 is x * x); entries with a third or higher
 power can differ from it in the last bits.
 
+The one normal CDF here (gaussian_cdf) is scipy.special.ndtr, which is
+imported on the first call: importing this module loads numpy only.
+
 The empirical covariance reported for the rescaled centred counts is
 the uncentered second-moment matrix: the centring already happened
 through the weight term, the limit law has mean zero, and this choice
@@ -31,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .maps import max_denominator
 
@@ -112,16 +114,20 @@ class EnsembleTable:
 
     @classmethod
     def from_records(cls, records, targets, algorithm=None, denominator_bound=0):
-        """Reduce a trajectory-record stream to its multiplicity table."""
+        """Reduce a trajectory-record stream to its multiplicity table.
+
+        Each record's digit counts are read from its `counts` (label ->
+        occurrences, as enumerate_trajectories builds it from the same
+        digits), which is trusted to agree with `digits`; the digit string
+        is not rescanned.
+        """
         targets = targets.labels if isinstance(targets, TargetSet) else tuple(targets)
         rows: dict = {}
         algo = algorithm
         bound = denominator_bound
         mult = None
         for rec in records:
-            key = (rec.point.denominator,) + tuple(
-                sum(1 for d in rec.digits if d.label == t) for t in targets
-            )
+            key = (rec.point.denominator,) + tuple(rec.counts[t] for t in targets)
             rows[key] = rows.get(key, 0) + 1
             mult = rec.weight_multiplier
             bound = max(bound, rec.point.denominator)
@@ -255,7 +261,13 @@ def ks_distance_lattice(values, weights, width: float, sigma: float) -> float:
 
 
 def gaussian_cdf(x, sigma: float):
-    """Standard-accuracy normal CDF (absolute error well below 1e-10)."""
+    """Standard-accuracy normal CDF (absolute error well below 1e-10).
+
+    scipy.special is imported on the first call, not with the module, so
+    that a process which never evaluates a normal CDF never loads scipy.
+    """
+    from scipy.special import ndtr
+
     return ndtr(np.asarray(x, dtype=np.float64) / sigma)
 
 

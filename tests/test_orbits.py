@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,14 @@ class TestEnumeration:
         for desc, cap in ((GAUSS, 60), (JP2, 12), (BRUN2, 10)):
             for rec in enumerate_trajectories(desc, denominator_cap=cap):
                 assert verify_roundtrip(desc, rec)
+
+    @pytest.mark.parametrize("desc, cap", [(GAUSS, 60), (BRUN2, 12), (JP2, 12)], ids=["gauss", "brun2", "jp"])
+    def test_counts_tally_the_digits(self, desc, cap):
+        # EnsembleTable.from_records reads counts instead of rescanning digits
+        recs = list(enumerate_trajectories(desc, denominator_cap=cap))
+        assert recs
+        for rec in recs:
+            assert rec.counts == Counter(d.label for d in rec.digits)
 
     def test_weight_matches_telescoped_jacobian(self):
         for rec in enumerate_trajectories(GAUSS, denominator_cap=25):

@@ -1,17 +1,87 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfstats"
 
 
-def test_no_assert_statements_in_the_package():
-    # runtime checks must be explicit raises: python -O strips assert statements
+def _parsed_modules():
     paths = sorted(PACKAGE.glob("*.py"))
     assert paths
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_no_assert_statements_in_the_package():
+    # runtime checks must be explicit raises: python -O strips assert statements
     found = [
         f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path, tree in _parsed_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _module_level_imports(tree):
+    """The import statements that run when the module is imported: those
+    outside every function body (class bodies and if/try blocks run too)."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    # scipy is imported where it is used, so enumeration never pays its import
+    found = []
+    for path, tree in _parsed_modules():
+        for node in _module_level_imports(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _fresh_python(code, tmp_path):
+    """Run code in a new interpreter that imports cfstats from src/ and
+    return its stdout; the test process itself has scipy loaded."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_enumerate_loads_no_scipy(tmp_path):
+    out = _fresh_python(
+        "import sys\n"
+        "import cfstats, cfstats.cli\n"
+        "code = cfstats.cli.main(['enumerate', '--algorithm', 'gauss', '--denominator-bound', '30',\n"
+        "                         '--targets', '1,2', '--out', 'o'])\n"
+        "print(code, cfstats.__file__)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n",
+        tmp_path,
+    )
+    status, loaded = out.splitlines()[-2:]
+    assert status == f"0 {PACKAGE / '__init__.py'}"
+    assert loaded == "[]"
+    assert (tmp_path / "o" / "trajectories.csv").exists()
+
+
+def test_gaussian_cdf_loads_scipy_special(tmp_path):
+    out = _fresh_python(
+        "import sys\n"
+        "from cfstats import stats\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "value = float(stats.gaussian_cdf(0.0, 1.0))\n"
+        "print(before, 'scipy.special' in sys.modules, value)\n",
+        tmp_path,
+    )
+    assert out.split() == ["False", "True", "0.5"]
