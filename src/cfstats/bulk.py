@@ -6,12 +6,12 @@ trip) and that its forward log-Jacobians sum to (m + 1) log q.
 
 Every sweep is a DP over the states of its algorithm, filled layer by
 layer in the denominator: a state's value is its first step's term plus
-the value of the child it steps to.  A table DP packs the target counts
-of every state a few per int16 word, in a radix one above the longest
-expansion, -1 where the gcd exceeds 1 or there is no expansion; one
-histogram of the packed words (_table_rows) turns the lanes' states into
-table rows, for any number of targets.  A verify DP holds a float64
-weight sum per state, NaN where the gcd exceeds 1; a second pass decodes
+the value of the child it steps to.  A table DP holds one int8 count
+per target and state, negative where the gcd exceeds 1 or there is no
+expansion, and raises if a count reaches 127; one histogram of the count
+rows (_table_rows) turns the lanes' states into table rows, for any
+number of targets.  A verify DP holds a float64 weight sum per state,
+NaN where the gcd exceeds 1; a second pass decodes
 each coprime state's child from the position the DP read and checks the
 step's inverse branch exactly, B (child) = state, so by induction on the
 denominator it proves every point's round trip without composing any
@@ -90,7 +90,7 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     if not any(len(p[0]) for p in parts):
         raise ValueError("empty ensemble")  # as EnsembleTable.from_records
     qs = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
+    counts = np.concatenate([p[1] for p in parts])[:, : len(targets)]  # without the stand-in row of no target
     mult = np.concatenate([p[2] for p in parts])
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
 
@@ -119,93 +119,88 @@ def _merge_reports(parts) -> VerifyReport:
     )
 
 
-def _count_words(longest: int, ntargets: int):
-    """(radix, targets per int16 word, words) of digit counts packed for
-    expansions of at most `longest` digits: the radix is longest + 1, at
-    least 2, and a word holds as many targets as keep it below 2^15."""
-    radix, per = max(longest, 1) + 1, 1
-    while radix ** (per + 1) <= 2**15:
-        per += 1
-    return radix, per, max(1, -(-ntargets // per))
+def _count_states(layers, size: int, bound: int, targets) -> np.ndarray:
+    """int8[target, state]: the digit counts of the `size` states of a Gauss
+    or Brun DP with denominators up to bound.  layers(bound, fill) calls
+    fill(k, j, child, ...) with the positions k of the states of each layer
+    in order, their digits j and the positions of their children; the
+    state at position 0 ends every coprime expansion.
 
-
-def _digit_weights(digits, ndigits: int, radix: int, per: int, words: int) -> np.ndarray:
-    """int16[word, digit index]: what each of the ndigits digits adds to
-    the packed counts, given each target's digit index, -1 for a target
-    that no expansion takes; target 0 is the most significant."""
-    weight = np.zeros((words, ndigits), np.int16)
-    for i, d in enumerate(digits):
-        if d >= 0:
-            weight[i // per, d] += radix ** (per - 1 - i % per)
-    return weight
-
-
-def _count_states(layers, size: int, bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
-    """int16[word, state]: the digit counts of the `size` states of a Gauss
-    or Brun DP with denominators up to bound, packed by _digit_weights; -1
-    where the gcd exceeds 1.  layers(bound, fill) calls fill(k, j, child, ...)
-    with the positions k of the states of each layer in order, their digits
-    j, 1 <= j <= bound, and the positions of their children; the state at
-    position 0 ends every coprime expansion."""
-    weight = _digit_weights([t if 1 <= t <= bound else -1 for t in targets], bound + 1, radix, per, words)
-    state = np.full((words, size), -1, np.int16)
+    Every state starts at -128 but the base, at 0, and takes its child's
+    counts plus its own digit, one gather per target.  A state with gcd
+    g > 1 ends at a state that no layer fills, so it holds -128 plus the
+    counts of its reduced expansion, which is negative as long as every
+    count stays below 127.  Raises RuntimeError if one reaches 127.
+    """
+    state = np.full((len(targets), size), -128, np.int8)
     state[:, 0] = 0
 
     def fill(k, j, child, *_):
-        coprime = state[0].take(child) >= 0
-        for w in range(words):
-            state[w, k] = np.where(coprime, state[w].take(child) + weight[w].take(j), -1)
+        for row, t in zip(state, targets):
+            row[k] = row.take(child) + (j == t)
 
     layers(bound, fill)
+    _require_int8(state)
     return state
 
 
-def _table_rows(qs, state, starts, lane, radix, per, ntargets):
-    """Table rows of the denominators [qlo, qhi], read from the packed
-    counts int16[word, state] of a DP whose layer q begins at the position
+def _require_int8(state):
+    """Raise RuntimeError if a digit count of a DP reaches 127: one more
+    digit would wrap, and the sign would no longer mark gcd > 1.  The first
+    state to reach 127 keeps it, so one check after the last layer sees it."""
+    if state.max(initial=0) >= 127:
+        raise RuntimeError("a digit count reaches 127, beyond what an int8 state holds")
+
+
+def _table_rows(qs, state, starts, lane):
+    """Table rows of the denominators [qlo, qhi], read from the counts
+    int8[target, state] of a DP whose layer q begins at the position
     starts[q]; lane(k, q) marks the lanes among the positions k of the
     layers q, or lane is None where every state is a lane.
 
-    The packed words are histogrammed as they are, in one int64 key of
-    mixed radix whose digits are q and the words, with spans taken from
-    the data.  Where the next word would overflow the key, np.unique first
-    replaces the key by its rank among the distinct keys so far, so any
-    number of words works.  Counts are packed target 0 first, so the keys
-    sort in (q, counts) order.  Only the distinct rows are unpacked, and
-    the -1 rows of gcd > 1 or no expansion are dropped then.
+    Each row's negatives, gcd > 1 or no expansion, are clamped to -1, and
+    the rows are histogrammed as they are, in one positional key whose
+    digits are q and the rows, each in a base of its span in the data.
+    The key is int32 while its size stays below 2^31, then int64.  Where
+    the next row would overflow 2^63, np.unique first replaces the key by
+    its rank among the distinct keys so far, so any number of targets
+    works.  Target 0 is the most significant row, so the keys sort in
+    (q, counts) order.  Only the distinct keys are decoded, and the -1
+    rows are dropped then.
     """
     qlo, qhi = qs
     lo, hi = starts[qlo], starts[qhi + 1]
-    packed = state[:, lo:hi]
-    key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int64), np.diff(starts[qlo : qhi + 2]))  # q - qlo
+    rows = state[:, lo:hi]
+    key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int32), np.diff(starts[qlo : qhi + 2]))  # q - qlo
     if lane is not None:
-        keep = lane(np.arange(lo, hi), key + qlo)
-        packed, key = packed[:, keep], key[keep]
+        keep = lane(np.arange(lo, hi), key.astype(np.int64) + qlo)
+        rows, key = rows[:, keep], key[keep]
+    rows = np.maximum(rows, -1)
     size, lows, spans, ranked = qhi - qlo + 1, [], [], []  # key < size
-    for word in packed:
-        low = int(word.min())
-        span = int(word.max()) - low + 1
+    for row in rows:
+        low = int(row.min())
+        span = int(row.max()) - low + 1
         distinct = None
         if size * span >= 2**63:
             distinct, key = np.unique(key, return_inverse=True)
             size = len(distinct)
-        key = key * span - low + word  # int64 from the first product on
+        if size * span >= 2**31:
+            key = key.astype(np.int64, copy=False)
+        key = key * span - low + row
         size *= span
         lows.append(low)
         spans.append(span)
         ranked.append(distinct)
     key, mult = np.unique(key, return_counts=True)
-    rows = np.empty((len(packed), len(key)), np.int64)
-    for w in reversed(range(len(packed))):
-        key, rows[w] = np.divmod(key, spans[w])
-        rows[w] += lows[w]
-        if ranked[w] is not None:
-            key = ranked[w][key]
-    coprime = rows[0] >= 0
-    cnt = np.empty((ntargets, np.count_nonzero(coprime)), np.int64)
-    for i in range(ntargets):
-        cnt[i] = rows[i // per, coprime] // radix ** (per - 1 - i % per) % radix
-    return key[coprime] + qlo, cnt.T, mult[coprime].astype(np.int64)
+    key = key.astype(np.int64, copy=False)
+    counts = np.empty((len(rows), len(key)), np.int64)
+    for i in reversed(range(len(rows))):
+        key, counts[i] = np.divmod(key, spans[i])
+        counts[i] += lows[i]
+        if ranked[i] is not None:
+            key = ranked[i][key]
+    keep = counts[0] >= 0
+    return key[keep] + qlo, counts[:, keep].T, mult[keep].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +211,9 @@ def _table_rows(qs, state, starts, lane, radix, per, ntargets):
 # sum along the expansion of r/p is its first step's term plus its child's
 # sum.  The states lie in layers p = 1, 2, ... of p states each; a layer
 # reads only earlier ones, and one loop (_gauss_layers) fills both DPs.
-# gcd(r, p) > 1 is marked in each state (-1 in the table, NaN in the
-# weights), since (0, p) is coprime only for p = 1 and every coprime state
-# has a coprime child.
+# gcd(r, p) > 1 is marked in each state (a negative count in the table,
+# NaN in the weights), since (0, p) is coprime only for p = 1 and every
+# coprime state has a coprime child.
 
 
 def _gauss_index(r, p):
@@ -252,15 +247,6 @@ def _gauss_layers(bound: int, fill):
     for p in range(2, bound + 1):
         start = _gauss_index(0, p) + 1
         fill(slice(start, start + p - 1), *_gauss_children(r[: p - 1], np.int32(p), first[: p - 1]))
-
-
-def _euclid_longest(bound: int) -> int:
-    """The longest Euclid expansion of a p/q with q <= bound: n digits need
-    q >= F(n + 2), reached by the digits 1, ..., 1, 2."""
-    n, f, g = 1, 2, 3  # F(n + 2) = f <= bound, g = F(n + 3)
-    while g <= bound:
-        n, f, g = n + 1, g, f + g
-    return n
 
 
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -308,21 +294,23 @@ def _require_memory(need: int, what: str):
 def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for all coprime p/q with 2 <= q <= bound.
 
-    A DP holds the packed target counts of every state (r, p) with
-    p <= bound (_count_states); by induction on p each coprime state holds
-    the counts of its expansion, C(r, p) = [p // r = t] + C(p mod r, r), from
-    the base (0, 1), which holds none; (0, p) holds -1 for p >= 2.
-    The denominator blocks of states are then histogrammed (_table_rows).
-    The states take bound * (bound + 1) bytes per word.
+    A DP holds the target counts of every state (r, p) with p <= bound
+    (_count_states); by induction on p each coprime state holds the counts
+    of its expansion, C(r, p) = [p // r = t] + C(p mod r, r), from the base
+    (0, 1), which holds none; (0, p) holds -128 for p >= 2.  Lame's bound
+    keeps every expansion far below 127 digits at any bound whose states
+    fit in memory.  The denominator blocks of states are then histogrammed
+    (_table_rows).  The states take 1 byte per state and target,
+    bound * (bound + 1) / 2 bytes per target in all.
     """
     targets = tuple(targets)
-    radix, per, words = _count_words(_euclid_longest(bound), len(targets))
-    _require_memory(2 * _gauss_index(0, bound + 1) * words, f"the Gauss table at q <= {bound}")
+    rows = targets or (0,)  # with no target, a row that no digit hits still marks gcd > 1
+    _require_memory(len(rows) * _gauss_index(0, bound + 1), f"the Gauss table at q <= {bound}")
     size = _gauss_index(0, max(bound, 1) + 1)
-    state = _count_states(_gauss_layers, size, max(bound, 1), targets, radix, per, words)
+    state = _count_states(_gauss_layers, size, max(bound, 1), rows)
     starts = _gauss_index(0, np.arange(bound + 2, dtype=np.int64))
     blocks = _blocks(2, bound, lambda q: q)
-    parts = [_table_rows(b, state, starts, None, radix, per, len(targets)) for b in blocks]
+    parts = [_table_rows(b, state, starts, None) for b in blocks]
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
@@ -454,25 +442,24 @@ def _brun2_layers(bound: int, fill):
 def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for coprime descending triples with t1 <= bound.
 
-    A DP holds the packed target counts of every state (q; u1, u2) with
+    A DP holds the target counts of every state (q; u1, u2) with
     q <= bound (_count_states); by induction on q, each layer in the order
     of _brun2_layers, every coprime state holds the counts of its
     expansion, C(q; u1, u2) = [j = t] + C(child), from the base (1; 0, 0),
-    which holds none.  A Brun expansion takes at most three steps per
-    denominator, so at most 3 * bound digits, which sets the radix.
-    The lanes (t2, t3, t1) = (u1, u2, q) of the denominator blocks are
-    then histogrammed (_table_rows).  The states take 2 bytes per word,
-    2 * sum((q + 1)^2 for q <= bound) bytes per word in all, 18 MB at
-    t1 <= 300.
+    which holds none.  The longest expansions are far shorter than 127
+    digits (17 at t1 <= 600).  The lanes (t2, t3, t1) = (u1, u2, q) of the
+    denominator blocks are then histogrammed (_table_rows).  The states
+    take 1 byte per state and target, sum((q + 1)^2 for q <= bound) bytes
+    per target in all, 9 MB at t1 <= 300.
     """
     targets = tuple(targets)
-    radix, per, words = _count_words(3 * bound, len(targets))
-    _require_memory(2 * words * _brun2_index(bound + 1, 0, 0), f"the Brun table at t1 <= {bound}")
+    rows = targets or (0,)  # with no target, a row that no digit hits still marks gcd > 1
+    _require_memory(len(rows) * _brun2_index(bound + 1, 0, 0), f"the Brun table at t1 <= {bound}")
     size = _brun2_index(max(bound, 1) + 1, 0, 0)
-    state = _count_states(_brun2_layers, size, max(bound, 1), targets, radix, per, words)
+    state = _count_states(_brun2_layers, size, max(bound, 1), rows)
     starts = _brun2_index(np.arange(bound + 2, dtype=np.int64), 0, 0)
     blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
-    parts = [_table_rows(b, state, starts, _brun2_is_lane, radix, per, len(targets)) for b in blocks]
+    parts = [_table_rows(b, state, starts, _brun2_is_lane) for b in blocks]
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
@@ -679,52 +666,55 @@ def _jp_follow(choice, p, r, q):
     return slice(lo, lo + len(p)), a, b, pos, on, end
 
 
-def _jp_states(choice: np.ndarray, bound: int, targets, radix: int, per: int, words: int) -> np.ndarray:
-    """int16[word, after-diagonal flag, state]: the digit counts of the
+def _jp_states(choice: np.ndarray, bound: int, targets) -> np.ndarray:
+    """int8[target, after-diagonal flag, state]: the digit counts of the
     canonical expansion of every state with q <= bound after a digit of
-    that flag, packed by _digit_weights; -1 where gcd(p, r, q) > 1 or there
-    is no expansion.  Checks every choice as _jp_follow does."""
-    digits = [a * (bound + 1) + b if 0 <= a <= bound and 0 <= b <= bound else -1 for a, b in targets]
-    weight = _digit_weights(digits, (bound + 1) ** 2, radix, per, words)
-    state = np.empty((words, *choice.shape), np.int16)
-    flat = state.reshape(words, -1)
+    that flag; negative where gcd(p, r, q) > 1 or there is no expansion.
+    As in _count_states, a state takes its child's counts plus its own
+    digit, an end takes 0 at the origin (0, 0, 1) and -128 at (0, 0, g),
+    g > 1, and a state with no choice takes -128.  Checks every choice as
+    _jp_follow does, and raises RuntimeError if a count reaches 127."""
+    # a target no step takes gets -2, which no digit code matches, not even the -1 of no choice
+    codes = [a * (bound + 1) + b if 0 <= a <= bound and 0 <= b <= bound else -2 for a, b in targets]
+    state = np.empty((len(targets), *choice.shape), np.int8)
+    flat = state.reshape(len(targets), -1)
 
     def fill(p, r, q):
         cols, a, b, pos, on, end = _jp_follow(choice, p, r, q)
-        digit = np.where(on, a * (bound + 1) + b, 0)
-        ok = on & np.where(end, p == 1, flat[0].take(pos) >= 0)  # the origin (0, 0, p) at an end
-        for w in range(words):
-            child = np.where(end, 0, flat[w].take(pos))
-            state[w, :, cols] = np.where(ok, child + weight[w].take(digit), -1)
+        digit = np.where(on, a * (bound + 1) + b, -1)
+        read = on & ~end
+        base = np.where(on & (p == 1), np.int8(0), np.int8(-128))  # the end at (0, 0, 1) counts 0
+        for i, code in enumerate(codes):
+            state[i, :, cols] = np.where(read, flat[i].take(pos), base) + (digit == code)
 
     _jp_layers(bound, fill)
+    _require_int8(state)
     return state
 
 
 def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     """Digit-count table over all expandable coprime (p, r, q), q <= bound.
 
-    A DP over the choice table holds the packed target counts of every
-    state and after-diagonal flag (_jp_states), checking as it goes that
-    every choice takes an admissible digit; by induction on q, each layer
-    in the order of _jp_layers, every expandable state holds the counts of
-    its canonical expansion, C(flag, p, r, q) = [(a, b) = t] + C(a == b,
-    child), from the base, the origin (0, 0, 1), which holds none.  A JP
-    expansion takes at most two steps per denominator, so at most 2 * bound
-    digits, which sets the radix.  The lanes, the states at flag 0, of the
-    denominator blocks are then histogrammed (_table_rows).  The choice
-    table and the counts take 2 + 4 * words bytes per state,
-    (2 + 4 * words) * bound * (bound + 1) * (bound + 2) / 3 bytes in all,
-    252 MB at q <= 500 with one word.
+    A DP over the choice table holds the target counts of every state and
+    after-diagonal flag (_jp_states), checking as it goes that every choice
+    takes an admissible digit; by induction on q, each layer in the order
+    of _jp_layers, every expandable state holds the counts of its canonical
+    expansion, C(flag, p, r, q) = [(a, b) = t] + C(a == b, child), from the
+    base, the origin (0, 0, 1), which holds none.  The longest expansions
+    are far shorter than 127 digits (16 at q <= 500).  The lanes, the
+    states at flag 0, of the denominator blocks are then histogrammed
+    (_table_rows).  The choice table and the counts take 2 + 2 * len(targets)
+    bytes per state, (2 + 2 * len(targets)) * bound * (bound + 1) *
+    (bound + 2) / 3 bytes in all, 167 MB at q <= 500 with one target.
     """
     targets = tuple(targets)
-    radix, per, words = _count_words(2 * bound, len(targets))
-    _require_memory((2 + 4 * words) * _jp_index(1, 0, bound + 1), f"the JP table at q <= {bound}")
+    rows = targets or ((0, 0),)  # with no target, a row that no digit hits still marks gcd > 1
+    _require_memory((2 + 2 * len(rows)) * _jp_index(1, 0, bound + 1), f"the JP table at q <= {bound}")
     choice = _jp_choice_table(max(bound, 1))
-    state = _jp_states(choice, max(bound, 1), targets, radix, per, words)
+    state = _jp_states(choice, max(bound, 1), rows)
     starts = _jp_index(1, 0, np.arange(bound + 2, dtype=np.int64))
     blocks = _blocks(2, bound, lambda q: q * (q + 1))
-    parts = [_table_rows(b, state[:, 0], starts, None, radix, per, len(targets)) for b in blocks]
+    parts = [_table_rows(b, state[:, 0], starts, None) for b in blocks]
     return _table_from_parts(parts, "jp", 3, targets, bound)
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -5,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cfstats import bulk
+from cfstats import bulk, orbits
 from cfstats.maps import BRUN2, GAUSS, JP2
 from cfstats.orbits import (
     BudgetError,
     NotExpandableError,
+    brun_gcd_digits,
     brun_trajectory_digits,
     enumerate_trajectories,
     euclid_digits,
@@ -92,6 +94,16 @@ class TestTableAgreement:
         records = EnsembleTable.from_records(enumerate_trajectories(desc, denominator_cap=bound), targets)
         assert tables_equal(sweep(bound, targets), records)
 
+    # with no target the DP keeps one row that no digit hits, whose sign
+    # still drops the points with gcd > 1
+    @pytest.mark.parametrize("name", sorted(THREE_TARGETS))
+    def test_no_targets_match_record_path(self, name):
+        desc, bound, _, sweep = THREE_TARGETS[name]
+        records = EnsembleTable.from_records(enumerate_trajectories(desc, denominator_cap=bound), ())
+        table = sweep(bound, ())
+        assert table.counts.shape == (len(table.qs), 0)
+        assert tables_equal(table, records)
+
     # table_digest of the Brun and JP tables as computed by the earlier
     # per-lane walks
     @pytest.mark.parametrize("sweep, bound, targets, pin", [
@@ -101,31 +113,87 @@ class TestTableAgreement:
     def test_multidim_table_bytes_pinned(self, sweep, bound, targets, pin):
         assert table_digest(sweep(bound, targets)) == pin
 
-    # every digit a target, one per word, so that no count carries into
-    # another: the counts sum to the expansion's length, which the radix
-    # must exceed in every state of the DP
+    # every digit a target: in each state the rows are negative together,
+    # or they sum to the length of the state's expansion by the record
+    # path, which must stay below 127, where the int8 counts would wrap
     @pytest.mark.parametrize("name", ["gauss", "brun", "jp"])
     @pytest.mark.parametrize("bound", [2, 3, 8, 21])
     def test_longest_expansion_below_radix(self, name, bound):
         if name == "gauss":
-            targets = range(1, bound + 1)
-            radix = bulk._count_words(bulk._euclid_longest(bound), 1)[0]
+            targets = tuple(range(1, bound + 1))
             size = bulk._gauss_index(0, bound + 1)
-            state = bulk._count_states(bulk._gauss_layers, size, bound, targets, radix, 1, len(targets))
+            state = bulk._count_states(bulk._gauss_layers, size, bound, targets)
         elif name == "brun":
-            targets = range(1, bound + 1)
-            radix = bulk._count_words(3 * bound, 1)[0]
+            targets = tuple(range(1, bound + 1))
             size = bulk._brun2_index(bound + 1, 0, 0)
-            state = bulk._count_states(bulk._brun2_layers, size, bound, targets, radix, 1, len(targets))
+            state = bulk._count_states(bulk._brun2_layers, size, bound, targets)
         else:
-            targets = [(a, b) for b in range(1, bound + 1) for a in range(b + 1)]
-            radix = bulk._count_words(2 * bound, 1)[0]
-            state = bulk._jp_states(bulk._jp_choice_table(bound), bound, targets, radix, 1, len(targets))
+            targets = tuple((a, b) for b in range(1, bound + 1) for a in range(b + 1))
+            state = bulk._jp_states(bulk._jp_choice_table(bound), bound, targets)
         state = state.reshape(len(targets), -1).astype(np.int64)
         expandable = state[0] >= 0
         assert np.all((state >= 0) == expandable)
-        assert expandable.any()
-        assert state[:, expandable].sum(axis=0).max() < radix
+        lengths = np.array([-1 if n is None else n for n in expansion_lengths(name, bound)])
+        assert np.array_equal(expandable, lengths >= 0)
+        assert np.array_equal(state[:, expandable].sum(axis=0), lengths[expandable])
+        assert expandable.any() and lengths.max() < 127
+
+    @pytest.mark.parametrize("steps", [126, 127])
+    def test_count_of_127_raises(self, steps):
+        # a chain of states k = 1..steps, each stepping to k - 1 by the digit 1
+        def layers(bound, fill):
+            for k in range(1, bound + 1):
+                fill(np.array([k]), np.array([1]), np.array([k - 1]))
+
+        if steps == 127:
+            with pytest.raises(RuntimeError, match="127"):
+                bulk._count_states(layers, steps + 1, steps, (1, 2))
+        else:
+            state = bulk._count_states(layers, steps + 1, steps, (1, 2))
+            assert np.array_equal(state[:, -1], [126, 0])
+
+    def test_rank_fallback_matches_counter(self, monkeypatch):
+        # ten rows spanning -1..126 each need a key of more than 2^70
+        rng = np.random.default_rng(5)
+        starts = np.array([0, 0, 0, 900, 2000, 3000])  # layers q = 2, 3, 4
+        state = rng.integers(0, 2, (10, 3000)).astype(np.int8)
+        neg = rng.random(3000) < 0.2
+        neg[7] = False
+        state[:, 7] = 126
+        state[:, neg] = rng.integers(-128, 0, (10, np.count_nonzero(neg)))
+        unique, ranked = np.unique, []
+
+        def recorded_unique(*args, **kwargs):
+            ranked.append(kwargs.get("return_inverse", False))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(bulk.np, "unique", recorded_unique)
+        qs, counts, mult = bulk._table_rows((2, 4), state, starts, None)
+        assert any(ranked)
+        want = Counter(
+            (q, *state[:, k].tolist()) for q in (2, 3, 4) for k in range(starts[q], starts[q + 1]) if not neg[k]
+        )
+        got = {(q, *c): m for q, c, m in zip(qs.tolist(), counts.tolist(), mult.tolist())}
+        assert got == want
+        assert [(q, *c) for q, c in zip(qs.tolist(), counts.tolist())] == sorted(want)
+        assert qs.dtype == counts.dtype == mult.dtype == np.int64
+
+    @pytest.mark.parametrize("name", sorted(THREE_TARGETS))
+    @pytest.mark.parametrize("ntargets", [1, 3])
+    def test_memory_budget_is_the_allocation(self, name, ntargets, monkeypatch):
+        _, bound, targets, sweep = THREE_TARGETS[name]
+        requested, allocated = [], []
+        require = bulk._require_memory
+        monkeypatch.setattr(bulk, "_require_memory", lambda need, what: requested.append(need) or require(need, what))
+        for dp in ("_count_states", "_jp_choice_table", "_jp_states"):
+            def recorded(*args, real=getattr(bulk, dp)):
+                out = real(*args)
+                allocated.append(out.nbytes)
+                return out
+
+            monkeypatch.setattr(bulk, dp, recorded)
+        sweep(bound, targets[:ntargets])
+        assert requested == [sum(allocated)]
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_block_split_does_not_change_output(self, sweep, monkeypatch):
@@ -230,6 +298,51 @@ def jp_points(bound):
                     steps.append(([[0, 0, 1], [1, 0, d.a], [0, 1, d.b]], z, x))
                     x, y, z = y - d.a * x, z - d.b * x, x
                 yield (p, r, q), steps
+
+
+def expansion_lengths(name, bound):
+    """The length of the expansion of every state of a count DP with
+    denominators up to bound, in the DP's order, by the record path; None
+    where the gcd exceeds 1 or there is no expansion.  A JP state comes
+    once per after-diagonal flag: flag 0 is orbits.jp_digits, and flag 1
+    is the same search with a = 0 barred from the first digit."""
+    if name == "gauss":
+        for p in range(1, bound + 1):
+            for r in range(p):
+                if (r, p) == (0, 1):
+                    yield 0
+                else:
+                    yield len(euclid_digits(r, p)) if r and math.gcd(r, p) == 1 else None
+    elif name == "brun":
+        for q in range(1, bound + 1):
+            for u1 in range(q + 1):
+                for u2 in range(q + 1):
+                    yield len(brun_gcd_digits((q, u1, u2))[0]) if math.gcd(q, u1, u2) == 1 else None
+    else:
+        for flag in (0, 1):
+            for q in range(1, bound + 1):
+                for p in range(1, q + 1):
+                    for r in range(q + 1):
+                        yield jp_length(p, r, q, flag) if math.gcd(p, r, q) == 1 else None
+
+
+@functools.lru_cache(maxsize=None)
+def jp_length(p, r, q, after_diag):
+    """Length of the canonical JP expansion of the coprime (p, r, q) after a
+    digit that was diagonal where after_diag is set, None if there is none."""
+    if not after_diag:
+        try:
+            return len(jp_digits(p, r, q))
+        except NotExpandableError:
+            return None
+    for a, b in orbits._jp_children(p, r, q):
+        np_, nr = r - a * p, q - b * p
+        if a == 0 or (np_ == 0 and (nr != 0 or b < 2)):
+            continue
+        rest = 0 if np_ == 0 else jp_length(np_, nr, p, a == b)
+        if rest is not None:
+            return 1 + rest
+    return None
 
 
 class TestVerifySweeps:
@@ -346,7 +459,7 @@ def euclid_table(bound, targets):
 
 
 class TestGaussDP:
-    # (7, 1, 2, 3, 5) is unsorted and at q <= 400 needs two int16 words
+    # (7, 1, 2, 3, 5) is unsorted
     @pytest.mark.parametrize("bound", [2, 3, 60, 400])
     @pytest.mark.parametrize("targets", [(1,), (7, 1, 2, 3, 5), "beyond"])
     def test_matches_pure_python_euclid(self, bound, targets):
@@ -356,14 +469,9 @@ class TestGaussDP:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
 
-    def test_five_targets_take_two_words(self):
-        assert bulk._count_words(bulk._euclid_longest(400), 5)[2] == 2
-
-    # many words: a histogram key over the packed words, rather than over
-    # each target's counts, would need more than 64 bits here
+    # many targets, most of them rare at q <= 400 or taken by no expansion
     @pytest.mark.parametrize("targets", [tuple(range(1, 21)), tuple(range(300, 330))])
     def test_many_targets_match_pure_python_euclid(self, targets):
-        assert bulk._count_words(bulk._euclid_longest(400), len(targets))[2] >= 5
         table = bulk.gauss_ensemble_table(400, targets)
         for got, want in zip((table.qs, table.counts, table.mult), euclid_table(400, targets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -387,9 +495,9 @@ class TestGaussDP:
         proc.write_text("0::/\n")
         assert bulk._memory_bytes() > 500000
         proc.write_text("0::/a/b\n")
-        bulk.gauss_ensemble_table(400)  # 160,800 bytes of states
+        bulk.gauss_ensemble_table(400)  # 1 byte per state and target: 80,200
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.gauss_ensemble_table(1000)  # 1,001,000 bytes
+            bulk.gauss_ensemble_table(1000)  # 500,500 bytes
         bulk.gauss_verify(200)  # the verify DP takes 8 bytes per state: 160,800
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.gauss_verify(400)  # 641,600 bytes
@@ -399,12 +507,12 @@ class TestGaussDP:
         bulk.jp_verify(40)  # 18 bytes per state, choices and weights: 413,280
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.jp_verify(50)  # 795,600 bytes
-        bulk.brun2_ensemble_table(89)  # 2 bytes per state and word: 494,128
+        bulk.brun2_ensemble_table(112)  # 1 byte per state and target: 487,368
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.brun2_ensemble_table(90)  # 510,690 bytes
-        bulk.jp_ensemble_table(62)  # 2 bytes of choices and 4 per word per state: 499,968
+            bulk.brun2_ensemble_table(113)  # 500,364 bytes
+        bulk.jp_ensemble_table(71)  # 2 bytes of choices and 2 per target per state: 497,568
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.jp_ensemble_table(63)  # 524,160 bytes
+            bulk.jp_ensemble_table(72)  # 518,592 bytes
 
     def test_table_bytes_pinned(self):
         # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
@@ -413,7 +521,7 @@ class TestGaussDP:
         assert table_digest(t) == "4f13d1c4ae2edfd63c9df9b4c8edc8705e9240a73f21cce4707c8c422c154e3f"
 
     def test_oversized_bound_rejected_before_allocating(self, monkeypatch):
-        # 10^14 bytes of states: rejected before the DP starts
+        # 5 * 10^13 bytes of states: rejected before the DP starts
         def no_states(*args):
             raise AssertionError("the DP was started")
 
@@ -428,9 +536,9 @@ class TestGaussDP:
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.jp_verify(10**7)  # 6 * 10^21 bytes of choices and weights
         with pytest.raises(BudgetError, match="physical memory"):
-            bulk.brun2_ensemble_table(10**7)  # 6.7 * 10^20 bytes of counts
+            bulk.brun2_ensemble_table(10**7)  # 3.3 * 10^20 bytes of counts
         with pytest.raises(BudgetError, match="physical memory"):
-            bulk.jp_ensemble_table(10**7)  # 2 * 10^21 bytes of choices and counts
+            bulk.jp_ensemble_table(10**7)  # 1.3 * 10^21 bytes of choices and counts
 
 
 class TestTotient:
