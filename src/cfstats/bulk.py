@@ -6,18 +6,20 @@ trip) and that its forward log-Jacobians sum to (m + 1) log q.
 
 Every sweep is a DP over the states of its algorithm, filled layer by
 layer in the denominator: a state's value is its first step's term plus
-the value of the child it steps to.  A table DP holds one int8 count
-per target and state, negative where the gcd exceeds 1 or there is no
-expansion, and raises if a count reaches 127; one histogram of the count
-rows (_table_rows) turns the lanes' states into table rows, for any
-number of targets.  A verify DP holds a float64 weight sum per state,
-NaN where the gcd exceeds 1; a second pass decodes
-each coprime state's child from the position the DP read and checks the
-step's inverse branch exactly, B (child) = state, so by induction on the
-denominator it proves every point's round trip without composing any
-matrix.  An algorithm's two DPs share its layer loop: _gauss_layers,
-_brun2_layers (the Brun GCD, m = 2) and _jp_layers, which also fills the
-JP choice table that settles every canonical expansion.
+the value of the child it steps to.  Two DPs serve all three maps.  The
+count DP (_count_states) holds one int8 count per target and state,
+negative where the gcd exceeds 1 or there is no expansion, and raises if
+a count reaches 127; one histogram of the count rows (_table_rows) turns
+the lanes' states into table rows, for any number of targets.  The
+weight DP (_weight_states) holds a float64 sum of forward log-Jacobians
+per state, NaN where the count DP's would be negative.  Each map supplies
+a layer loop, which hands both DPs its steps (_gauss_layers,
+_brun2_layers for the Brun GCD, m = 2, and _jp_choice_layers, which
+follows the JP choice table that settles every canonical expansion), and
+a step check, which decodes each state's child from the position the
+weight DP read and checks the step's inverse branch exactly, B (child) =
+state, so by induction on the denominator it proves every point's round
+trip without composing any matrix.
 
 Every sweep runs in the calling process, and raises BudgetError
 before it allocates its DP if the DP's bytes, given in its docstring,
@@ -120,11 +122,12 @@ def _merge_reports(parts) -> VerifyReport:
 
 
 def _count_states(layers, size: int, bound: int, targets) -> np.ndarray:
-    """int8[target, state]: the digit counts of the `size` states of a Gauss
-    or Brun DP with denominators up to bound.  layers(bound, fill) calls
-    fill(k, j, child, ...) with the positions k of the states of each layer
-    in order, their digits j and the positions of their children; the
-    state at position 0 ends every coprime expansion.
+    """int8[target, state]: the digit counts of the `size` states of a DP
+    with denominators up to bound.  layers(bound, fill) calls
+    fill(k, j, child, q, cq) with the positions k of the states of each
+    layer in order, their digits j, the positions of their children, and
+    the denominators of the states and of their children; the state at
+    position 0 ends every coprime expansion.
 
     Every state starts at -128 but the base, at 0, and takes its child's
     counts plus its own digit, one gather per target.  A state with gcd
@@ -150,6 +153,27 @@ def _require_int8(state):
     state to reach 127 keeps it, so one check after the last layer sees it."""
     if state.max(initial=0) >= 127:
         raise RuntimeError("a digit count reaches 127, beyond what an int8 state holds")
+
+
+def _weight_states(layers, size: int, bound: int, multiplier: int) -> np.ndarray:
+    """float64[state]: the sums W of the forward log-Jacobians
+    multiplier * (log q - log q') over the steps q -> q' of the expansions
+    of the `size` states of a DP, last step first, with layers as for
+    _count_states: 0 at the base, NaN where the gcd exceeds 1 or there is
+    no expansion, since every other state starts at NaN."""
+    logs = np.zeros(bound + 1)
+    logs[1:] = np.log(np.arange(1, bound + 1))  # logs[k] = log k
+    wsum = np.full(size, np.nan)
+    wsum[0] = 0.0
+
+    def fill(k, j, child, q, cq):
+        term = logs[q] - logs[cq]  # multiplier * (log q - log cq) + W(child), in place
+        term *= multiplier
+        term += wsum.take(child)
+        wsum[k] = term
+
+    layers(bound, fill)
+    return wsum
 
 
 def _table_rows(qs, state, starts, lane):
@@ -210,7 +234,7 @@ def _table_rows(qs, state, starts, lane):
 # Euclid step from r/p takes the digit p // r to the state (p mod r, r), so a
 # sum along the expansion of r/p is its first step's term plus its child's
 # sum.  The states lie in layers p = 1, 2, ... of p states each; a layer
-# reads only earlier ones, and one loop (_gauss_layers) fills both DPs.
+# reads only earlier ones, and one loop (_gauss_layers) feeds both DPs.
 # gcd(r, p) > 1 is marked in each state (a negative count in the table,
 # NaN in the weights), since (0, p) is coprime only for p = 1 and every
 # coprime state has a coprime child.
@@ -239,14 +263,16 @@ def _gauss_children(r, p, first):
 
 
 def _gauss_layers(bound: int, fill):
-    """Call fill(k, j, child) for the layers p = 2..bound in order: k is the
-    slice of positions of the states (r, p), r = 1..p-1, and j, child are
-    their _gauss_children."""
+    """Call fill(k, j, child, p, r) for the layers p = 2..bound in order: k
+    is the slice of positions of the states (r, p), r = 1..p-1, j, child are
+    their _gauss_children, and the children's denominators r are the slice
+    1..p-1, which indexes a table by denominator without a gather."""
     r = np.arange(1, bound, dtype=np.int32)
     first = _gauss_index(0, r.astype(np.int64))
     for p in range(2, bound + 1):
         start = _gauss_index(0, p) + 1
-        fill(slice(start, start + p - 1), *_gauss_children(r[: p - 1], np.int32(p), first[: p - 1]))
+        j, child = _gauss_children(r[: p - 1], np.int32(p), first[: p - 1])
+        fill(slice(start, start + p - 1), j, child, p, slice(1, p))
 
 
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -314,22 +340,6 @@ def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
-def _gauss_weights(bound: int) -> np.ndarray:
-    """float64[state]: W(r, p), the sum of the forward log-Jacobians
-    2 (log b - log a) over the Euclid steps a/b of r/p, last step first,
-    for every state with p <= bound; NaN where gcd(r, p) > 1."""
-    log2 = 2.0 * np.log(np.arange(1, bound + 1))  # log2[k - 1] = 2 log k; doubling is exact
-    wsum = np.full(_gauss_index(0, bound + 1), np.nan)
-    wsum[0] = 0.0  # (0, 1)
-
-    def fill(k, j, child):
-        n = len(j)  # the layer p = n + 1
-        wsum[k] = (log2[n] - log2[:n]) + wsum.take(child)
-
-    _gauss_layers(bound, fill)
-    return wsum
-
-
 def _gauss_check(qs, wsum):
     """Round-trip and weight check of the coprime states (r, p), r >= 1, with
     p in [qlo, qhi]: the child the DP read for (r, p), decoded from its
@@ -356,8 +366,8 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
     """Exact round-trip and weight-telescoping check over all coprime p/q
     with 2 <= q <= bound.
 
-    A second DP over the table's states holds the weight sum W(r, p) of
-    every state (_gauss_weights), and every coprime state with r >= 1 is
+    The weight DP over the table's states holds the weight sum W(r, p) of
+    every state (_weight_states), and every coprime state with r >= 1 is
     checked against the child it read (_gauss_check).  By induction on p
     this proves every point: the composed inverse branches M(r/p) =
     B(j) M(r'/p') of the expansion give back (r, p) = B(j) (r', p') from
@@ -370,7 +380,8 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
     all.
     """
     _require_memory(8 * _gauss_index(0, bound + 1), f"the Gauss verify sweep at q <= {bound}")
-    wsum = _gauss_weights(max(bound, 1))
+    size = _gauss_index(0, max(bound, 1) + 1)
+    wsum = _weight_states(_gauss_layers, size, max(bound, 1), 2)
     blocks = _blocks(2, bound, lambda q: q)
     return _merge_reports([_gauss_check(b, wsum) for b in blocks])
 
@@ -463,21 +474,6 @@ def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
-def _brun2_weights(bound: int) -> np.ndarray:
-    """float64[state]: W(q; u1, u2), the sum of the forward log-Jacobians
-    3 (log q - log um) over the Brun steps of (q; u1, u2), last step first,
-    for every state with q <= bound; NaN where gcd(q, u1, u2) > 1."""
-    logs = np.log(np.arange(1, bound + 1))  # logs[k - 1] = log k
-    wsum = np.full(_brun2_index(bound + 1, 0, 0), np.nan)
-    wsum[0] = 0.0  # (1; 0, 0)
-
-    def fill(k, j, pos, q, um):
-        wsum[k] = 3.0 * (logs[q - 1] - logs[um - 1]) + wsum.take(pos)
-
-    _brun2_layers(bound, fill)
-    return wsum
-
-
 def _brun2_check(qs, wsum):
     """Round-trip and weight check of the coprime states (q; u1, u2),
     (u1, u2) != (0, 0), with q in [qlo, qhi]: the child (um; c1, c2) the DP
@@ -506,23 +502,24 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
     """Exact round-trip and weight-telescoping check over all coprime
     descending triples (t1, t2, t3) with t1 <= bound.
 
-    A DP holds the weight sum W(q; u1, u2) of every state with q <= bound
-    (_brun2_weights), and every coprime state but the origin is checked
-    against the child it read (_brun2_check).  By induction on q this proves
-    every point: the composed inverse branches M(q; u1, u2) = B(i, j) M(child)
-    of the expansion give back (u1, u2, q) = B(i, j) (c1, c2, um) from the
-    child's round trip and the base (1; 0, 0), and W(q; u1, u2) =
-    3 (log q - log um) + W(child) telescopes to 3 log q.  A step with um = q
-    reads a state of its own layer, filled first.  checked counts the lanes
-    (t2, t3, t1) = (u1, u2, q), roundtrip_failures the states whose step
-    check fails, and max_matrix_entry is the largest entry of the checked
-    products.
+    The weight DP holds the weight sum W(q; u1, u2) of every state with
+    q <= bound (_weight_states), and every coprime state but the origin is
+    checked against the child it read (_brun2_check).  By induction on q
+    this proves every point: the composed inverse branches M(q; u1, u2) =
+    B(i, j) M(child) of the expansion give back (u1, u2, q) = B(i, j)
+    (c1, c2, um) from the child's round trip and the base (1; 0, 0), and
+    W(q; u1, u2) = 3 (log q - log um) + W(child) telescopes to 3 log q.  A
+    step with um = q reads a state of its own layer, filled first.  checked
+    counts the lanes (t2, t3, t1) = (u1, u2, q), roundtrip_failures the
+    states whose step check fails, and max_matrix_entry is the largest
+    entry of the checked products.
 
     The weights take 8 bytes per state, 8 * sum((q + 1)^2 for q <= bound)
     bytes in all, 73 MB at t1 <= 300.
     """
     _require_memory(8 * _brun2_index(bound + 1, 0, 0), f"the Brun verify sweep at t1 <= {bound}")
-    wsum = _brun2_weights(max(bound, 1))
+    size = _brun2_index(max(bound, 1) + 1, 0, 0)
+    wsum = _weight_states(_brun2_layers, size, max(bound, 1), 3)
     blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
     return _merge_reports([_brun2_check(b, wsum) for b in blocks])
 
@@ -538,8 +535,8 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
 # each state (p, r, q) and each value of that flag it holds the first child
 # k whose subtree succeeds, or -1.  Child k = 2 da + db is the digit
 # (r // p - da, q // p - db); the fixed order of k is the DFS's order.  The
-# table DP keeps the counts, and the verify DP a weight sum, of every
-# (flag, state) of the same table, following its stored child (_jp_follow).
+# count and weight DPs hold a value for every (flag, state) of the same
+# table, following its stored child (_jp_choice_layers).
 
 
 def _jp_index(p, r, q):
@@ -646,96 +643,78 @@ def _jp_require_admissible(on, after_diag, a, b, np_, nr, p, r, q):
 _AFTER_DIAG = np.array([[False], [True]])  # the flag of each row of a [flag, state] array
 
 
-def _jp_follow(choice, p, r, q):
-    """The stored children of the states (p, r, q) of one _jp_layers call,
-    for both flags: (cols, a, b, pos, on, end), the positions cols of the
-    states, the digits (a, b), the positions pos of the children in the
-    flattened choice table (_jp_children), where a choice is stored (on) and
-    where the step ends at (0, 0, p).
+@dataclass(eq=False)
+class _JPDigits:
+    """The digits (a, b) of JP steps, equal to a target (a, b) where both
+    parts are.  The count DP compares them with its targets; the weight DP
+    never reads them, so no digit code is worked out for it."""
+    a: np.ndarray
+    b: np.ndarray
+
+    def __eq__(self, target):
+        return (self.a == target[0]) & (self.b == target[1])
+
+
+def _jp_choice_layers(choice: np.ndarray, bound: int, fill):
+    """The layer loop of the JP DPs over a choice table: call
+    fill(k, j, child, q, p) for the (flag, state) pairs of each _jp_layers
+    call, one flag at a time.  A DP holds the origin (0, 0, 1) at position
+    0, a slot at 1 that no layer fills, and the state s at flag f at
+    2 + f * n + s, n = choice.shape[1]; so k is a slice, and j holds the
+    digits (_JPDigits).  A step to a state reads it at the flag a == b, an
+    end at (0, 0, 1) reads the origin, and an end at (0, 0, g), g > 1, or a
+    state with no choice reads the slot that is never filled, so its value
+    stays negative or NaN whatever digit its -1 decodes to.
 
     Raises RuntimeError where a stored choice is no child, leaves the
     admissible strings or leads to a state with no choice.
     """
     n = choice.shape[1]
-    lo = _jp_index(p[0], r[0], q)
-    k = choice[:, lo : lo + len(p)]
-    a, b, np_, nr, pos = _jp_children(k, p, r, q, n)
-    on, end = k >= 0, np_ == 0
-    _jp_require_admissible(on, _AFTER_DIAG, a, b, np_, nr, p, r, q)
-    _jp_require(on & ~end & (choice.reshape(-1).take(pos) < 0), "no admissible choice", p, r, q)
-    return slice(lo, lo + len(p)), a, b, pos, on, end
 
+    def follow(p, r, q):
+        lo = _jp_index(p[0], r[0], q)
+        k = choice[:, lo : lo + len(p)]
+        a, b, np_, nr, pos = _jp_children(k, p, r, q, n)
+        on = k >= 0
+        _jp_require_admissible(on, _AFTER_DIAG, a, b, np_, nr, p, r, q)
+        read = on & (np_ > 0)
+        _jp_require(read & (choice.reshape(-1).take(pos) < 0), "no admissible choice", p, r, q)
+        child = np.where(read, pos + 2, np.where(on & (p == 1), 0, 1))
+        for f in (0, 1):
+            start = 2 + f * n + lo
+            fill(slice(start, start + len(p)), _JPDigits(a[f], b[f]), child[f], q, p)
 
-def _jp_states(choice: np.ndarray, bound: int, targets) -> np.ndarray:
-    """int8[target, after-diagonal flag, state]: the digit counts of the
-    canonical expansion of every state with q <= bound after a digit of
-    that flag; negative where gcd(p, r, q) > 1 or there is no expansion.
-    As in _count_states, a state takes its child's counts plus its own
-    digit, an end takes 0 at the origin (0, 0, 1) and -128 at (0, 0, g),
-    g > 1, and a state with no choice takes -128.  Checks every choice as
-    _jp_follow does, and raises RuntimeError if a count reaches 127."""
-    # a target no step takes gets -2, which no digit code matches, not even the -1 of no choice
-    codes = [a * (bound + 1) + b if 0 <= a <= bound and 0 <= b <= bound else -2 for a, b in targets]
-    state = np.empty((len(targets), *choice.shape), np.int8)
-    flat = state.reshape(len(targets), -1)
-
-    def fill(p, r, q):
-        cols, a, b, pos, on, end = _jp_follow(choice, p, r, q)
-        digit = np.where(on, a * (bound + 1) + b, -1)
-        read = on & ~end
-        base = np.where(on & (p == 1), np.int8(0), np.int8(-128))  # the end at (0, 0, 1) counts 0
-        for i, code in enumerate(codes):
-            state[i, :, cols] = np.where(read, flat[i].take(pos), base) + (digit == code)
-
-    _jp_layers(bound, fill)
-    _require_int8(state)
-    return state
+    _jp_layers(bound, follow)
 
 
 def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     """Digit-count table over all expandable coprime (p, r, q), q <= bound.
 
-    A DP over the choice table holds the target counts of every state and
-    after-diagonal flag (_jp_states), checking as it goes that every choice
-    takes an admissible digit; by induction on q, each layer in the order
-    of _jp_layers, every expandable state holds the counts of its canonical
-    expansion, C(flag, p, r, q) = [(a, b) = t] + C(a == b, child), from the
-    base, the origin (0, 0, 1), which holds none.  The longest expansions
-    are far shorter than 127 digits (16 at q <= 500).  The lanes, the
-    states at flag 0, of the denominator blocks are then histogrammed
-    (_table_rows).  The choice table and the counts take 2 + 2 * len(targets)
-    bytes per state, (2 + 2 * len(targets)) * bound * (bound + 1) *
-    (bound + 2) / 3 bytes in all, 167 MB at q <= 500 with one target.
+    The count DP over the choice table holds the target counts of every
+    state and after-diagonal flag (_count_states, _jp_choice_layers),
+    checking as it goes that every choice takes an admissible digit; by
+    induction on q, each layer in the order of _jp_layers, every expandable
+    state holds the counts of its canonical expansion, C(flag, p, r, q) =
+    [(a, b) = t] + C(a == b, child), from the base, the origin (0, 0, 1),
+    which holds none.  The longest expansions are far shorter than 127
+    digits (16 at q <= 500).  The lanes, the states at flag 0, of the
+    denominator blocks are then histogrammed (_table_rows).  The choice
+    table and the counts take 2 + 2 * len(targets) bytes per state, and
+    the counts 2 * len(targets) more for the origin and the slot that is
+    never filled: (2 + 2 * len(targets)) * bound * (bound + 1) *
+    (bound + 2) / 3 + 2 * len(targets) bytes in all, 167 MB at q <= 500
+    with one target.
     """
     targets = tuple(targets)
     rows = targets or ((0, 0),)  # with no target, a row that no digit hits still marks gcd > 1
-    _require_memory((2 + 2 * len(rows)) * _jp_index(1, 0, bound + 1), f"the JP table at q <= {bound}")
+    n = _jp_index(1, 0, bound + 1)
+    _require_memory(2 * n + len(rows) * (2 + 2 * n), f"the JP table at q <= {bound}")
     choice = _jp_choice_table(max(bound, 1))
-    state = _jp_states(choice, max(bound, 1), rows)
+    state = _count_states(functools.partial(_jp_choice_layers, choice), 2 + choice.size, max(bound, 1), rows)
     starts = _jp_index(1, 0, np.arange(bound + 2, dtype=np.int64))
     blocks = _blocks(2, bound, lambda q: q * (q + 1))
-    parts = [_table_rows(b, state[:, 0], starts, None) for b in blocks]
+    parts = [_table_rows(b, state[:, 2 : 2 + choice.shape[1]], starts, None) for b in blocks]
     return _table_from_parts(parts, "jp", 3, targets, bound)
-
-
-def _jp_weights(choice: np.ndarray, bound: int) -> np.ndarray:
-    """float64[after-diagonal flag, state]: W(flag, p, r, q), the sum of the
-    forward log-Jacobians 3 (log q - log p) over the canonical expansion of
-    (p, r, q) after a digit of that flag, last step first, for every state
-    with q <= bound; NaN where gcd(p, r, q) > 1 or there is no expansion.
-    Checks every choice as _jp_follow does.
-    """
-    logs = np.log(np.arange(1, bound + 1))  # logs[k - 1] = log k
-    wsum = np.empty(choice.shape)
-    flat_w = wsum.reshape(-1)
-
-    def fill(p, r, q):
-        cols, _, _, pos, on, end = _jp_follow(choice, p, r, q)
-        child = np.where(end, np.where(p == 1, 0.0, np.nan), flat_w.take(pos))  # the origin (0, 0, p) at an end
-        wsum[:, cols] = np.where(on, 3.0 * (logs[q - 1] - logs[p - 1]) + child, np.nan)
-
-    _jp_layers(bound, fill)
-    return wsum
 
 
 def _jp_check(qs, choice, wsum):
@@ -769,10 +748,11 @@ def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
     """Exact round-trip and weight-telescoping check over all expandable
     coprime (p, r, q) with 2 <= q <= bound.
 
-    A DP over the choice table holds the weight sum W(flag, p, r, q) of
-    every state and after-diagonal flag (_jp_weights), checking as it goes
-    that every choice takes an admissible digit, and every (flag, state)
-    with a finite weight is checked against the child it read (_jp_check).
+    The weight DP over the choice table holds the weight sum
+    W(flag, p, r, q) of every state and after-diagonal flag (_weight_states,
+    _jp_choice_layers), checking as it goes that every choice takes an
+    admissible digit, and every (flag, state) with a finite weight is
+    checked against the child it read (_jp_check).
     By induction on q this proves every expandable point: the composed
     inverse branches M(p, r, q) = B(a, b) M(child) of its canonical
     expansion give back (p, r, q) = B(a, b) (p', r', q') from the child's
@@ -783,11 +763,14 @@ def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
     whose step check fails, and max_matrix_entry is the largest entry of
     the checked products.
 
-    The choice table and the weights take 18 bytes per state,
-    6 * bound * (bound + 1) * (bound + 2) bytes in all, 164 MB at q <= 300.
+    The choice table and the weights take 18 bytes per state, and the
+    weights 16 more for the origin and the slot that is never filled:
+    6 * bound * (bound + 1) * (bound + 2) + 16 bytes in all, 164 MB at
+    q <= 300.
     """
-    _require_memory(18 * _jp_index(1, 0, bound + 1), f"the JP verify sweep at q <= {bound}")
+    _require_memory(18 * _jp_index(1, 0, bound + 1) + 16, f"the JP verify sweep at q <= {bound}")
     choice = _jp_choice_table(max(bound, 1))
-    wsum = _jp_weights(choice, max(bound, 1))
+    wsum = _weight_states(functools.partial(_jp_choice_layers, choice), 2 + choice.size, max(bound, 1), 3)
+    wsum = wsum[2:].reshape(choice.shape)  # [flag, state], without the origin and the unfilled slot
     blocks = _blocks(1, bound, lambda q: 2 * q * (q + 1))
     return _merge_reports([_jp_check(b, choice, wsum) for b in blocks])

@@ -29,7 +29,6 @@ from .maps import (
     GaussDigit,
     JPDigit,
     MapDescriptor,
-    compose_string,
     max_denominator,
 )
 
@@ -219,18 +218,6 @@ def jp_digits(p: int, r: int, q: int, max_depth: int = 10_000) -> list:
     raise NotExpandableError(f"({p}, {r}, {q}) has no admissible expansion")
 
 
-def jp_digits_floor_path(p: int, r: int, q: int):
-    """Raw floor recursion digits; returns (digits, clean) without search."""
-    digits = []
-    while p:
-        a, b = r // p, q // p  # a <= b since r <= q
-        digits.append(JPDigit(a, b))
-        p, r, q = r - a * p, q - b * p, p
-        if p == 0 and r != 0:
-            return digits, False
-    return digits, True
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -308,10 +295,3 @@ def enumerate_trajectories(
         yield from _jp_records(bound)
     else:
         yield from _brun_records(bound, map_desc.m)
-
-
-def verify_roundtrip(map_desc: MapDescriptor, record: TrajectoryRecord) -> bool:
-    """Exact check that the record's digits recompose to its point."""
-    h = compose_string(map_desc, record.digits)
-    image = h.apply_to_origin()
-    return image == record.point.coords() and h.corner_denominator() == record.point.denominator

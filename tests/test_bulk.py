@@ -46,6 +46,10 @@ SWEEPS = {
 }
 
 
+# the verify sweep of each algorithm of THREE_TARGETS
+VERIFY_SWEEPS = {"gauss": bulk.gauss_verify, "brun": bulk.brun2_verify, "jp": bulk.jp_verify}
+
+
 # algorithm, bound, three targets, bulk sweep
 THREE_TARGETS = {
     "gauss": (GAUSS, 60, (1, 2, 3), bulk.gauss_ensemble_table),
@@ -119,18 +123,14 @@ class TestTableAgreement:
     @pytest.mark.parametrize("name", ["gauss", "brun", "jp"])
     @pytest.mark.parametrize("bound", [2, 3, 8, 21])
     def test_longest_expansion_below_radix(self, name, bound):
-        if name == "gauss":
-            targets = tuple(range(1, bound + 1))
-            size = bulk._gauss_index(0, bound + 1)
-            state = bulk._count_states(bulk._gauss_layers, size, bound, targets)
-        elif name == "brun":
-            targets = tuple(range(1, bound + 1))
-            size = bulk._brun2_index(bound + 1, 0, 0)
-            state = bulk._count_states(bulk._brun2_layers, size, bound, targets)
-        else:
+        layers, size, _, _ = dp_inputs(name, bound)
+        if name == "jp":
             targets = tuple((a, b) for b in range(1, bound + 1) for a in range(b + 1))
-            state = bulk._jp_states(bulk._jp_choice_table(bound), bound, targets)
-        state = state.reshape(len(targets), -1).astype(np.int64)
+            state = bulk._count_states(layers, size, bound, targets)[:, 2:]  # without the origin and unfilled slot
+        else:
+            targets = tuple(range(1, bound + 1))
+            state = bulk._count_states(layers, size, bound, targets)
+        state = state.astype(np.int64)
         expandable = state[0] >= 0
         assert np.all((state >= 0) == expandable)
         lengths = np.array([-1 if n is None else n for n in expansion_lengths(name, bound)])
@@ -185,7 +185,7 @@ class TestTableAgreement:
         requested, allocated = [], []
         require = bulk._require_memory
         monkeypatch.setattr(bulk, "_require_memory", lambda need, what: requested.append(need) or require(need, what))
-        for dp in ("_count_states", "_jp_choice_table", "_jp_states"):
+        for dp in ("_count_states", "_weight_states", "_jp_choice_table"):
             def recorded(*args, real=getattr(bulk, dp)):
                 out = real(*args)
                 allocated.append(out.nbytes)
@@ -193,6 +193,10 @@ class TestTableAgreement:
 
             monkeypatch.setattr(bulk, dp, recorded)
         sweep(bound, targets[:ntargets])
+        assert requested == [sum(allocated)]
+        requested.clear()
+        allocated.clear()
+        VERIFY_SWEEPS[name](bound)
         assert requested == [sum(allocated)]
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
@@ -300,6 +304,23 @@ def jp_points(bound):
                 yield (p, r, q), steps
 
 
+def dp_inputs(name, bound):
+    """(layers, size, multiplier, denominators) of the DPs of an algorithm
+    with denominators up to bound: the layer loop and the number of states
+    that _count_states and _weight_states take, the weight multiplier
+    m + 1, and the denominator of the state at each position, 1 at the JP
+    origin and at its unfilled slot."""
+    if name == "gauss":
+        size = bulk._gauss_index(0, bound + 1)
+        return bulk._gauss_layers, size, 2, bulk._gauss_pair(np.arange(size))[1]
+    if name == "brun":
+        size = bulk._brun2_index(bound + 1, 0, 0)
+        return bulk._brun2_layers, size, 3, bulk._brun2_state(np.arange(size))[0]
+    choice = bulk._jp_choice_table(bound)
+    q = bulk._jp_state(np.arange(choice.shape[1]))[2]
+    return functools.partial(bulk._jp_choice_layers, choice), 2 + choice.size, 3, np.concatenate([[1, 1], q, q])
+
+
 def expansion_lengths(name, bound):
     """The length of the expansion of every state of a count DP with
     denominators up to bound, in the DP's order, by the record path; None
@@ -386,6 +407,30 @@ class TestVerifySweeps:
             with pytest.raises(ValueError, match="empty ensemble"):
                 sweep(empty)
         assert sweep(bound + 1).checked > 0
+
+    # every state, unsorted Brun states and JP flag 1 included: a weight is
+    # finite exactly where the count DP finds an expansion, and there it
+    # telescopes to (m + 1) log q
+    @pytest.mark.parametrize("name", ["gauss", "brun", "jp"])
+    @pytest.mark.parametrize("bound", [3, 30])
+    def test_weights_telescope_where_counts_exist(self, name, bound):
+        layers, size, multiplier, q = dp_inputs(name, bound)
+        counts = bulk._count_states(layers, size, bound, [(1, 2) if name == "jp" else 1])[0]
+        weights = bulk._weight_states(layers, size, bound, multiplier)
+        expandable = counts >= 0
+        assert np.array_equal(np.isfinite(weights), expandable)
+        assert np.abs(weights[expandable] - multiplier * np.log(q[expandable])).max() <= 1e-12
+
+    # every field of the verify reports as computed by the earlier weight
+    # DP of each map, the weight error to the last bit
+    @pytest.mark.parametrize("sweep, bound, pin", [
+        (bulk.gauss_verify, 1500, (684181, 0, "0x1.0000000000000p-49", 1500)),
+        (bulk.brun2_verify, 150, (474981, 0, "0x1.8000000000000p-48", 150)),
+        (bulk.jp_verify, 80, (122872, 0, "0x1.8000000000000p-48", 80)),
+    ])
+    def test_reports_pinned(self, sweep, bound, pin):
+        rep = sweep(bound)
+        assert (rep.checked, rep.roundtrip_failures, rep.max_weight_error.hex(), rep.max_matrix_entry) == pin
 
     def test_jp_expandable_count_matches_record_path(self):
         n_records = sum(1 for _ in enumerate_trajectories(JP2, denominator_cap=30))
@@ -504,15 +549,15 @@ class TestGaussDP:
         bulk.brun2_verify(50)  # 8 bytes per state: 364,200
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.brun2_verify(60)  # 620,240 bytes
-        bulk.jp_verify(40)  # 18 bytes per state, choices and weights: 413,280
+        bulk.jp_verify(40)  # 18 bytes per state, choices and weights, and 16 for two slots: 413,296
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.jp_verify(50)  # 795,600 bytes
+            bulk.jp_verify(50)  # 795,616 bytes
         bulk.brun2_ensemble_table(112)  # 1 byte per state and target: 487,368
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.brun2_ensemble_table(113)  # 500,364 bytes
-        bulk.jp_ensemble_table(71)  # 2 bytes of choices and 2 per target per state: 497,568
+        bulk.jp_ensemble_table(71)  # 2 bytes of choices and 2 per target per state, and 2 per target for two slots: 497,570
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.jp_ensemble_table(72)  # 518,592 bytes
+            bulk.jp_ensemble_table(72)  # 518,594 bytes
 
     def test_table_bytes_pinned(self):
         # SHA-256 of the q <= 3000, targets (1, 2) table as computed by the
@@ -525,7 +570,7 @@ class TestGaussDP:
         def no_states(*args):
             raise AssertionError("the DP was started")
 
-        for dp in ("_count_states", "_gauss_weights", "_brun2_weights", "_jp_choice_table", "_jp_states", "_jp_weights"):
+        for dp in ("_count_states", "_weight_states", "_jp_choice_table"):
             monkeypatch.setattr(bulk, dp, no_states)
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.gauss_ensemble_table(10**7)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfstats.maps import BRUN2, GAUSS, JP2, compose_string
+from cfstats.maps import BRUN2, GAUSS, JP2, JPDigit, compose_string
 from cfstats.orbits import (
     BudgetError,
     NotExpandableError,
@@ -16,9 +16,26 @@ from cfstats.orbits import (
     enumerate_trajectories,
     euclid_digits,
     jp_digits,
-    jp_digits_floor_path,
-    verify_roundtrip,
 )
+
+
+def jp_digits_floor_path(p: int, r: int, q: int):
+    """Raw floor recursion digits; returns (digits, clean) without search."""
+    digits = []
+    while p:
+        a, b = r // p, q // p  # a <= b since r <= q
+        digits.append(JPDigit(a, b))
+        p, r, q = r - a * p, q - b * p, p
+        if p == 0 and r != 0:
+            return digits, False
+    return digits, True
+
+
+def verify_roundtrip(map_desc, record) -> bool:
+    """Exact check that the record's digits recompose to its point."""
+    h = compose_string(map_desc, record.digits)
+    image = h.apply_to_origin()
+    return image == record.point.coords() and h.corner_denominator() == record.point.denominator
 
 
 class TestEuclid:
