@@ -8,7 +8,9 @@ Subcommands
     spectral    transfer-operator constants as constants.json
     verify      run the acceptance criteria and report pass/fail
 
-A JSON config file (--config) supplies defaults; explicit flags win.
+Each subcommand takes only the options it reads (OPTIONS).  A JSON
+config file (--config) supplies defaults and explicit flags win; a
+config value is checked by the same type function as its flag.
 Identical configurations produce byte-identical outputs: floats are
 always serialized with 17 significant digits, JSON keys are sorted, and
 all reductions are deterministic.  A run that exits with code 1 or 3
@@ -26,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,27 +75,39 @@ class ExperimentConfig:
             raise ValidationError("set exactly one of Q and denominator bound")
         if not self.targets:
             raise ValidationError("target set must be nonempty")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValidationError("targets must be distinct")
         if self.grid is not None and self.grid < 2:
             raise ValidationError("grid must be at least 2")
         if self.jmax is not None and self.jmax <= 0:
             raise ValidationError("jmax must be positive")
         if self.budget < 1 or self.histogram_bins < 2:
             raise ValidationError("numeric fields must be positive")
-        if any(e <= 0 for e in self.epsilon):
-            raise ValidationError("epsilon values must be positive")
-        if self.Q is not None and self.Q <= 0:
-            raise ValidationError("Q must be positive")
+        if not self.epsilon or not all(0 < e < math.inf for e in self.epsilon):
+            raise ValidationError("epsilon must be one or more positive numbers")
+        if self.Q is not None and not 0 < self.Q < math.inf:
+            raise ValidationError("Q must be positive and finite")
         if self.denominator_bound is not None and self.denominator_bound < 1:
             raise ValidationError("denominator bound must be >= 1")
+        pairs = [isinstance(t, tuple) for t in self.targets]
+        if self.algorithm == "jp2" and not all(pairs):
+            raise ValidationError("jp2 targets must be a:b pairs")
+        if self.algorithm != "jp2" and any(pairs):
+            raise ValidationError("pair targets are only valid for jp2")
 
     @property
     def map_desc(self) -> MapDescriptor:
         return ALGORITHMS[self.algorithm]
 
     def bound(self) -> int:
+        """The ensemble's denominator bound; BudgetError above the budget."""
         if self.denominator_bound is not None:
-            return self.denominator_bound
-        return denominator_bound(self.map_desc, self.Q)
+            bound = self.denominator_bound
+        else:
+            bound = denominator_bound(self.map_desc, self.Q)
+        if bound > self.budget:
+            raise BudgetError(f"denominator bound {bound} exceeds budget {self.budget}")
+        return bound
 
     def nominal_Q(self) -> float:
         if self.Q is not None:
@@ -100,22 +115,63 @@ class ExperimentConfig:
         return self.map_desc.weight_multiplier * math.log(self.denominator_bound)
 
 
-def _parse_targets(text: str, algorithm: str) -> tuple:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" in tok:
-            a, b = tok.split(":")
-            out.append((int(a), int(b)))
-        else:
-            out.append(int(tok))
-    if algorithm == "jp2" and not all(isinstance(t, tuple) for t in out):
-        raise ValidationError("jp2 targets must be a:b pairs")
-    if algorithm != "jp2" and any(isinstance(t, tuple) for t in out):
-        raise ValidationError("pair targets are only valid for jp2")
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# options: one type function per config key, for its flag and its config value
+
+
+def _tokens(text: str) -> list:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _label(tok: str):
+    a, colon, b = tok.partition(":")
+    return (int(a), int(b)) if colon else int(a)
+
+
+def labels(text: str) -> tuple:
+    """Comma list of ints or a:b pairs."""
+    return tuple(_label(tok) for tok in _tokens(text))
+
+
+def floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in _tokens(text))
+
+
+def boolean(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+class Option(NamedTuple):
+    parse: Callable  # the type function of the flag
+    commands: tuple  # the subcommands that read the key
+    help: str | None = None
+
+
+_ENSEMBLE = ("enumerate", "stats", "clt", "ldp")  # enumerate a bounded ensemble
+_SUMMARY = ("stats", "clt", "ldp")
+_MAPS = (*_ENSEMBLE, "spectral")
+_OPERATOR = (*_SUMMARY, "spectral")  # need the spectral constants
+COMMANDS = (*_MAPS, "verify")
+
+# the keys of ExperimentConfig; a flag --<key> (underscores as dashes) for
+# every key but _CONFIG_ONLY, on the subcommands that read it
+OPTIONS = {
+    "algorithm": Option(str, _MAPS, ", ".join(ALGORITHMS)),
+    "Q": Option(float, _ENSEMBLE),
+    "denominator_bound": Option(int, _ENSEMBLE),
+    "targets": Option(labels, _MAPS, "comma list, ints or a:b pairs for jp2"),
+    "grid": Option(int, _OPERATOR),
+    "jmax": Option(int, _OPERATOR),
+    "epsilon": Option(floats, ("ldp",), "comma list of deviation thresholds"),
+    "q_grid": Option(floats, ("clt", "ldp"), "comma list of Q values"),
+    "out": Option(str, COMMANDS),
+    "budget": Option(int, _ENSEMBLE),
+    "histogram_bins": Option(int, _SUMMARY),
+    "use_empirical_lambda": Option(boolean, _SUMMARY),
+}
+_CONFIG_ONLY = ("histogram_bins", "use_empirical_lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +231,8 @@ _BULK_SWEEPS = {
 
 
 def _build_table(cfg: ExperimentConfig) -> stats.EnsembleTable:
-    bound = cfg.bound()
-    if bound > cfg.budget:
-        raise BudgetError(f"denominator bound {bound} exceeds budget {cfg.budget}")
-    table = _BULK_SWEEPS[cfg.algorithm](bound, cfg.targets)
-    if cfg.Q is not None:
-        table = table.restrict_weight(cfg.Q)
-    return table
+    # a --Q bound is the largest q of weight below Q, so the table holds w < Q
+    return _BULK_SWEEPS[cfg.algorithm](cfg.bound(), cfg.targets)
 
 
 def _spectral_grid(cfg: ExperimentConfig) -> tuple:
@@ -207,8 +258,6 @@ def _spectral_constants(cfg: ExperimentConfig):
 def cmd_enumerate(cfg: ExperimentConfig) -> int:
     cfg.validate()
     bound = cfg.bound()
-    if bound > cfg.budget:
-        raise BudgetError(f"denominator bound {bound} exceeds budget {cfg.budget}")
     _make_outdir(cfg.out)
     path = os.path.join(cfg.out, "trajectories.csv")
     m = cfg.map_desc.m
@@ -218,8 +267,6 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
         nums = ",".join(f"num{k + 1}" for k in range(m))
         fh.write(f"denominator,{nums},depth,weight," + ",".join(f"N_{s}" for s in labels) + "\n")
         for rec in enumerate_trajectories(cfg.map_desc, denominator_cap=bound, budget=cfg.budget):
-            if cfg.Q is not None and rec.weight >= cfg.Q:
-                continue
             counts = [rec.counts.get(t, 0) for t in cfg.targets]
             fh.write(
                 ",".join(
@@ -283,12 +330,10 @@ def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
     summ, payload = _summary_payload(cfg, table, lam_spec, sigma_spec)
 
     if mode == "clt":
-        ks_by_Q = {}
-        for Q in cfg.q_grid:
-            sub = table.restrict_weight(Q)
-            s_sub = stats.clt_summary(sub, np.asarray(lam_spec), Q=Q, sigma_matrix=sigma_spec)
-            ks_by_Q[format(Q, ".17g")] = s_sub.ks_distance
-        payload["ks_by_Q"] = ks_by_Q
+        payload["ks_by_Q"] = {
+            format(Q, ".17g"): stats.ks_distances(table.restrict_weight(Q), lam_spec, Q, sigma_spec)
+            for Q in cfg.q_grid
+        }
     if mode == "ldp":
         tables = [(Q, table.restrict_weight(Q)) for Q in sorted(cfg.q_grid)]
         ldp = {}
@@ -337,7 +382,7 @@ def cmd_spectral(cfg: ExperimentConfig) -> int:
     _make_outdir(cfg.out)
     write_json(os.path.join(cfg.out, "constants.json"), payload)
     with open(os.path.join(cfg.out, "density.csv"), "w") as fh:
-        fh.write("# schema=cfstats.density.v1\n")
+        fh.write(SCHEMAS["density.csv"]["comment_line"] + "\n")
         if dens.m == 1:
             fh.write("x,value\n")
             for xv, v in zip(dens.nodes[0], dens.values):
@@ -370,18 +415,10 @@ def cmd_verify(cfg: ExperimentConfig, names=None) -> int:
 
 
 def _config_payload(cfg: ExperimentConfig) -> dict:
-    return {
-        "algorithm": cfg.algorithm,
-        "Q": cfg.Q,
-        "denominator_bound": cfg.denominator_bound,
-        "targets": [list(t) if isinstance(t, tuple) else t for t in cfg.targets],
-        "grid": cfg.grid,
-        "jmax": cfg.jmax,
-        "epsilon": list(cfg.epsilon),
-        "q_grid": list(cfg.q_grid),
-        "histogram_bins": cfg.histogram_bins,
-        "use_empirical_lambda": cfg.use_empirical_lambda,
-    }
+    # where the output goes and the budget do not change it
+    payload = asdict(cfg)
+    del payload["out"], payload["budget"]
+    return payload
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,81 +432,78 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="cfstats", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("enumerate", "stats", "clt", "ldp", "spectral", "verify"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--algorithm", choices=sorted(ALGORITHMS))
-        p.add_argument("--Q", type=float, dest="Q")
-        p.add_argument("--denominator-bound", type=int, dest="denominator_bound")
-        p.add_argument("--targets", help="comma list, ints or a:b pairs for jp2")
-        p.add_argument("--grid", type=int)
-        p.add_argument("--jmax", type=int)
-        p.add_argument("--epsilon", help="comma list of deviation thresholds")
-        p.add_argument("--q-grid", dest="q_grid", help="comma list of Q values")
-        p.add_argument("--out")
-        p.add_argument("--budget", type=int)
+        for key, opt in OPTIONS.items():
+            if name in opt.commands and key not in _CONFIG_ONLY:
+                flag = "--" + key.replace("_", "-")
+                p.add_argument(flag, dest=key, type=opt.parse, default=argparse.SUPPRESS, help=opt.help)
         if name == "verify":
             p.add_argument("--criteria", help="comma list like A1,A8 (default all)")
     return ap
 
 
-# the config keys set as they are; targets, epsilon and q_grid are lists
-_SCALAR_KEYS = (
-    "algorithm",
-    "Q",
-    "denominator_bound",
-    "grid",
-    "jmax",
-    "out",
-    "budget",
-    "histogram_bins",
-    "use_empirical_lambda",
-)
+def _shape(value):
+    """JSON type of a value, lists element by element."""
+    if isinstance(value, (list, tuple)):
+        return [_shape(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
 
 
-def _load_config(ns) -> ExperimentConfig:
-    data = {}
-    if ns.config:
-        with open(ns.config) as fh:
+def _flag_text(value) -> str:
+    """A config value as its flag spells it: numbers by str, lists
+    comma-joined, [a, b] pairs as a:b."""
+    if isinstance(value, list):
+        return ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
+    if isinstance(value, bool):
+        return json.dumps(value)
+    return str(value)
+
+
+def _config_value(key: str, value):
+    """value parsed by the type function of the key's flag; it must have
+    the JSON type of the result, so "64" is not a grid and 1 not a list."""
+    try:
+        parsed = OPTIONS[key].parse(_flag_text(value))
+    except ValueError:
+        parsed = None
+    if parsed is None or _shape(parsed) != _shape(value):
+        raise ValidationError(f"invalid value for config key {key}: {json.dumps(value)}")
+    return parsed
+
+
+def _load_config(path) -> dict:
+    """The values of a JSON config file by key; null leaves a key at its default."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-    unknown = sorted(set(data) - {*_SCALAR_KEYS, "targets", "epsilon", "q_grid"})
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError("a config file holds one JSON object")
+    unknown = sorted(set(data) - set(OPTIONS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = ExperimentConfig()
-    for key in _SCALAR_KEYS:
-        if key in data and data[key] is not None:
-            setattr(cfg, key, data[key])
-        if getattr(ns, key, None) is not None:
-            setattr(cfg, key, getattr(ns, key))
-    if "targets" in data:
-        cfg.targets = tuple(tuple(t) if isinstance(t, list) else t for t in data["targets"])
-    if "epsilon" in data:
-        cfg.epsilon = tuple(data["epsilon"])
-    if "q_grid" in data:
-        cfg.q_grid = tuple(data["q_grid"])
-    if getattr(ns, "targets", None) is not None:
-        cfg.targets = _parse_targets(ns.targets, cfg.algorithm)
-    if getattr(ns, "epsilon", None):
-        cfg.epsilon = tuple(float(tok) for tok in ns.epsilon.split(","))
-    if getattr(ns, "q_grid", None):
-        cfg.q_grid = tuple(float(tok) for tok in ns.q_grid.split(","))
-    return cfg
+    return {key: _config_value(key, value) for key, value in data.items() if value is not None}
 
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-        cfg = _load_config(ns)
-        if ns.command == "enumerate":
+        args = vars(build_parser().parse_args(argv))
+        command, criteria = args.pop("command"), args.pop("criteria", None)
+        cfg = ExperimentConfig(**{**_load_config(args.pop("config")), **args})
+        if command == "enumerate":
             return cmd_enumerate(cfg)
-        if ns.command in ("stats", "clt", "ldp"):
-            return cmd_stats(cfg, mode=ns.command)
-        if ns.command == "spectral":
+        if command in _SUMMARY:
+            return cmd_stats(cfg, mode=command)
+        if command == "spectral":
             return cmd_spectral(cfg)
-        if ns.command == "verify":
-            names = ns.criteria.split(",") if getattr(ns, "criteria", None) else None
-            return cmd_verify(cfg, names)
-        raise ValidationError(f"unknown command {ns.command}")
+        return cmd_verify(cfg, criteria.split(",") if criteria else None)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,8 @@ SCHEMAS = {
         "Q": "float, weight bound used for normalization",
         "lambda_empirical": "per-target mean count over Q",
         "lambda_spectral": "per-target frequency from the transfer operator",
+        "lambda_used_for_centring": "the centring vector of phi: lambda_spectral, or "
+        "lambda_empirical with use_empirical_lambda",
         "covariance_empirical": "second-moment matrix of phi/sqrt(Q)",
         "covariance_spectral": "matrix from the eigenvalue Hessian",
         "mean_phi": "per-target mean of phi/sqrt(Q)",
@@ -51,6 +53,7 @@ SCHEMAS = {
     },
     "constants.json": {
         "schema_version": "string",
+        "config": "the resolved experiment configuration",
         "algorithm": "string",
         "eigenvalue_at_1": "leading eigenvalue at (s, t) = (1, 0)",
         "eigenvalue_tail_bar": "bracket half-width from the truncated branch tail",
@@ -65,7 +68,19 @@ SCHEMAS = {
         "sigma": "covariance matrix of the centred counts",
         "sigma_bar": "largest second-derivative bar / entropy, the same kind of bar",
         "witnesses": "two periodic-point log-derivatives (gauss, brun only)",
+        "witness_fixed_points": "the two periodic points of the witnesses (gauss, brun only)",
         "witness_ratio_cf": "continued fraction of the witness ratio (diagnostic)",
+    },
+    "density.csv": {
+        "comment_line": "# schema=cfstats.density.v1",
+        "columns": {
+            "x": "float, grid node (one-dimensional maps)",
+            "x1": "float, first coordinate of the grid node (two-dimensional maps)",
+            "x2": "float, second coordinate of the grid node (two-dimensional maps)",
+            "value": "float, invariant density at the node, unit integral under midpoint "
+            "quadrature",
+        },
+        "order": "by x, or by x1 then x2",
     },
     "verify_report.json": {
         "schema_version": "string",

@@ -306,10 +306,25 @@ class EmpiricalSummary:
     ldp: dict = field(default_factory=dict)
 
 
-def _phi_matrix(table: EnsembleTable, lambda_bar, Q: float) -> np.ndarray:
+def _centred(table: EnsembleTable, lam: np.ndarray) -> list:
+    """The centred counts N_k - w Lambda_k, one float64 column per target."""
     w = table.weights
-    lam = np.asarray(lambda_bar, dtype=np.float64)
-    return (table.counts.astype(np.float64) - w[:, None] * lam[None, :]) / math.sqrt(Q)
+    return [table.counts[:, k].astype(np.float64) - w * lam[k] for k in range(table.d)]
+
+
+def _ks_to_normal(phi, m, sigmas) -> np.ndarray:
+    """KS distance of each column phi_k, weighted by m, to N(0, sigma_k^2)."""
+    return np.array([ks_distance(p, m, lambda x: gaussian_cdf(x, s)) for p, s in zip(phi, sigmas)])
+
+
+def ks_distances(table: EnsembleTable, lambda_bar, Q: float, sigma_matrix) -> np.ndarray:
+    """The ks_distance of clt_summary(table, lambda_bar, Q, sigma_matrix),
+    without the rest of the summary."""
+    if table.size == 0:
+        raise ValueError("empty ensemble")
+    phi = [c / math.sqrt(Q) for c in _centred(table, np.asarray(lambda_bar, dtype=np.float64))]
+    sigmas = np.sqrt(np.diag(np.asarray(sigma_matrix, dtype=np.float64)))
+    return _ks_to_normal(phi, table.mult.astype(np.float64), sigmas)
 
 
 def clt_summary(
@@ -331,26 +346,25 @@ def clt_summary(
         raise ValueError("empty ensemble")
     Q = table.Q_nominal() if Q is None else Q
     lam = np.asarray(lambda_bar, dtype=np.float64)
-    phi = _phi_matrix(table, lam, Q)
+    centred = _centred(table, lam)
+    phi = [c / math.sqrt(Q) for c in centred]
     m = table.mult.astype(np.float64)
     total = table.size
     d = table.d
-    mean_phi = np.array([_dot(m, phi[:, k]) / total for k in range(d)])
+    mean_phi = np.array([_dot(m, phi[k]) / total for k in range(d)])
     cov = np.empty((d, d))
     for i in range(d):
         for k in range(i, d):
-            cov[i, k] = cov[k, i] = _dot(m, phi[:, i] * phi[:, k]) / total
+            cov[i, k] = cov[k, i] = _dot(m, phi[i] * phi[k]) / total
     sig = np.asarray(sigma_matrix, dtype=np.float64) if sigma_matrix is not None else cov
     sigmas = np.sqrt(np.diag(sig))
-    ks = np.array(
-        [ks_distance(phi[:, k], m, lambda x: gaussian_cdf(x, sigmas[k])) for k in range(d)]
-    )
+    ks = _ks_to_normal(phi, m, sigmas)
     hists = []
     for k in range(d):
         edges = np.linspace(-5.0 * sigmas[k], 5.0 * sigmas[k], bins + 1)
-        counts, _ = np.histogram(phi[:, k], bins=edges, weights=m)
+        counts, _ = np.histogram(phi[k], bins=edges, weights=m)
         hists.append((edges, counts.astype(np.int64)))
-    moments = moment_table(table, lam, Q=Q)
+    moments = _moments(table, centred, Q, max_order=4)
     return EmpiricalSummary(
         ensemble_size=total,
         Q=Q,
@@ -398,11 +412,13 @@ def moment_table(table: EnsembleTable, lambda_bar, Q: float | None = None, max_o
     if table.size == 0:
         raise ValueError("empty ensemble")
     Q = table.Q_nominal() if Q is None else Q
-    lam = np.asarray(lambda_bar, dtype=np.float64)
-    w = table.weights
+    return _moments(table, _centred(table, np.asarray(lambda_bar, dtype=np.float64)), Q, max_order)
+
+
+def _moments(table: EnsembleTable, centred: list, Q: float, max_order: int) -> dict:
+    """moment_table over the given centred count columns of the table."""
     powers = []  # powers[k][p - 1] = phi_k^p
-    for k in range(table.d):
-        col = table.counts[:, k].astype(np.float64) - w * lam[k]
+    for col in centred:
         cols = [col]
         for _ in range(1, max_order):
             cols.append(cols[-1] * col)

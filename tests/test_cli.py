@@ -1,11 +1,19 @@
+import argparse
 import json
 import math
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfstats.cli import ExperimentConfig, main, write_json
+from cfstats import cli
+from cfstats.cli import OPTIONS, ExperimentConfig, build_parser, main, write_json
+from cfstats.schemas import SCHEMAS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(args):
@@ -69,6 +77,33 @@ class TestEnumerate:
             ["enumerate", "--algorithm", "gauss", "--denominator-bound", "5",
              "--Q", "3.0", "--targets", "1", "--out", str(tmp_path / "o")]
         ) == 1
+
+    @pytest.mark.parametrize("algorithm, targets, Q, bound", [
+        ("gauss", "1,2", 8.48, 69),  # 2 log 69 < 8.48 < 2 log 70
+        ("jp2", "1:2,0:1", 7.5, 12),  # 3 log 12 < 7.5 < 3 log 13
+    ])
+    def test_Q_run_equals_its_denominator_bound_run(self, tmp_path, monkeypatch, algorithm, targets, Q, bound):
+        args = ["--algorithm", algorithm, "--targets", targets]
+        assert run(["enumerate", *args, "--Q", str(Q), "--out", str(tmp_path / "q")]) == 0
+        assert run(["enumerate", *args, "--denominator-bound", str(bound), "--out", str(tmp_path / "b")]) == 0
+        assert read(tmp_path / "q" / "trajectories.csv") == read(tmp_path / "b" / "trajectories.csv")
+
+        by_Q = cli._build_table(ExperimentConfig(algorithm=algorithm, Q=Q, targets=cli.labels(targets)))
+        by_bound = cli._build_table(
+            ExperimentConfig(algorithm=algorithm, denominator_bound=bound, targets=cli.labels(targets))
+        )
+        for name in ("qs", "counts", "mult", "denominator_bound"):
+            assert np.array_equal(getattr(by_Q, name), getattr(by_bound, name))
+
+        # the summary normalises by Q, not by the bound's weight, so compare
+        # it with the run that also restricts the table to w < Q
+        grid = ["--grid", "8", "--jmax", "8"]
+        assert run(["stats", *args, *grid, "--Q", str(Q), "--out", str(tmp_path / "s")]) == 0
+        build = cli._build_table
+        monkeypatch.setattr(cli, "_build_table", lambda cfg: build(cfg).restrict_weight(cfg.Q))
+        assert run(["stats", *args, *grid, "--Q", str(Q), "--out", str(tmp_path / "r")]) == 0
+        for name in ("summary.json", "histogram.csv"):
+            assert read(tmp_path / "s" / name) == read(tmp_path / "r" / name)
 
 
 class TestStats:
@@ -140,10 +175,141 @@ class TestStats:
             raise AssertionError("brun3 was enumerated")
 
         monkeypatch.setattr(cli, "_build_table", no_table)
+        grid = [] if command == "stats" else ["--q-grid", "2,3,4,5"]  # stats reads no Q grid
         assert run([command, "--algorithm", "brun3", "--denominator-bound", "10", "--targets", "1",
-                    "--q-grid", "2,3,4,5", "--out", str(tmp_path / "o")]) == 1
+                    *grid, "--out", str(tmp_path / "o")]) == 1
         assert "the spectral grid supports gauss, brun2 and jp2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# every option flag, by the subcommand that reads it
+FLAGS = {
+    "enumerate": {"--algorithm", "--Q", "--denominator-bound", "--targets", "--out", "--budget"},
+    "stats": {"--algorithm", "--Q", "--denominator-bound", "--targets", "--grid", "--jmax", "--out",
+              "--budget"},
+    "clt": {"--algorithm", "--Q", "--denominator-bound", "--targets", "--grid", "--jmax", "--q-grid",
+            "--out", "--budget"},
+    "ldp": {"--algorithm", "--Q", "--denominator-bound", "--targets", "--grid", "--jmax", "--q-grid",
+            "--epsilon", "--out", "--budget"},
+    "spectral": {"--algorithm", "--targets", "--grid", "--jmax", "--out"},
+    "verify": {"--out", "--criteria"},
+}
+
+# valid on every subcommand; each malformed case below overrides some keys
+BASE = {"algorithm": "gauss", "denominator_bound": 30, "targets": [1], "grid": 16, "jmax": 32,
+        "q_grid": [5, 6, 7, 8], "epsilon": [0.1], "histogram_bins": 11, "use_empirical_lambda": True}
+MALFORMED = {
+    "jp2-int-target": ({"algorithm": "jp2", "targets": [1]}, "jp2 targets must be a:b pairs"),
+    "string-grid": ({"grid": "64"}, "config key grid"),
+    "string-Q": ({"Q": "10", "denominator_bound": None}, "config key Q"),
+    "scalar-targets": ({"targets": 1}, "config key targets"),
+    "string-bins": ({"histogram_bins": "9"}, "config key histogram_bins"),
+    "gauss-pair-target": ({"targets": [[1, 2]]}, "pair targets are only valid for jp2"),
+    "float-bound": ({"denominator_bound": 20.5}, "config key denominator_bound"),
+    "scalar-epsilon": ({"epsilon": 0.1}, "config key epsilon"),
+    "scalar-q-grid": ({"q_grid": 8}, "config key q_grid"),
+}
+
+
+class TestOptions:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        taken = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+            for name, p in sub.choices.items()
+        }
+        assert taken == FLAGS
+        assert sum(map(len, taken.values())) == 40
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--algorithm", "jp2", "--grid", "3", "--Q", "5"],
+        ["spectral", "--Q", "3", "--budget", "1", "--epsilon", "9"],
+        ["stats", "--algorithm", "gauss", "--denominator-bound", "30", "--q-grid", "5,6"],
+    ])
+    def test_flag_a_subcommand_ignores_is_a_usage_error(self, tmp_path, capsys, args):
+        assert run([*args, "--out", str(tmp_path / "o")]) == 1
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["enumerate", "--Q", "inf"], "Q must be positive and finite"),
+        (["ldp", "--denominator-bound", "30", "--q-grid", "5,6,7,8", "--epsilon", ","],
+         "epsilon must be one or more positive numbers"),
+        (["enumerate", "--denominator-bound", "5", "--targets", "1,1"], "targets must be distinct"),
+    ], ids=["infinite-Q", "no-epsilon", "repeated-target"])
+    def test_out_of_range_value_is_a_validation_error(self, tmp_path, capsys, args, message):
+        assert run([*args, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_table_fields_and_readme_name_the_same_keys(self):
+        keys = set(OPTIONS)
+        assert keys == {f.name for f in fields(ExperimentConfig)}
+        readme = README.read_text()
+        rows = re.findall(r"^\| `(\w+)` \| (.+?) \|((?: [✓ ] \|)+)$", readme, flags=re.M)
+        assert {key for key, _, _ in rows} == keys
+        order = ["enumerate", "stats", "clt", "ldp", "spectral", "verify"]
+        for key, flag, marks in rows:
+            readers = [c for c, mark in zip(order, marks.split("|")) if mark.strip() == "✓"]
+            assert tuple(readers) == OPTIONS[key].commands, key
+            dashed = "--" + key.replace("_", "-")
+            assert flag == ("config only" if key in cli._CONFIG_ONLY else f"`{dashed}`"), key
+
+    @pytest.mark.parametrize("command", ["stats", "ldp", "enumerate"])
+    @pytest.mark.parametrize("override, message", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_config_is_a_validation_error(self, tmp_path, capsys, command, override, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**BASE, **override}))
+        assert run([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_config_serves_every_subcommand(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(BASE))
+        for command in ["enumerate", "stats", "clt", "ldp", "spectral", "verify"]:
+            extra = ["--criteria", "A10"] if command == "verify" else []
+            out = tmp_path / command
+            assert run([command, *extra, "--config", str(cfgfile), "--out", str(out)]) == 0, command
+        # stats reads neither epsilon nor the Q grid, but echoes them
+        config = json.loads(read(tmp_path / "stats" / "summary.json"))["config"]
+        assert config == {**BASE, "Q": None}
+
+    def test_written_keys_match_the_schemas(self, tmp_path):
+        runs = [
+            ["enumerate", "--algorithm", "jp2", "--denominator-bound", "6", "--targets", "1:2"],
+            ["stats", "--algorithm", "gauss", "--denominator-bound", "40", "--targets", "1", "--grid", "16"],
+            ["clt", "--algorithm", "gauss", "--denominator-bound", "40", "--targets", "1", "--grid", "16",
+             "--q-grid", "6,7"],
+            ["ldp", "--algorithm", "gauss", "--denominator-bound", "40", "--targets", "1", "--grid", "16",
+             "--q-grid", "5,6,7,8"],
+            ["spectral", "--algorithm", "gauss", "--targets", "1", "--grid", "16", "--jmax", "32"],
+            ["spectral", "--algorithm", "jp2", "--targets", "1:2", "--grid", "4", "--jmax", "4"],
+            ["verify", "--criteria", "A10"],
+        ]
+        written = {}
+        for k, args in enumerate(runs):
+            out = tmp_path / str(k)
+            assert run([*args, "--out", str(out)]) == 0, args
+            assert (out / "schema.json").exists()
+            for path in out.iterdir():
+                if path.name == "schema.json":
+                    continue
+                schema = SCHEMAS[path.name]
+                if path.suffix == ".json":
+                    keys = set(json.loads(read(path)))
+                    assert keys <= set(schema), path.name
+                else:
+                    comment, header = read(path).decode().split("\n")[:2]
+                    assert comment == schema["comment_line"]
+                    keys = {re.sub(r"^N_.+$", "N_<label>", re.sub(r"^num\d+$", "num_k", c))
+                            for c in header.split(",")}
+                    assert keys <= set(schema["columns"]), path.name
+                written.setdefault(path.name, set()).update(keys)
+        assert set(written) == set(SCHEMAS)
+        for name, keys in written.items():
+            assert keys == set(SCHEMAS[name].get("columns", SCHEMAS[name])), name
 
 
 class TestCltLdp:

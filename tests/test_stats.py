@@ -21,6 +21,7 @@ from cfstats.stats import (
     growth_constant,
     ks_distance,
     ks_distance_lattice,
+    ks_distances,
     ldp_tail,
     moment_table,
     q_fit,
@@ -354,6 +355,8 @@ class TestMoments:
             moment_table(empty, np.array([0.4, 0.2]), Q=1.0)
         with pytest.raises(ValueError, match="empty ensemble"):
             clt_summary(empty, np.array([0.4, 0.2]), Q=1.0)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            ks_distances(empty, np.array([0.4, 0.2]), 1.0, np.eye(2))
 
     def test_second_moment_equals_covariance_bitwise(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
@@ -362,6 +365,16 @@ class TestMoments:
         moms = moment_table(gauss_small_table, lam, Q=Q)
         assert moms[(2, 0)] == pytest.approx(summ.covariance[0, 0], abs=1e-12)
         assert moms[(1, 1)] == pytest.approx(summ.covariance[0, 1], abs=1e-12)
+
+    def test_summary_parts_equal_their_own_reductions(self, gauss_small_table, coarse_gauss_deriv):
+        # clt_summary centres the counts once; its moments and KS distances
+        # keep the bits of the reductions that centre them on their own
+        lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
+        sigma = np.array([[0.21, 0.01], [0.01, 0.07]])
+        Q = 0.9 * gauss_small_table.Q_nominal()
+        summ = clt_summary(gauss_small_table, lam, Q=Q, sigma_matrix=sigma)
+        assert summ.moments == moment_table(gauss_small_table, lam, Q=Q)
+        assert np.array_equal(summ.ks_distance, ks_distances(gauss_small_table, lam, Q, sigma))
 
     def test_odd_moments_small(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
