@@ -18,6 +18,12 @@ and of each per-layer metric (traced_summary) per side, the number of
 pairs in which the after side was better, and whether both sides
 printed the same digests in every untraced pair: all of them
 (digests_equal), and each digest key on its own (digests_equal_by_key).
+Each run also carries the median wall time of each of its operations
+over its timed untraced rounds (op_wall_s), read from the record that
+perfbench writes under the checkout's perfbench/out/, and each workload
+summarises them per operation and side over the untraced pairs
+(op_wall_summary), so a change in wall_s can be traced to the operations
+that made it without traced runs.
 It also records each checkout's source size, the number of lines of
 src/**/*.py (src_lines), and its cold import cost: the median over seven
 fresh `python -X importtime -c "import cfstats.cli"` processes of the
@@ -46,7 +52,17 @@ def run(checkout: str, workload: str, seed: int, trace: int) -> dict:
     info, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return {"seed": seed, "digests": info["digests"], "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "op_wall_s": op_walls(checkout, workload, seed, trace)}
+
+
+def op_walls(checkout: str, workload: str, seed: int, trace: int) -> dict:
+    """Median wall seconds of each operation over the timed untraced rounds
+    (all but the warm-up round 0) of the record of a run just made."""
+    path = os.path.join(checkout, "perfbench", "out", f"{workload}-seed{seed}-trace{trace}.json")
+    with open(path) as fh:
+        rounds = [r for r in json.load(fh)["rounds"][1:] if not r["traced"]]
+    return {op: statistics.median(r["wall"][op] for r in rounds) for op in rounds[0]["wall"]}
 
 
 def src_lines(checkout: str) -> int:
@@ -91,12 +107,13 @@ def alternating_pairs(args, workload: str, count: int, trace: int) -> list:
     return pairs
 
 
-def compare(pairs, metrics) -> dict:
-    """Median and quartiles per side of each (name, better) metric, and the pairs won by after."""
+def compare(pairs, metrics, field="metrics") -> dict:
+    """Median and quartiles per side of each (name, better) entry of every
+    run's `field`, and the pairs won by after."""
     out = {}
     for k, better in metrics:
-        b = [p["before"]["metrics"][k] for p in pairs]
-        a = [p["after"]["metrics"][k] for p in pairs]
+        b = [p["before"][field][k] for p in pairs]
+        a = [p["after"][field][k] for p in pairs]
         won = sum(y < x if better == "lower" else y > x for x, y in zip(b, a))
         out[k] = {"before": spread(b), "after": spread(a), "after_better_in": won, "pairs": len(pairs)}
     return out
@@ -128,6 +145,7 @@ def main(argv=None) -> int:
         keys = sorted({k for p in pairs for side in p.values() for k in side["digests"]})
         report["workloads"][workload] = {
             "summary": compare(pairs, [(k, "lower") for k in END_TO_END]),
+            "op_wall_summary": compare(pairs, [(k, "lower") for k in pairs[0]["after"]["op_wall_s"]], "op_wall_s"),
             "traced_summary": compare(traced, per_layer),
             "digests_equal": all(p["before"]["digests"] == p["after"]["digests"] for p in pairs),
             "digests_equal_by_key": {

@@ -14,8 +14,10 @@ the lanes' states into table rows, for any number of targets.  The
 weight DP (_weight_states) holds a float64 sum of forward log-Jacobians
 per state, NaN where the count DP's would be negative.  Each map supplies
 a layer loop, which hands both DPs its steps (_gauss_layers,
-_brun2_layers for the Brun GCD, m = 2, and _jp_choice_layers, which
-follows the JP choice table that settles every canonical expansion), and
+_brun2_layers for the Brun GCD, m = 2, over the states with sorted
+numerators only, since swapping them changes no digit j and no
+denominator, and _jp_choice_layers, which follows the JP choice table
+that settles every canonical expansion), and
 a step check, which decodes each state's child from the position the
 weight DP read and checks the step's inverse branch exactly, B (child) =
 state, so by induction on the denominator it proves every point's round
@@ -97,14 +99,14 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
 
 
-def _layer_of(k, start):
+def _layer_of(k, start, scale: float):
     """The layers q of the DP positions k, and the positions start(q) where
     they begin, for the JP and Brun layouts, whose layer q starts at
-    (q^3 - q) / 3 and q^3 / 3 + q^2 / 2 + q / 6 - 1: a float32 cube root of
-    3k is within one of q for q < 10^6, and one step each way makes it
-    exact."""
-    starts = start(np.arange(int(np.cbrt(3.0 * k.max(initial=0))) + 4))
-    q = np.cbrt(np.float32(3.0) * k.astype(np.float32)).astype(np.int64)
+    (q^3 - q) / 3 (scale 3) and q (q + 1) (q + 2) / 6 - 1 (scale 6): a
+    float32 cube root of scale * k is within one of q for q < 10^6, and one
+    step each way makes it exact."""
+    starts = start(np.arange(int(np.cbrt(scale * k.max(initial=0))) + 4))
+    q = np.cbrt(np.float32(scale) * k.astype(np.float32)).astype(np.int64)
     q += starts[q + 1] <= k
     q -= starts[q] > k
     return q, starts[q]
@@ -391,77 +393,79 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
 #
 # The Brun step from (q; u1, u2) divides q by its largest numerator um, u1 on
 # ties, taking the digit j = q // um, to the child (um; u2, q - j um) if
-# um = u1 and to (um; q - j um, u1) if not.  Children need not be sorted, so
-# the verify DP has a state for every (u1, u2) in [0, q]^2, in layers
-# q = 1, 2, ...; (q; 0, 0) ends every expansion, and is coprime only for
+# um = u1 and to (um; q - j um, u1) if not.  It depends only on the multiset
+# of the numerators: swapping them swaps the child's, so (q; u1, u2) and
+# (q; u2, u1) have the same digits j and the same denominators all along
+# their expansions (Schweiger 2000, Multidimensional Continued Fractions),
+# and the expansion of one recomposes to the other through the swap.  So the
+# DPs hold only the sorted states q >= u1 >= u2 >= 0, in layers q = 1, 2,
+# ...; a sorted state divides by u1, and reads its child at the child's
+# sorted position.  (q; 0, 0) ends every expansion, and is coprime only for
 # q = 1.  Both DPs share the layer loop (_brun2_layers), and the lanes are
-# the sorted triples.
+# the states with u2 >= 1.
 
 
 def _brun2_index(q, u1, u2):
-    """Position of state (q; u1, u2) in the verify DP: layers q = 1, 2, ...
-    of (q + 1)^2 states each, rows u1 = 0..q, columns u2 = 0..q."""
-    return q * (q + 1) * (2 * q + 1) // 6 - 1 + u1 * (q + 1) + u2
+    """Position of the sorted state (q; u1, u2) in the DPs: layers
+    q = 1, 2, ... of (q + 1)(q + 2) / 2 states each, rows u1 = 0..q of
+    u1 + 1 states, columns u2 = 0..u1."""
+    return q * (q + 1) * (q + 2) // 6 - 1 + _gauss_index(u2, u1 + 1)
 
 
 def _brun2_state(k):
     """The states (q, u1, u2) at the positions k, inverting _brun2_index,
-    with (u1, u2) taken from the remainder, so _brun2_index(q, u1, u2) == k
-    whatever q is found."""
-    q, start = _layer_of(k, lambda q: _brun2_index(q, 0, 0))
-    rem = k - start
-    u1 = rem // (q + 1)
-    return q, u1, rem - u1 * (q + 1)
+    with u2 taken from the remainder, so _brun2_index(q, u1, u2) == k
+    whatever q and u1 are found."""
+    q, start = _layer_of(k, lambda q: _brun2_index(q, 0, 0), 6.0)
+    u2, row = _gauss_pair(k - start)
+    return q, row - 1, u2
 
 
 def _brun2_children(q, u1, u2):
-    """The Brun step from the states (q; u1, u2), (u1, u2) != (0, 0): the
-    digits j, whether each divides by u1, and the children's denominators
-    um and positions."""
-    i1 = u1 >= u2  # smallest index wins ties
-    um = np.where(i1, u1, u2)
-    j = q // um
-    r = q - j * um
-    return j, i1, um, _brun2_index(um, np.where(i1, u2, r), np.where(i1, r, u1))
+    """The Brun step from the sorted states (q; u1, u2), u1 >= 1, which
+    divides by u1: the digits j = q // u1, and the positions of the children
+    (u1; u2, r), r = q - j u1, at their sorted positions (u1; max(u2, r),
+    min(u2, r))."""
+    j, r = np.divmod(q, u1)
+    return j, _brun2_index(u1, np.maximum(u2, r), np.minimum(u2, r))
 
 
 def _brun2_is_lane(k, q):
-    """Whether the positions k of the layers q hold lanes, the sorted
-    triples (q; u1, u2) with u1 >= u2 >= 1."""
-    u1, u2 = np.divmod(k - _brun2_index(q, 0, 0), q + 1)
-    return (u1 >= u2) & (u2 >= 1)
+    """Whether the positions k of the layers q hold lanes, the states
+    (q; u1, u2) with u2 >= 1."""
+    return _gauss_pair(k - _brun2_index(q, 0, 0))[0] >= 1
 
 
 def _brun2_layers(bound: int, fill):
-    """Call fill(k, j, pos, q, um) for the states (q; u1, u2), (u1, u2) !=
-    (0, 0), of the layers q = 1..bound in order: k are their positions, and
-    j, pos, um the digits, the children's positions and the children's
-    denominators (_brun2_children).  A step with um = q reads its own layer, so
-    each layer comes in three passes: the steps with um < q, which read
-    earlier layers; those with um = q from states other than (q; q, q),
-    which step to a state of the first pass, (q; u, 0) or (q; 0, u) with
-    u < q; and last (q; q, q), which steps to (q; q, 0) of the second."""
+    """Call fill(k, j, pos, q, u1) for the states (q; u1, u2), u1 >= 1, of
+    the layers q = 1..bound in order: k is the slice of their positions, and
+    j, pos the digits and the children's positions (_brun2_children); the
+    children's denominators are u1.  A step from the row u1 = q reads its own
+    layer, so each layer comes in three slices: the rows u1 < q, which read
+    earlier layers; the row u1 = q but (q; q, q), which steps to (q; u2, 0)
+    of the first slice, or to (q; 0, 0); and last (q; q, q), which steps to
+    (q; q, 0) of the second."""
+    u2, u1 = _gauss_pair(np.arange(_gauss_index(0, bound + 2)))  # the rows and columns of the largest layer
+    u1 -= 1
     for q in range(1, bound + 1):
-        start = _brun2_index(q, 0, 0)
-        k = np.arange(start + 1, start + (q + 1) ** 2)
-        u1, u2 = np.divmod(k - start, q + 1)
-        j, _, um, pos = _brun2_children(q, u1, u2)
-        for sel in (um < q, (um == q) & (u1 != u2), (um == q) & (u1 == u2)):
-            fill(k[sel], j[sel], pos[sel], q, um[sel])
+        start, row = _brun2_index(q, 0, 0), _gauss_index(0, q + 1)  # row: the offset of (q; q, 0)
+        for lo, hi in ((1, row), (row, row + q), (row + q, row + q + 1)):
+            j, pos = _brun2_children(q, u1[lo:hi], u2[lo:hi])
+            fill(slice(start + lo, start + hi), j, pos, q, u1[lo:hi])
 
 
 def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """Digit-count table for coprime descending triples with t1 <= bound.
 
-    A DP holds the target counts of every state (q; u1, u2) with
+    A DP holds the target counts of every sorted state (q; u1, u2) with
     q <= bound (_count_states); by induction on q, each layer in the order
     of _brun2_layers, every coprime state holds the counts of its
     expansion, C(q; u1, u2) = [j = t] + C(child), from the base (1; 0, 0),
     which holds none.  The longest expansions are far shorter than 127
     digits (17 at t1 <= 600).  The lanes (t2, t3, t1) = (u1, u2, q) of the
     denominator blocks are then histogrammed (_table_rows).  The states
-    take 1 byte per state and target, sum((q + 1)^2 for q <= bound) bytes
-    per target in all, 9 MB at t1 <= 300.
+    take 1 byte per state and target, (bound + 1)(bound + 2)(bound + 3) / 6
+    - 1 bytes per target in all, 4.6 MB at t1 <= 300.
     """
     targets = tuple(targets)
     rows = targets or (0,)  # with no target, a row that no digit hits still marks gcd > 1
@@ -469,30 +473,31 @@ def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     size = _brun2_index(max(bound, 1) + 1, 0, 0)
     state = _count_states(_brun2_layers, size, max(bound, 1), rows)
     starts = _brun2_index(np.arange(bound + 2, dtype=np.int64), 0, 0)
-    blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
+    blocks = _blocks(1, bound, lambda q: (q + 1) * (q + 2) // 2)
     parts = [_table_rows(b, state, starts, _brun2_is_lane) for b in blocks]
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
 def _brun2_check(qs, wsum):
     """Round-trip and weight check of the coprime states (q; u1, u2),
-    (u1, u2) != (0, 0), with q in [qlo, qhi]: the child (um; c1, c2) the DP
-    read, decoded from its position, must satisfy B(1, j) (c1, c2, um) =
-    (um, c1, c2 + j um) = (u1, u2, q) where the step divides by u1, and
-    B(2, j) (c1, c2, um) = (c2, um, c1 + j um) = (u1, u2, q) where it
-    divides by u2.  Lanes, the sorted triples, must have W = 3 log q."""
+    u1 >= 1, with q in [qlo, qhi]: the child the DP read, decoded from its
+    position into (cq; c1, c2), c1 >= c2, must satisfy B(1, j) (y, r, cq) =
+    (cq, y, r + j cq) = (u1, u2, q) for one order (y, r) of (c1, c2): (c1, c2)
+    if c1 = u2, else (c2, c1).  Lanes, the states with u2 >= 1, must have
+    W = 3 log q."""
     qlo, qhi = qs
     lo = _brun2_index(qlo, 0, 0)
     k = lo + np.flatnonzero(~np.isnan(wsum[lo : _brun2_index(qhi + 1, 0, 0)]))
     q, u1, u2 = _brun2_state(k)
-    step = (u1 > 0) | (u2 > 0)  # (1; 0, 0) is the origin
+    step = u1 > 0  # (1; 0, 0) is the origin
     q, u1, u2, w = q[step], u1[step], u2[step], wsum[k[step]]
-    j, i1, _, pos = _brun2_children(q, u1, u2)
+    j, pos = _brun2_children(q, u1, u2)
     # cq, c1, c2 encode pos exactly, so a pass means it holds the child
     cq, c1, c2 = _brun2_state(pos)
-    x, y, z = np.where(i1, cq, c2), np.where(i1, c1, cq), np.where(i1, c2, c1) + j * cq
+    first = c1 == u2
+    x, y, z = cq, np.where(first, c1, c2), np.where(first, c2, c1) + j * cq
     fails = np.count_nonzero((x != u1) | (y != u2) | (z != q))
-    lane = (u1 >= u2) & (u2 >= 1)
+    lane = u2 >= 1
     werr = float(np.abs(w[lane] - 3.0 * np.log(q[lane])).max(initial=0.0))
     top = max(x.max(initial=0), y.max(initial=0), z.max(initial=0))
     return int(np.count_nonzero(lane)), int(fails), werr, int(top)
@@ -502,25 +507,26 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
     """Exact round-trip and weight-telescoping check over all coprime
     descending triples (t1, t2, t3) with t1 <= bound.
 
-    The weight DP holds the weight sum W(q; u1, u2) of every state with
-    q <= bound (_weight_states), and every coprime state but the origin is
-    checked against the child it read (_brun2_check).  By induction on q
-    this proves every point: the composed inverse branches M(q; u1, u2) =
-    B(i, j) M(child) of the expansion give back (u1, u2, q) = B(i, j)
-    (c1, c2, um) from the child's round trip and the base (1; 0, 0), and
-    W(q; u1, u2) = 3 (log q - log um) + W(child) telescopes to 3 log q.  A
-    step with um = q reads a state of its own layer, filled first.  checked
-    counts the lanes (t2, t3, t1) = (u1, u2, q), roundtrip_failures the
-    states whose step check fails, and max_matrix_entry is the largest
-    entry of the checked products.
+    The weight DP holds the weight sum W(q; u1, u2) of every sorted state
+    with q <= bound (_weight_states), and every coprime state but the
+    origin is checked against the child it read (_brun2_check).  By
+    induction on q this proves every point: the composed inverse branches
+    M(q; u1, u2) = B(1, j) M(child) of the expansion give back (u1, u2, q)
+    = B(1, j) (y, r, u1) from the round trip of the child (u1; y, r), which
+    is that of its sorted state, swapped if r > y, and the base (1; 0, 0);
+    and W(q; u1, u2) = 3 (log q - log u1) + W(child) telescopes to
+    3 log q.  A step from the row u1 = q reads a state of its own layer,
+    filled first.  checked counts the lanes (t2, t3, t1) = (u1, u2, q),
+    roundtrip_failures the states whose step check fails, and
+    max_matrix_entry is the largest entry of the checked products.
 
-    The weights take 8 bytes per state, 8 * sum((q + 1)^2 for q <= bound)
-    bytes in all, 73 MB at t1 <= 300.
+    The weights take 8 bytes per state, 8 * ((bound + 1)(bound + 2)
+    (bound + 3) / 6 - 1) bytes in all, 37 MB at t1 <= 300.
     """
     _require_memory(8 * _brun2_index(bound + 1, 0, 0), f"the Brun verify sweep at t1 <= {bound}")
     size = _brun2_index(max(bound, 1) + 1, 0, 0)
     wsum = _weight_states(_brun2_layers, size, max(bound, 1), 3)
-    blocks = _blocks(1, bound, lambda q: (q + 1) ** 2)
+    blocks = _blocks(1, bound, lambda q: (q + 1) * (q + 2) // 2)
     return _merge_reports([_brun2_check(b, wsum) for b in blocks])
 
 
@@ -549,7 +555,7 @@ def _jp_state(k):
     """The states (p, r, q) at the positions k, inverting _jp_index, with
     (p, r) taken from the remainder, so _jp_index(p, r, q) == k whatever q
     is found."""
-    q, start = _layer_of(k, lambda q: _jp_index(1, 0, q))
+    q, start = _layer_of(k, lambda q: _jp_index(1, 0, q), 3.0)
     rem = k - start
     p = rem // (q + 1)
     return p + 1, rem - p * (q + 1), q

@@ -18,6 +18,7 @@ enumeration skips them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -142,21 +143,34 @@ def brun_trajectory_digits(t: Sequence[int]) -> list:
     sorted descending; it corresponds to the point
     (t_2/t_1, ..., t_{m+1}/t_1).  Ties take the smallest index.
     """
-    t = tuple(int(v) for v in t)
-    if any(t[k] < t[k + 1] for k in range(len(t) - 1)):
+    return _brun_walk(tuple(int(v) for v in t), {})[0]
+
+
+def _brun_walk(t: tuple, digit_of: dict) -> tuple:
+    """(digits, counts) of the Brun map orbit of the int tuple t, checked as
+    brun_trajectory_digits states: the digit string and a Counter of its
+    labels j.  digit_of holds the BrunDigit of each (i, j) met so far, and
+    gains the new ones."""
+    if list(t) != sorted(t, reverse=True):
         raise ValueError("tuple must be sorted descending")
     if t[-1] < 1:
         raise ValueError("entries must be positive")
     if math.gcd(*t) != 1:
         raise ValueError("tuple is not coprime")
     q, u = t[0], list(t[1:])
-    digits = []
-    while any(u):
-        i = u.index(max(u))  # the first maximum: ties take the smallest index
-        j = q // u[i]
-        digits.append(BrunDigit(i + 1, j))
-        q, u = u[i], u[i + 1 :] + [q - j * u[i]] + u[:i]
-    return digits
+    digits, counts = [], Counter()
+    um = max(u, default=0)
+    while um:  # the entries stay >= 0, so the orbit ends where all are 0
+        i = u.index(um)  # the first maximum: ties take the smallest index
+        j = q // um
+        d = digit_of.get((i, j))
+        if d is None:
+            d = digit_of[i, j] = BrunDigit(i + 1, j)
+        digits.append(d)
+        counts[j] = counts.get(j, 0) + 1
+        q, u = um, u[i + 1 :] + [q - j * um] + u[:i]
+        um = max(u, default=0)
+    return digits, counts
 
 
 # The four digit choices at a JP state (p, r, q) ~ (p/q, r/q), preferred
@@ -248,22 +262,13 @@ def _jp_records(bound: int) -> Iterator[TrajectoryRecord]:
 
 
 def _brun_records(bound: int, m: int) -> Iterator[TrajectoryRecord]:
-    def desc_tuples(prefix, remaining, cap):
-        if remaining == 0:
-            yield prefix
-            return
-        for v in range(cap, 0, -1):
-            yield from desc_tuples(prefix + (v,), remaining - 1, v)
-
+    digit_of: dict = {}
     for t1 in range(1, bound + 1):
-        for rest in desc_tuples((), m, t1):
-            t = (t1,) + rest
-            if math.gcd(*t) != 1:
+        for rest in itertools.combinations_with_replacement(range(t1, 0, -1), m):
+            if math.gcd(t1, *rest) != 1:
                 continue
-            digits = tuple(brun_trajectory_digits(t))
-            yield TrajectoryRecord(
-                RationalPoint(rest, t1), digits, m + 1, Counter(d.label for d in digits)
-            )
+            digits, counts = _brun_walk((t1,) + rest, digit_of)
+            yield TrajectoryRecord(RationalPoint(rest, t1), tuple(digits), m + 1, counts)
 
 
 def denominator_bound(map_desc: MapDescriptor, Q: float) -> int:

@@ -337,7 +337,7 @@ def expansion_lengths(name, bound):
     elif name == "brun":
         for q in range(1, bound + 1):
             for u1 in range(q + 1):
-                for u2 in range(q + 1):
+                for u2 in range(u1 + 1):
                     yield len(brun_gcd_digits((q, u1, u2))[0]) if math.gcd(q, u1, u2) == 1 else None
     else:
         for flag in (0, 1):
@@ -408,7 +408,7 @@ class TestVerifySweeps:
                 sweep(empty)
         assert sweep(bound + 1).checked > 0
 
-    # every state, unsorted Brun states and JP flag 1 included: a weight is
+    # every state, JP flag 1 included: a weight is
     # finite exactly where the count DP finds an expansion, and there it
     # telescopes to (m + 1) log q
     @pytest.mark.parametrize("name", ["gauss", "brun", "jp"])
@@ -435,6 +435,51 @@ class TestVerifySweeps:
     def test_jp_expandable_count_matches_record_path(self):
         n_records = sum(1 for _ in enumerate_trajectories(JP2, denominator_cap=30))
         assert bulk.jp_ensemble_table(30).size == n_records
+
+
+def brun_walk(q, u1, u2):
+    """The Brun map from (q; u1, u2), in any order of the numerators: divide q
+    by the first largest numerator um, take the digit j = q // um, and move
+    on to the cyclic reorder of the rest and q - j um.  Returns the digits j,
+    the steps (q, um), and the last denominator, 1 exactly where the state
+    is coprime."""
+    js, steps, u = [], [], [u1, u2]
+    while any(u):
+        i = u.index(max(u))
+        j = q // u[i]
+        js.append(j)
+        steps.append((q, u[i]))
+        q, u = u[i], u[i + 1 :] + [q - j * u[i]] + u[:i]
+    return js, steps, q
+
+
+class TestBrunSymmetry:
+    # every (q; u1, u2) in [0, q]^2: the walks from (u1, u2) and from
+    # (u2, u1) agree, and the sorted DPs hold their counts and weights, the
+    # weights to the last bit
+    def test_sorted_dps_match_walks_from_both_orders(self):
+        bound, targets = 30, (1, 2, 3, 5)
+        layers, size, multiplier, _ = dp_inputs("brun", bound)
+        counts = bulk._count_states(layers, size, bound, targets)
+        weights = bulk._weight_states(layers, size, bound, multiplier)
+        logs = np.zeros(bound + 1)
+        logs[1:] = np.log(np.arange(1, bound + 1))  # as _weight_states
+        for q in range(1, bound + 1):
+            for u1 in range(q + 1):
+                for u2 in range(q + 1):
+                    js, steps, end = brun_walk(q, u1, u2)
+                    assert brun_walk(q, u2, u1) == (js, steps, end)
+                    assert (end == 1) == (math.gcd(q, u1, u2) == 1)
+                    k = bulk._brun2_index(q, max(u1, u2), min(u1, u2))
+                    if end > 1:
+                        assert np.all(counts[:, k] < 0) and np.isnan(weights[k])
+                        continue
+                    tally = Counter(js)
+                    assert counts[:, k].tolist() == [tally[t] for t in targets]
+                    w = 0.0
+                    for a, b in reversed(steps):
+                        w = (logs[a] - logs[b]) * multiplier + w
+                    assert weights[k] == w
 
 
 class TestJPChoiceTable:
@@ -546,15 +591,15 @@ class TestGaussDP:
         bulk.gauss_verify(200)  # the verify DP takes 8 bytes per state: 160,800
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.gauss_verify(400)  # 641,600 bytes
-        bulk.brun2_verify(50)  # 8 bytes per state: 364,200
+        bulk.brun2_verify(70)  # 8 bytes per sorted state: 497,560
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.brun2_verify(60)  # 620,240 bytes
+            bulk.brun2_verify(71)  # 518,584 bytes
         bulk.jp_verify(40)  # 18 bytes per state, choices and weights, and 16 for two slots: 413,296
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.jp_verify(50)  # 795,616 bytes
-        bulk.brun2_ensemble_table(112)  # 1 byte per state and target: 487,368
+        bulk.brun2_ensemble_table(142)  # 1 byte per sorted state and target: 497,639
         with pytest.raises(BudgetError, match="cgroup limit"):
-            bulk.brun2_ensemble_table(113)  # 500,364 bytes
+            bulk.brun2_ensemble_table(143)  # 508,079 bytes
         bulk.jp_ensemble_table(71)  # 2 bytes of choices and 2 per target per state, and 2 per target for two slots: 497,570
         with pytest.raises(BudgetError, match="cgroup limit"):
             bulk.jp_ensemble_table(72)  # 518,594 bytes
@@ -577,11 +622,11 @@ class TestGaussDP:
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.gauss_verify(10**7)  # 4 * 10^14 bytes of weights
         with pytest.raises(BudgetError, match="physical memory"):
-            bulk.brun2_verify(10**7)  # 2.7 * 10^21 bytes of weights
+            bulk.brun2_verify(10**7)  # 1.3 * 10^21 bytes of weights
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.jp_verify(10**7)  # 6 * 10^21 bytes of choices and weights
         with pytest.raises(BudgetError, match="physical memory"):
-            bulk.brun2_ensemble_table(10**7)  # 3.3 * 10^20 bytes of counts
+            bulk.brun2_ensemble_table(10**7)  # 1.7 * 10^20 bytes of counts
         with pytest.raises(BudgetError, match="physical memory"):
             bulk.jp_ensemble_table(10**7)  # 1.3 * 10^21 bytes of choices and counts
 

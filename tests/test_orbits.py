@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfstats.maps import BRUN2, GAUSS, JP2, JPDigit, compose_string
+from cfstats.maps import BRUN2, BRUN3, GAUSS, JP2, JPDigit, compose_string
 from cfstats.orbits import (
     BudgetError,
     NotExpandableError,
@@ -105,6 +106,15 @@ class TestBrunGcd:
         with pytest.raises(ValueError):
             brun_gcd_digits((0, 0, 0))
 
+    @pytest.mark.parametrize("t, message", [
+        ((5, 7, 2), "sorted descending"),
+        ((7, 5, 0), "positive"),
+        ((6, 4, 2), "not coprime"),
+    ])
+    def test_trajectory_digits_reject_bad_tuples(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            brun_trajectory_digits(t)
+
 
 class TestJPDigits:
     def test_examples(self):
@@ -188,6 +198,21 @@ class TestEnumeration:
                     if math.gcd(t1, math.gcd(t2, t3)) == 1:
                         brute.add((t1, t2, t3))
         assert pts == brute
+
+    # SHA-256 of every record's point, digits (i, j) and counts, in stream
+    # order, as computed by the recursive tuple generator and
+    # brun_trajectory_digits before the Brun record walk was fused
+    @pytest.mark.parametrize("desc, cap, n, pin", [
+        (BRUN2, 40, 9389, "2179c35042858c02a366e753017d47b2a336d4b9adc43819ade8550e6c1f2ce5"),
+        (BRUN3, 16, 3462, "9857742ac5d837c463ec56036758fe99e0aa57567a0848769579f87d4fa02c00"),
+    ], ids=["brun2", "brun3"])
+    def test_brun_record_stream_pinned(self, desc, cap, n, pin):
+        h, count = hashlib.sha256(), 0
+        for rec in enumerate_trajectories(desc, denominator_cap=cap):
+            digits = tuple((d.i, d.j) for d in rec.digits)
+            h.update(repr((rec.point.numerators, rec.point.denominator, digits, sorted(rec.counts.items()))).encode())
+            count += 1
+        assert (count, h.hexdigest()) == (n, pin)
 
     def test_roundtrip_all_small(self):
         for desc, cap in ((GAUSS, 60), (JP2, 12), (BRUN2, 10)):
