@@ -99,14 +99,17 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
 
 
-def _layer_of(k, start, scale: float):
+def _layer_of(k, start, scale: float, shift: float):
     """The layers q of the DP positions k, and the positions start(q) where
     they begin, for the JP and Brun layouts, whose layer q starts at
-    (q^3 - q) / 3 (scale 3) and q (q + 1) (q + 2) / 6 - 1 (scale 6): a
-    float32 cube root of scale * k is within one of q for q < 10^6, and one
-    step each way makes it exact."""
+    (q^3 - q) / 3 (scale 3, shift 0) and q (q + 1) (q + 2) / 6 - 1
+    = ((q + 1)^3 - q - 7) / 6 (scale 6, shift 1/2).  The shift centres
+    x = cbrt(scale * k) - shift: at every position k > 0 of the layer q it
+    lies in [q - 0.2, q + 1.5), and at k = 0 it is exactly 0 or -1/2.  The
+    float32 x is within 0.2 of it for q < 10^6, so truncated toward zero it
+    is within one of q, and one step each way makes it exact."""
     starts = start(np.arange(int(np.cbrt(scale * k.max(initial=0))) + 4))
-    q = np.cbrt(np.float32(scale) * k.astype(np.float32)).astype(np.int64)
+    q = (np.cbrt(np.float32(scale) * k.astype(np.float32)) - np.float32(shift)).astype(np.int64)
     q += starts[q + 1] <= k
     q -= starts[q] > k
     return q, starts[q]
@@ -416,7 +419,7 @@ def _brun2_state(k):
     """The states (q, u1, u2) at the positions k, inverting _brun2_index,
     with u2 taken from the remainder, so _brun2_index(q, u1, u2) == k
     whatever q and u1 are found."""
-    q, start = _layer_of(k, lambda q: _brun2_index(q, 0, 0), 6.0)
+    q, start = _layer_of(k, lambda q: _brun2_index(q, 0, 0), 6.0, 0.5)
     u2, row = _gauss_pair(k - start)
     return q, row - 1, u2
 
@@ -555,7 +558,7 @@ def _jp_state(k):
     """The states (p, r, q) at the positions k, inverting _jp_index, with
     (p, r) taken from the remainder, so _jp_index(p, r, q) == k whatever q
     is found."""
-    q, start = _layer_of(k, lambda q: _jp_index(1, 0, q), 3.0)
+    q, start = _layer_of(k, lambda q: _jp_index(1, 0, q), 3.0, 0.0)
     rem = k - start
     p = rem // (q + 1)
     return p + 1, rem - p * (q + 1), q

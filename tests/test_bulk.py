@@ -482,6 +482,31 @@ class TestBrunSymmetry:
                     assert weights[k] == w
 
 
+class TestStateDecoding:
+    # the 50 positions on either side of every layer boundary, where the
+    # float cube root of _layer_of is closest to a wrong layer, decode to
+    # the state at that position, with index arithmetic only; the decoders
+    # take the last coordinate from the remainder, so it is the ranges that
+    # pin the layer
+    @pytest.mark.parametrize("name", ["brun", "jp"])
+    def test_layer_ends_decode_exactly(self, name):
+        layers = np.concatenate([np.arange(1, 10_001), np.arange(10**6 - 100, 10**6)])
+        if name == "brun":
+            starts = bulk._brun2_index(layers, 0, 0)
+        else:
+            starts = bulk._jp_index(1, 0, layers)
+        k = (starts[:, None] + np.arange(-50, 50)).ravel()
+        k = k[k >= 0]
+        if name == "brun":
+            q, u1, u2 = bulk._brun2_state(k)
+            assert np.array_equal(bulk._brun2_index(q, u1, u2), k)
+            assert np.all((q >= u1) & (u1 >= u2) & (u2 >= 0))
+        else:
+            p, r, q = bulk._jp_state(k)
+            assert np.array_equal(bulk._jp_index(p, r, q), k)
+            assert np.all((p >= 1) & (p <= q) & (r >= 0) & (r <= q))
+
+
 class TestJPChoiceTable:
     def test_replay_reproduces_reference_strings(self):
         # follow the stored choices from every coprime state in pure Python
