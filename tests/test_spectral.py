@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -371,17 +372,22 @@ def _flat(mats) -> list:
 
 
 class TestStencilReaders:
-    # t != 0 on one target; each grid takes several digit chunks, and the
-    # Gauss j_max exceeds the exact cap
+    # t != 0 on one target; each Gauss and Brun grid takes several digit
+    # chunks, and the Gauss j_max exceeds the exact cap
     APPLY_CASES = {
         "gauss": (GAUSS, 256, OperatorParams(1.15, (0.3,), (3,), 3000)),
         "brun2": (BRUN2, 40, OperatorParams(1.1, (0.25,), (2,), 100)),
+        "jp2": (JP2, 16, OperatorParams(1.05, (0.2,), ((1, 2),), 16)),
     }
+
+    @staticmethod
+    def apply_input(desc, G):
+        return GridFunction(desc.m, G, np.random.default_rng(11).uniform(0.5, 1.5, (G,) * desc.m))
 
     @pytest.mark.parametrize("name", sorted(APPLY_CASES))
     def test_apply_equals_the_stacked_reduction(self, name):
         desc, G, params = self.APPLY_CASES[name]
-        f = GridFunction(desc.m, G, np.random.default_rng(11).uniform(0.5, 1.5, (G,) * desc.m))
+        f = self.apply_input(desc, G)
         ref = _StackedApply(f)
         spectral._MAPS[desc.algorithm][0](ref, params, G)
         assert np.array_equal(apply_operator(f, params, desc).values.ravel(), ref.out)
@@ -406,6 +412,39 @@ class TestStencilReaders:
         assert len(mats) == len(ref) == (1 if orders == 1 else 7)
         for got, want in zip(mats, ref):
             assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestSpectralBytes:
+    """SHA-256 pins of spectral floats, so that a change meant to keep
+    every byte shows it does: apply_operator on the inputs of
+    TestStencilReaders, and the data, indices and indptr of every matrix
+    that _assemble returns with its derivatives for TestOperatorMatrix."""
+
+    APPLY = {
+        "gauss": "f28ac22f6338f23346c6466476f83cc512ae5cdc1fe0d4ad0fee1fd47d2a9bce",
+        "brun2": "04ee8a10b9788d2b5eaa7e679c174f78d028af4b2a2c7c8b6cbbfbd7f0586fcb",
+        "jp2": "9bb277845ad0303cb39ad27ec3073952c9d6fd84f8ce1da72e5c4c752757f028",
+    }
+    MATRICES = {
+        "gauss": "04eb1f7b5a326cdd5fc812eb81570823b1134d528d1075e49866bdea9f36b72f",
+        "brun2": "be0e7804f8d54f94c804135d1ecf142fa03121b824d73f2704f0d68ed90b511d",
+        "jp2": "e3b0fff7c18e6fb901121941aa82e8bf029a5b2f7e01e695a2ed84a37bee9950",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TestStencilReaders.APPLY_CASES))
+    def test_apply_bytes_pinned(self, name):
+        desc, G, params = TestStencilReaders.APPLY_CASES[name]
+        g = apply_operator(TestStencilReaders.apply_input(desc, G), params, desc)
+        assert hashlib.sha256(g.values.tobytes()).hexdigest() == self.APPLY[name]
+
+    @pytest.mark.parametrize("name", sorted(TestOperatorMatrix.CASES))
+    def test_matrix_bytes_pinned(self, name):
+        desc, G, params = TestOperatorMatrix.CASES[name]
+        h = hashlib.sha256()
+        for mat in _flat(spectral._assemble(params, desc, G, 3)):
+            for part in (mat.data, mat.indices, mat.indptr):
+                h.update(part.tobytes())
+        assert h.hexdigest() == self.MATRICES[name]
 
 
 class TestZetaDerivatives:
