@@ -12,19 +12,26 @@ axis), and the leading eigenvalue comes from sup-norm power iteration.
 Each map has one branch table (_assemble_gauss, _assemble_brun2,
 _assemble_jp).  It emits every branch as a stencil: a coefficient, the
 branch weight |J_h|^s e^<t, e(h)>, times a fixed linear combination of
-node values.  A stencil reaches its reader as a sequence of (cols,
-weight) entries, made one (bi)linear corner at a time, never stacked.
-Digits up to an exact cap are single branches, read at their images by
-(bi)linear interpolation; all digits beyond the cap are folded into
-Hurwitz-zeta sums against f near the shrinking images.
+node values.  The table adds its branches in chunks, stacked on a
+leading axis (a range of digits, or the digits a of one JP digit b).
+An add hands its reader the chunk as a function of a slice of that
+axis, which gives the slice's stencil, as a sequence of (cols, shift,
+weight) entries made one (bi)linear corner at a time (an entry reads
+the nodes cols + shift), and its coefficients.  Images, coefficients,
+target weights and stencils are elementwise in the branch, so a slice
+gives the same slice of the whole chunk.  Digits up to an exact cap
+are single branches, read at their images by (bi)linear interpolation;
+all digits beyond the cap are folded into Hurwitz-zeta sums against f
+near the shrinking images.
 
-Two readers take the same table.  _Apply accumulates each stencil's
-entries in place into one buffer, for a single apply_operator call.
-_Assembly is the one matrix reader: it sums the entries into a sparse
-matrix, duplicates coalesced batch by batch and the batches merged as a
-stack of partial sums, with its s- and t-derivatives as reweighted
-stencils.  leading_eigenvalue builds that matrix once and iterates
-products with it; operator_matrix is its dense form; the eigenvalue
+Two readers take the same table.  _Apply evaluates each chunk in slabs
+of a few thousand output values, which stay in cache, and sums them in
+the order of the whole chunk, for a single apply_operator call.
+_Assembly is the one matrix reader: it evaluates each chunk whole and
+sums the entries into a sparse matrix, duplicates coalesced batch by
+batch and the batches merged as a stack of partial sums, with its s-
+and t-derivatives as reweighted stencils.  leading_eigenvalue builds
+that matrix once and iterates products with it; operator_matrix is its dense form; the eigenvalue
 derivatives at (1, 0) come from perturbation theory around one
 leading_eigenvalue solve and the matrix with its derivatives.  The
 branches beyond j_max sit inside the closed-form fold; an integral
@@ -39,6 +46,7 @@ eigenpair and its derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,21 +163,22 @@ def _stencil2(yx: np.ndarray, yy: np.ndarray, G: int) -> tuple:
 
 
 def _linear_entries(idx: np.ndarray, frac: np.ndarray):
-    """The two (cols, weight) entries of the linear stencil at (idx, frac),
-    left node first."""
-    yield idx, 1.0 - frac
-    yield idx + 1, frac
+    """The two (cols, shift, weight) entries of the linear stencil at (idx,
+    frac), left node first; an entry reads the nodes cols + shift."""
+    yield idx, 0, 1.0 - frac
+    yield idx, 1, frac
 
 
 def _corner_entries(ix, iy, fx, fy, G: int):
-    """The four (cols, weight) entries of the bilinear stencil, flat node
-    indices and weights, one corner at a time in the order (ix, iy),
-    (ix, iy + 1), (ix + 1, iy), (ix + 1, iy + 1)."""
+    """The four (cols, shift, weight) entries of the bilinear stencil, flat
+    node indices of the lower-left corner, the flat step to the corner,
+    and weights, one corner at a time in the order (ix, iy), (ix, iy + 1),
+    (ix + 1, iy), (ix + 1, iy + 1)."""
     base = ix * G + iy
     ys = ((0, 1 - fy), (1, fy))
     for dx, wx in ((0, 1 - fx), (G, fx)):
         for dy, wy in ys:
-            yield base + (dx + dy), wx * wy
+            yield base, dx + dy, wx * wy
 
 
 def _jp_cells(G: int) -> tuple:
@@ -328,40 +337,55 @@ def _exact_cap(params: OperatorParams, cap: int, kind: str) -> int:
     return cap
 
 
-def _add_branches(acc, params: OperatorParams, rows, labels: list, entries, coef) -> None:
-    """Add the branches labelled by labels, stacked on axis 0 of every
-    stencil entry (cols, weight) and on axis 1 of coef (axis 0 stacks the
-    s-derivatives).  The branch of target k is weighted by exp(t_k), and
-    added once more under its label, sliced out of every entry."""
+def _add_branches(acc, params: OperatorParams, rows, labels: list, keys: np.ndarray, branches) -> None:
+    """Add the branches labelled by labels, as one add of len(labels)
+    stacked branches.  branches(keys[sl]) gives the stencil entries (cols,
+    shift, weight) and coef of the branches sl, stacked on axis 0 of every
+    entry and on axis 1 of coef (axis 0 stacks the s-derivatives); all of
+    it is elementwise in the keys, so a slice of them gives the same slice
+    of every array.  The branch of target k is weighted by exp(t_k), and
+    the add maps each target's label to its index in the chunk."""
     hits = [i for i, lab in enumerate(labels) if lab in params.targets]
-    if hits:
-        entries = list(entries)  # read again for every hit
-        tf = np.ones(len(labels))
-        tf[hits] = [math.exp(params.t[params.targets.index(labels[i])]) for i in hits]
-        coef = coef * tf.reshape((1, -1) + (1,) * (coef.ndim - 2))
-    acc.add(rows, entries, coef)
-    for i in hits:
-        acc.add(rows, [(c[i], w[i]) for c, w in entries], coef[:, i], label=labels[i])
+    tf = np.ones(len(labels))
+    tf[hits] = [math.exp(params.t[params.targets.index(labels[i])]) for i in hits]
+
+    def part(sl):
+        entries, coef = branches(keys[sl])
+        if hits:
+            coef = coef * tf[sl].reshape((1, -1) + (1,) * (coef.ndim - 2))
+        return entries, coef
+
+    acc.add(rows, len(labels), part, {labels[i]: i for i in hits})
+
+
+def _whole(entries, coef):
+    """The part function of an add with no stacked branch axis (a fold):
+    it gives (entries, coef) whatever the slice."""
+    return lambda sl: (entries, coef)
 
 
 def _assemble_gauss(acc, params: OperatorParams, G: int) -> None:
     x = (np.arange(G) + 0.5) / G
     rows = np.arange(G)
     cap = _exact_cap(params, _EXACT_CAP_1D, "Gauss digit")
-    step = max(1, 2**16 // G)  # digits per add, to bound the memory held
-    for lo in range(1, cap + 1, step):
-        j = np.arange(lo, min(lo + step, cap + 1))
+
+    def branches(j):
         den = j[:, None] + x[None, :]
-        entries = _linear_entries(*_stencil1(1.0 / den, G))
-        coef = _power_coef(den, 2.0, params.s, acc.orders)
-        _add_branches(acc, params, rows, j.tolist(), entries, coef)
+        return _linear_entries(*_stencil1(1.0 / den, G)), _power_coef(den, 2.0, params.s, acc.orders)
+
+    # digits per add: fixes how the sums group.  The keys are float, so
+    # that the images take no int-to-float cast.
+    step = max(1, 2**16 // G)
+    for lo in range(1, cap + 1, step):
+        j = range(lo, min(lo + step, cap + 1))
+        _add_branches(acc, params, rows, list(j), np.array(j, dtype=np.float64), branches)
     # every digit beyond cap, folded with f(y) ~ f0 + f1*y near y = 0: the
     # line through the first two nodes, f1 = G (v1 - v0), f0 = v0 - f1 / (2G)
-    edge = np.array([0]), np.array([1])
-    fold = zip(edge, (np.array([1.5]), np.array([-0.5])))
-    acc.add(rows, fold, _zeta_coef(2.0, 0.0, params.s, cap + 1 + x, acc.orders))
-    fold = zip(edge, (np.array([-G]), np.array([G])))
-    acc.add(rows, fold, _zeta_coef(2.0, 1.0, params.s, cap + 1 + x, acc.orders))
+    origin = np.array([0])
+    fold = [(origin, 0, np.array([1.5])), (origin, 1, np.array([-0.5]))]
+    acc.add(rows, 1, _whole(fold, _zeta_coef(2.0, 0.0, params.s, cap + 1 + x, acc.orders)))
+    fold = [(origin, 0, np.array([-G])), (origin, 1, np.array([G]))]
+    acc.add(rows, 1, _whole(fold, _zeta_coef(2.0, 1.0, params.s, cap + 1 + x, acc.orders)))
 
 
 def _assemble_brun2(acc, params: OperatorParams, G: int) -> None:
@@ -369,23 +393,29 @@ def _assemble_brun2(acc, params: OperatorParams, G: int) -> None:
     x1, x2 = x[:, None], x[None, :]
     rows = np.arange(G * G).reshape(G, G)
     cap = _exact_cap(params, _EXACT_CAP_2D, "Brun digit")
-    step = max(1, 2**16 // G**2)  # digits per add, to bound the memory held
-    for lo in range(1, cap + 1, step):
-        j = np.arange(lo, min(lo + step, cap + 1))
-        labels = j.tolist()
-        j = j[:, None, None]
-        den = j + x2
+
+    def first(j):  # the family dividing by j + x2
+        den = j[:, None, None] + x2
         entries = _corner_entries(*_stencil2(1.0 / den, x1 / den, G), G)
-        _add_branches(acc, params, rows, labels, entries, _power_coef(den, 3.0, params.s, acc.orders))
-        den = j + x1
+        return entries, _power_coef(den, 3.0, params.s, acc.orders)
+
+    def second(j):  # the family dividing by j + x1
+        den = j[:, None, None] + x1
         entries = _corner_entries(*_stencil2(x2 / den, 1.0 / den, G), G)
-        _add_branches(acc, params, rows, labels, entries, _power_coef(den, 3.0, params.s, acc.orders))
+        return entries, _power_coef(den, 3.0, params.s, acc.orders)
+
+    step = max(1, 2**16 // G**2)  # digits per add, as for Gauss
+    for lo in range(1, cap + 1, step):
+        j = range(lo, min(lo + step, cap + 1))
+        keys = np.array(j, dtype=np.float64)
+        _add_branches(acc, params, rows, list(j), keys, first)
+        _add_branches(acc, params, rows, list(j), keys, second)
     # both families send digits beyond cap toward the origin
     y = np.array([0.5 / (cap + 1)])
     z = _zeta_coef(3.0, 0.0, params.s, cap + 1 + x2, acc.orders) + _zeta_coef(
         3.0, 0.0, params.s, cap + 1 + x1, acc.orders
     )
-    acc.add(rows, _corner_entries(*_stencil2(y, y, G), G), z)
+    acc.add(rows, 1, _whole(_corner_entries(*_stencil2(y, y, G), G), z))
 
 
 def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
@@ -394,17 +424,22 @@ def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
     xi, eta, in_p1 = _jp_cells(G)
     rows = np.arange(G * G).reshape(G, G)
     cap = _exact_cap(params, _EXACT_CAP_JP, "JP digit b")
-    for b in range(1, cap + 1):
-        # every branch (a, b), a = 0..b, at once
-        a = np.arange(b + 1)[:, None, None]
-        img_xi, img_eta, want_p1 = _jp_checked_image(a, b, xi, eta)
+
+    def branches(a, b, coef):
+        # the branches (a, b) for the digits a, stacked
+        img_xi, img_eta, want_p1 = _jp_checked_image(a[:, None, None], b, xi, eta)
         ix, iy, fx, fy, ok, nx, ny = _cell_stencil(in_p1, img_xi, img_eta, want_p1, G)
-        entries = [(c, w * ok) for c, w in _corner_entries(ix, iy, fx, fy, G)]
-        entries.append((nx * G + ny, (~ok).astype(np.float64)))
-        for _, w in entries:
-            w[b] *= in_p1  # the diagonal branch acts on P1 only
+        entries = [(c, d, w * ok) for c, d, w in _corner_entries(ix, iy, fx, fy, G)]
+        entries.append((nx * G + ny, 0, (~ok).astype(np.float64)))
+        if a[-1] == b:
+            for *_, w in entries:
+                w[-1] *= in_p1  # the diagonal branch acts on P1 only
+        return entries, coef
+
+    for b in range(1, cap + 1):
         coef = _power_coef(b + eta, 3.0, params.s, acc.orders)[:, None]
-        _add_branches(acc, params, rows, [(a, b) for a in range(b + 1)], entries, coef)
+        part = functools.partial(branches, b=b, coef=coef)
+        _add_branches(acc, params, rows, [(a, b) for a in range(b + 1)], np.arange(b + 1), part)
     # Tail over b > cap: the images (1/(b+eta), (xi+a)/(b+eta)) line up
     # along the left edge with eta-values spaced 1/(b+eta), so the a-sum
     # is (b+eta) times the edge integral of f (Riemann, O(1/b) error):
@@ -412,8 +447,8 @@ def _assemble_jp(acc, params: OperatorParams, G: int) -> None:
     # of the left-edge values values[0, :] (the diagonal branch in P1 only)
     z1 = _zeta_coef(3.0, -1.0, params.s, cap + 1 + eta, acc.orders)
     z0 = _zeta_coef(3.0, 0.0, params.s, cap + 1 + eta, acc.orders)
-    acc.add(rows, [(np.full((1, 1), k), np.full((1, 1), 1.0 / G)) for k in range(G)], z1)
-    acc.add(rows, [(np.full((1, 1), G - 1), np.ones((1, 1)))], (in_p1 - eta) * z0)
+    acc.add(rows, 1, _whole([(np.full((1, 1), k), 0, np.full((1, 1), 1.0 / G)) for k in range(G)], z1))
+    acc.add(rows, 1, _whole([(np.full((1, 1), G - 1), 0, np.ones((1, 1)))], (in_p1 - eta) * z0))
 
 
 # Integral brackets on the branches beyond j_max, which the folds of the
@@ -440,7 +475,8 @@ def _tail_bar_brun2(values: np.ndarray, params: OperatorParams) -> float:
     s3 = 3.0 * params.s
     cap = min(params.j_max, _EXACT_CAP_2D)
     y = np.array([0.5 / (cap + 1)])
-    cols, weight = map(np.concatenate, zip(*_corner_entries(*_stencil2(y, y, G), G)))
+    entries = _corner_entries(*_stencil2(y, y, G), G)
+    cols, weight = map(np.concatenate, zip(*((c + d, w) for c, d, w in entries)))
     f_org = float(weight @ values.ravel()[cols])
     lo = (cap + 2 + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + 2 + x1) ** (1.0 - s3) / (s3 - 1.0)
     hi = (cap + x2) ** (1.0 - s3) / (s3 - 1.0) + (cap + x1) ** (1.0 - s3) / (s3 - 1.0)
@@ -478,48 +514,59 @@ def _branch_table(map_desc: MapDescriptor, G: int) -> tuple:
 
 
 class _Apply:
-    """The operator applied to one grid function, stencil by stencil.
+    """The operator applied to one grid function, in slabs of stacked
+    branches.
 
     add() takes the arguments of _Assembly.add and adds coef[0] * sum_k
-    weight_k * values[cols_k] at the output nodes rows, summing the
-    leading axes that stack branches; it reads only the value row of coef
-    (orders = 1).  The entries (cols_k, weight_k) of one add share a shape
-    and are accumulated in place, in order, so the sum rounds as a
-    reduction over stacked entries would.  The two buffers it needs are
-    kept across adds of the same shape, so a long branch table reuses
-    them instead of allocating them per add.  A labelled entry repeats a
-    target branch and is skipped.
+    weight_k * values[cols_k + shift_k] at the output nodes rows, summed
+    over the n stacked branches; it reads only the value row of coef
+    (orders = 1).  It evaluates part on slabs of about _SLAB output
+    values, so that the images, coefficients, stencils and gathers of a
+    slab stay in cache instead of streaming a whole add through memory.
+    An entry is gathered through the view values[shift_k:], so the
+    shifted columns are never formed.  Within a slab the entries are
+    accumulated in place, in order; the slab's stacked rows are then
+    added one at a time, in order, onto the add's running sum (a sum
+    over axis 0 of the running sum stacked on them), which is added into
+    out[rows] once.  That is the association of a reduction over axis 0
+    of the whole add, so the bytes do not depend on the slab size.  The targets of an add are ignored: they matter only to the
+    derivative matrices.
     """
 
     orders = 1
+    # Output values per slab.  Its float64 arrays take 64 KB each; at
+    # 2^14 (128 KB) the allocator handed them out as fresh pages, about
+    # 2,500 page faults per Gauss apply at G = 1024.
+    _SLAB = 1 << 13
 
     def __init__(self, f: GridFunction):
         self.values = f.values.ravel()
         self.out = np.zeros(self.values.size)
-        self._scratch = np.empty(0)
 
-    def add(self, rows, entries, coef, label=None):
-        if label is not None:
-            return
-        entries = iter(entries)
-        cols, weight = next(entries)
-        if self._scratch.shape != (2,) + cols.shape:
-            self._scratch = np.empty((2,) + cols.shape)
-        total, term = self._scratch
-        np.take(self.values, cols, out=total)
-        total *= weight
-        for cols, weight in entries:
-            np.take(self.values, cols, out=term)
-            term *= weight
-            total += term
-        self.out[rows] += (coef[0] * total).reshape((-1,) + rows.shape).sum(axis=0)
+    def add(self, rows, n, part, targets=None):
+        step = max(1, self._SLAB // rows.size)
+        total = None
+        for lo in range(0, n, step):
+            entries, coef = part(slice(lo, lo + step))
+            entries = iter(entries)
+            cols, shift, weight = next(entries)
+            slab = self.values[shift:][cols]
+            slab *= weight
+            for cols, shift, weight in entries:
+                term = self.values[shift:][cols]
+                term *= weight
+                slab += term
+            slab = (coef[0] * slab).reshape((-1,) + rows.shape)
+            if total is not None:
+                slab = np.concatenate((total[None], slab))
+            total = slab.sum(axis=0)
+        self.out[rows] += total
 
 
 def apply_operator(f: GridFunction, params: OperatorParams, map_desc: MapDescriptor) -> GridFunction:
     """One application of the transfer operator to a grid function, read
-    stencil by stencil from the branch table.  Each stencil's entries are
-    accumulated in place, corner by corner, in table order, so an apply
-    holds no stacked stencil and costs less than one matrix build."""
+    from the branch table slab by slab (_Apply), so an apply holds no
+    stacked chunk and costs less than one matrix build."""
     acc = _Apply(f)
     _branch_table(map_desc, f.G)[0](acc, params, f.G)
     return GridFunction(f.m, f.G, acc.out.reshape(f.values.shape))
@@ -536,15 +583,18 @@ class _Assembly:
     """The operator as a sparse matrix, and its s- and t-derivatives.
 
     Every branch term is a coefficient times a linear stencil of node
-    values.  add() takes the stencil as a sequence of (cols, weight)
-    entries at each output node (rows), and the coefficient with its
-    first orders - 1 s-derivatives (coef[0..orders-1]; orders is 1 or 3);
-    within an entry all broadcast together.  The entries are summed into
-    CSR matrices, duplicates coalesced: L, and for orders = 3 also L_s
-    and L_ss.  For orders = 3 a branch labelled with target k is added
-    again with its label and kept apart: d/dt_k of the operator is
-    exactly the entries of target k, and d2/ds dt_k their s-derivative.
-    For orders = 1 labelled entries are skipped.
+    values.  add(rows, n, part) takes n stacked branches at each output
+    node (rows) as a function of a slice of them: part(slice) gives the
+    stencil as a sequence of (cols, shift, weight) entries, which read
+    the nodes cols + shift, and the coefficient with its first orders - 1
+    s-derivatives (coef[0..orders-1]; orders is 1 or 3); within an entry
+    all broadcast together.  This reader calls part once, on all n
+    branches.  The entries are summed into CSR matrices, duplicates
+    coalesced: L, and for orders = 3 also L_s and L_ss.  targets maps the
+    label of each target branch among the n to its index.  For orders =
+    3 that branch is sliced out of the entries, added again with its
+    label and kept apart: d/dt_k of the operator is exactly the entries
+    of target k, and d2/ds dt_k their s-derivative.
 
     Every entry reaches each node once per stacked branch, so it is
     queued as layers of one entry per row.  A batch of S = max(4, _FLUSH
@@ -579,13 +629,21 @@ class _Assembly:
         self._queue = {lab: [] for lab in labels}
         self._layers = dict.fromkeys(labels, 0)
 
-    def add(self, rows, entries, coef, label=None):
-        if label not in self._stack:
-            return
+    def add(self, rows, n, part, targets=None):
         if not np.array_equal(rows.ravel(), self._nodes):
             raise ValueError("a branch table adds at every node, in order, on the trailing axes")
+        entries, coef = part(slice(0, n))
+        hits = [(label, i) for label, i in (targets or {}).items() if label in self._stack]
+        if hits:
+            entries = list(entries)  # read again for every target
+        self._enqueue(None, rows, entries, coef)
+        for label, i in hits:
+            self._enqueue(label, rows, [(c[i], d, w[i]) for c, d, w in entries], coef[:, i])
+
+    def _enqueue(self, label, rows, entries, coef):
         coef = coef[: self._orders[label]]
-        for c, w in entries:
+        for c, d, w in entries:
+            c = c + d if d else c
             shape = np.broadcast_shapes(rows.shape, c.shape, w.shape, coef.shape[1:])
             c = np.broadcast_to(c, shape).astype(np.int32).reshape(-1, self.N)
             vals = (coef * np.broadcast_to(w, shape)).reshape(len(coef), -1, self.N)

@@ -333,11 +333,11 @@ class _StackedApply:
         self.values = f.values.ravel()
         self.out = np.zeros(self.values.size)
 
-    def add(self, rows, entries, coef, label=None):
-        if label is None:
-            cols, weight = (np.stack(x) for x in zip(*entries))
-            term = coef[0] * (weight * self.values[cols]).sum(axis=0)
-            self.out[rows] += term.reshape((-1,) + rows.shape).sum(axis=0)
+    def add(self, rows, n, part, targets=None):
+        entries, coef = part(slice(0, n))
+        cols, weight = (np.stack(x) for x in zip(*((c + d, w) for c, d, w in entries)))
+        term = coef[0] * (weight * self.values[cols]).sum(axis=0)
+        self.out[rows] += term.reshape((-1,) + rows.shape).sum(axis=0)
 
 
 class _DenseAssembly:
@@ -350,12 +350,19 @@ class _DenseAssembly:
         labels = [None] + (list(params.targets) if orders == 3 else [])
         self.mats = {lab: np.zeros((orders if lab is None else 2, N, N)) for lab in labels}
 
-    def add(self, rows, entries, coef, label=None):
-        if label not in self.mats:
-            return
+    def add(self, rows, n, part, targets=None):
+        entries, coef = part(slice(0, n))
+        entries = list(entries)
+        self.accumulate(None, rows, entries, coef)
+        for label, i in (targets or {}).items():
+            if label in self.mats:
+                self.accumulate(label, rows, [(c[i], d, w[i]) for c, d, w in entries], coef[:, i])
+
+    def accumulate(self, label, rows, entries, coef):
         mats = self.mats[label]
         coef = coef[: len(mats)]
-        for c, w in entries:
+        for c, d, w in entries:
+            c = c + d
             shape = np.broadcast_shapes(rows.shape, c.shape, w.shape, coef.shape[1:])
             at = (np.broadcast_to(rows, shape).ravel(), np.broadcast_to(c, shape).ravel())
             vals = (coef * np.broadcast_to(w, shape)).reshape(len(coef), -1)
@@ -384,13 +391,34 @@ class TestStencilReaders:
     def apply_input(desc, G):
         return GridFunction(desc.m, G, np.random.default_rng(11).uniform(0.5, 1.5, (G,) * desc.m))
 
-    @pytest.mark.parametrize("name", sorted(APPLY_CASES))
-    def test_apply_equals_the_stacked_reduction(self, name):
+    # slab_rows = 7 patches the slab to 7 stacked rows, which splits the
+    # adds unevenly; None keeps the slab, which holds each JP add whole
+    @pytest.mark.parametrize(
+        "name, slab_rows",
+        [
+            pytest.param(name, rows, id=name if rows is None else f"{name}-slab{rows}")
+            for name in sorted(APPLY_CASES)
+            for rows in (None, 7)
+        ],
+    )
+    def test_apply_equals_the_stacked_reduction(self, monkeypatch, name, slab_rows):
         desc, G, params = self.APPLY_CASES[name]
+        if slab_rows is not None:
+            monkeypatch.setattr(spectral._Apply, "_SLAB", slab_rows * G**desc.m)
+        slabs = []
+        add = spectral._Apply.add
+
+        def counted(acc, rows, n, part, label=None):
+            calls = []
+            add(acc, rows, n, lambda sl: calls.append(sl) or part(sl), label)
+            slabs.append(len(calls))
+
+        monkeypatch.setattr(spectral._Apply, "add", counted)
         f = self.apply_input(desc, G)
         ref = _StackedApply(f)
         spectral._MAPS[desc.algorithm][0](ref, params, G)
         assert np.array_equal(apply_operator(f, params, desc).values.ravel(), ref.out)
+        assert max(slabs) == 1 if (name, slab_rows) == ("jp2", None) else max(slabs) > 1
 
     @pytest.mark.parametrize("orders", [1, 3])
     def test_merged_build_matches_dense_accumulation(self, monkeypatch, orders):
