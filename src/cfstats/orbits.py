@@ -143,20 +143,21 @@ def brun_trajectory_digits(t: Sequence[int]) -> list:
     sorted descending; it corresponds to the point
     (t_2/t_1, ..., t_{m+1}/t_1).  Ties take the smallest index.
     """
-    return _brun_walk(tuple(int(v) for v in t), {})[0]
-
-
-def _brun_walk(t: tuple, digit_of: dict) -> tuple:
-    """(digits, counts) of the Brun map orbit of the int tuple t, checked as
-    brun_trajectory_digits states: the digit string and a Counter of its
-    labels j.  digit_of holds the BrunDigit of each (i, j) met so far, and
-    gains the new ones."""
+    t = tuple(int(v) for v in t)
     if list(t) != sorted(t, reverse=True):
         raise ValueError("tuple must be sorted descending")
     if t[-1] < 1:
         raise ValueError("entries must be positive")
     if math.gcd(*t) != 1:
         raise ValueError("tuple is not coprime")
+    return _brun_walk(t, {})[0]
+
+
+def _brun_walk(t: tuple, digit_of: dict) -> tuple:
+    """(digits, counts) of the Brun map orbit of the int tuple t, which is
+    sorted descending, positive and coprime, as brun_trajectory_digits
+    checks: the digit string and a Counter of its labels j.  digit_of
+    holds the BrunDigit of each (i, j) met so far, and gains the new ones."""
     q, u = t[0], list(t[1:])
     digits, counts = [], Counter()
     um = max(u, default=0)
