@@ -436,28 +436,6 @@ def _moments(table: EnsembleTable, centred: list, Q: float, max_order: int) -> d
     return out
 
 
-def wick_moment(sigma: np.ndarray, index: tuple) -> float:
-    """Gaussian mixed moment for a covariance matrix by pair partitioning."""
-    flat = []
-    for k, power in enumerate(index):
-        flat.extend([k] * power)
-    if len(flat) % 2 == 1:
-        return 0.0
-
-    def pairings(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for i in range(len(rest)):
-            for tail in pairings(rest[:i] + rest[i + 1 :]):
-                yield [(first, rest[i])] + tail
-
-    return float(
-        sum(math.prod(sigma[i, k] for i, k in prs) for prs in pairings(flat))
-    )
-
-
 def ldp_tail(
     tables_by_Q, target_index: int, lambda_j: float, eps: float, continuity: bool = False
 ) -> dict:
