@@ -643,9 +643,9 @@ class _Assembly:
     def _enqueue(self, label, rows, entries, coef):
         coef = coef[: self._orders[label]]
         for c, d, w in entries:
-            c = c + d if d else c
             shape = np.broadcast_shapes(rows.shape, c.shape, w.shape, coef.shape[1:])
             c = np.broadcast_to(c, shape).astype(np.int32).reshape(-1, self.N)
+            c += d
             vals = (coef * np.broadcast_to(w, shape)).reshape(len(coef), -1, self.N)
             lo = 0
             while lo < len(c):
