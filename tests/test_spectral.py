@@ -408,9 +408,9 @@ class TestStencilReaders:
         slabs = []
         add = spectral._Apply.add
 
-        def counted(acc, rows, n, part, label=None):
+        def counted(acc, rows, n, part, targets=None):
             calls = []
-            add(acc, rows, n, lambda sl: calls.append(sl) or part(sl), label)
+            add(acc, rows, n, lambda sl: calls.append(sl) or part(sl), targets)
             slabs.append(len(calls))
 
         monkeypatch.setattr(spectral._Apply, "add", counted)
