@@ -218,6 +218,51 @@ class TestTableAgreement:
         # the JP choice table is built once per sweep, not once per block
         assert len(built) == (2 if sweep.startswith("jp") else 0)
 
+    # the blocks of all six sweeps at the perfbench bounds (Gauss table 3000,
+    # verify 1500, Brun 150, JP 80) and the acceptance bounds (Gauss table
+    # 20000, verify 5000, Brun verify 300, JP table 500, verify 300): the
+    # number of ranges and the SHA-256 of their list, which fix the sizes of
+    # the block temporaries; the DPs are stubbed by zeros that no one reads
+    @pytest.mark.parametrize("sweep, bound, nblocks, pin", [
+        ("gauss_ensemble_table", 1500, 34, "fcfe3673fe2c173d48ebd1c82fa730e022277ad9a23e039c5b62d288051d60af"),
+        ("gauss_ensemble_table", 3000, 134, "42e870832f377b30404ccdd482a8f24b57378e67177064b61f303fe3f6337662"),
+        ("gauss_ensemble_table", 5000, 364, "3d93f7879226777743925db813264fffadcacbc313bdf4f56d14dfc25aa2bf00"),
+        ("gauss_ensemble_table", 20000, 5251, "0bab83421adf942d0394ad4698e1fe3fc992d538bdff8f225b57e03e8b66e07d"),
+        ("gauss_verify", 1500, 34, "fcfe3673fe2c173d48ebd1c82fa730e022277ad9a23e039c5b62d288051d60af"),
+        ("gauss_verify", 3000, 134, "42e870832f377b30404ccdd482a8f24b57378e67177064b61f303fe3f6337662"),
+        ("gauss_verify", 5000, 364, "3d93f7879226777743925db813264fffadcacbc313bdf4f56d14dfc25aa2bf00"),
+        ("gauss_verify", 20000, 5251, "0bab83421adf942d0394ad4698e1fe3fc992d538bdff8f225b57e03e8b66e07d"),
+        ("brun2_ensemble_table", 150, 16, "0c8474d08e851c899cc81f41c3819144718020ede9436137f416054f3613c88b"),
+        ("brun2_ensemble_table", 300, 109, "fa0ea3a8bb98ee50f71de66a22677af8c6c7c015940475fe9ffded1afb7ee123"),
+        ("brun2_verify", 150, 16, "0c8474d08e851c899cc81f41c3819144718020ede9436137f416054f3613c88b"),
+        ("brun2_verify", 300, 109, "fa0ea3a8bb98ee50f71de66a22677af8c6c7c015940475fe9ffded1afb7ee123"),
+        ("jp_ensemble_table", 80, 5, "9ade9088146eab471c8dc6575233c7a40a4ac4c1528d43424b1a3ce01288f5ec"),
+        ("jp_ensemble_table", 300, 164, "8fd3cbbc89878a29ae98acc393bc08ca86b2e552a8981615216b58f85603dbca"),
+        ("jp_ensemble_table", 500, 364, "203b4fdc02acf2f46099291a7f9b8b2746cd982e63490647ed6ca6c4d4d2cf8e"),
+        ("jp_verify", 80, 10, "89c07dea16d3adff0d82742f850a9ec09e1a72b0e09b0ac7e0577f49bb0b612b"),
+        ("jp_verify", 300, 204, "21390ca3465ec2d16ced7cee844c3aef3906b7410dd55df914a8f52876b4df77"),
+        ("jp_verify", 500, 404, "4c67c862c84ad37e6cafd3201af1f0c20a341b3eb5bc93567e89ff4cf373d990"),
+    ])
+    def test_block_splits_pinned(self, sweep, bound, nblocks, pin, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        splits, blocks = [], bulk._blocks
+
+        def recorded_blocks(*args):
+            splits.append([(int(lo), int(hi)) for lo, hi in blocks(*args)])
+            raise Stop
+
+        monkeypatch.setattr(bulk, "_blocks", recorded_blocks)
+        monkeypatch.setattr(bulk, "_require_memory", lambda need, what: None)
+        monkeypatch.setattr(bulk, "_count_states", lambda layers, size, bnd, rows: np.zeros((len(rows), size), np.int8))
+        monkeypatch.setattr(bulk, "_weight_states", lambda layers, size, bnd, mult: np.zeros(size))
+        monkeypatch.setattr(bulk, "_jp_choice_table", lambda bnd: np.zeros((2, bulk._jp_index(1, 0, bnd + 1)), np.int8))
+        with pytest.raises(Stop):
+            getattr(bulk, sweep)(bound)
+        (split,) = splits
+        assert (len(split), hashlib.sha256(repr(split).encode()).hexdigest()) == (nblocks, pin)
+
 
 def euclid_verify(bound):
     """(checked, failures, max weight error, max matrix entry) of the Gauss
