@@ -23,12 +23,15 @@ weight DP read and checks the step's inverse branch exactly, B (child) =
 state, so by induction on the denominator it proves every point's round
 trip without composing any matrix.
 
-Every sweep runs in the calling process, and raises BudgetError
-before it allocates its DP if the DP's bytes, given in its docstring,
-exceed physical memory or the process's cgroup memory limit
-(_require_memory); the check counts neither memory in use nor the
-histograms.  Rows and checks run over blocks of about _LANE_BUDGET
-states, split by one rule, which bounds their temporaries; results merge
+Each sweep builds the starts of its DP's layers once (_layer_starts).
+They give the DP's size, and every position decodes to its layer and
+offset by one exact lookup in them (_decode).  Every sweep runs in the
+calling process, and raises BudgetError before it builds them if the
+DP's bytes, given in its docstring, exceed physical memory or the
+process's cgroup memory limit (_require_memory); the check counts
+neither memory in use nor the histograms.  Rows and checks run over
+blocks of about _LANE_BUDGET states, counted from the starts and split
+by one rule, which bounds their temporaries; results merge
 in block order and every reduction is integer-exact or a maximum, so
 outputs are bit-identical for any block split.  The six public sweeps
 take a `workers` keyword that is ignored, kept for callers that still
@@ -74,14 +77,31 @@ def totient_sum(n: int) -> int:
     return int(phi[2:].sum())
 
 
-def _blocks(lo: int, hi: int, states_per_q):
+def _layer_starts(start, bound: int, per_state: int, what: str, extra: int = 0) -> np.ndarray:
+    """The positions start(q) where the layers q = 0..max(bound, 1) + 1 of a
+    DP begin, the last its size.  Raises BudgetError first if per_state
+    bytes per state, plus extra, exceed the memory (_require_memory), with
+    the size counted in Python integers, which no bound overflows."""
+    top = max(bound, 1) + 1
+    _require_memory(per_state * start(top) + extra, what)
+    return start(np.arange(top + 1, dtype=np.int64))
+
+
+def _decode(starts, k):
+    """The layers q of the positions k of a DP whose layer q begins at
+    starts[q], and the offsets k - starts[q]: exact for every 0 <= k <
+    starts[-1] and any nondecreasing starts, since the search takes the
+    last layer that begins at or before k, never an empty one."""
+    q = np.searchsorted(starts, k, "right") - 1
+    return q, k - starts[q]
+
+
+def _blocks(lo: int, hi: int, sizes):
     """Split denominators [lo, hi] into ranges of about _LANE_BUDGET states,
-    counting states_per_q(q) states at denominator q."""
-    out = []
-    start = lo
-    acc = 0
-    for q in range(lo, hi + 1):
-        acc += states_per_q(q)
+    counting sizes[q] states at denominator q."""
+    out, start, acc = [], lo, 0
+    for q, size in enumerate(sizes[lo : hi + 1].tolist(), lo):
+        acc += size
         if acc >= _LANE_BUDGET:
             out.append((start, q))
             start, acc = q + 1, 0
@@ -97,22 +117,6 @@ def _table_from_parts(parts, algorithm, multiplier, targets, bound):
     counts = np.concatenate([p[1] for p in parts])[:, : len(targets)]  # without the stand-in row of no target
     mult = np.concatenate([p[2] for p in parts])
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, bound)
-
-
-def _layer_of(k, start, scale: float, shift: float):
-    """The layers q of the DP positions k, and the positions start(q) where
-    they begin, for the JP and Brun layouts, whose layer q starts at
-    (q^3 - q) / 3 (scale 3, shift 0) and q (q + 1) (q + 2) / 6 - 1
-    = ((q + 1)^3 - q - 7) / 6 (scale 6, shift 1/2).  The shift centres
-    x = cbrt(scale * k) - shift: at every position k > 0 of the layer q it
-    lies in [q - 0.2, q + 1.5), and at k = 0 it is exactly 0 or -1/2.  The
-    float32 x is within 0.2 of it for q < 10^6, so truncated toward zero it
-    is within one of q, and one step each way makes it exact."""
-    starts = start(np.arange(int(np.cbrt(scale * k.max(initial=0))) + 4))
-    q = (np.cbrt(np.float32(scale) * k.astype(np.float32)) - np.float32(shift)).astype(np.int64)
-    q += starts[q + 1] <= k
-    q -= starts[q] > k
-    return q, starts[q]
 
 
 def _merge_reports(parts) -> VerifyReport:
@@ -184,8 +188,8 @@ def _weight_states(layers, size: int, bound: int, multiplier: int) -> np.ndarray
 def _table_rows(qs, state, starts, lane):
     """Table rows of the denominators [qlo, qhi], read from the counts
     int8[target, state] of a DP whose layer q begins at the position
-    starts[q]; lane(k, q) marks the lanes among the positions k of the
-    layers q, or lane is None where every state is a lane.
+    starts[q]; lane(m) marks the lanes among the states at the offsets m
+    within their layers, or lane is None where every state is a lane.
 
     Each row's negatives, gcd > 1 or no expansion, are clamped to -1, and
     the rows are histogrammed as they are, in one positional key whose
@@ -202,7 +206,7 @@ def _table_rows(qs, state, starts, lane):
     rows = state[:, lo:hi]
     key = np.repeat(np.arange(qhi - qlo + 1, dtype=np.int32), np.diff(starts[qlo : qhi + 2]))  # q - qlo
     if lane is not None:
-        keep = lane(np.arange(lo, hi), key.astype(np.int64) + qlo)
+        keep = lane(np.arange(lo, hi) - starts[key + qlo])
         rows, key = rows[:, keep], key[keep]
     rows = np.maximum(rows, -1)
     size, lows, spans, ranked = qhi - qlo + 1, [], [], []  # key < size
@@ -247,16 +251,12 @@ def _table_rows(qs, state, starts, lane):
 
 def _gauss_index(r, p):
     """Position of state (r, p) in the DP array: layers p = 1, 2, ... of p
-    states each, r = 0..p-1."""
+    states each, r = 0..p-1.  The layer p begins at _gauss_index(0, p),
+    and _decode on those starts gives back (p, r)."""
     return p * (p - 1) // 2 + r
 
 
-def _gauss_pair(k):
-    """The states (r, p) at the positions k, inverting _gauss_index by a
-    float square root, exact for p < 2^25.  Whatever the rounding,
-    _gauss_index(r, p) == k, since r is taken as the remainder."""
-    p = (0.5 + 0.5 * np.sqrt(8.0 * k + 1.0)).astype(np.int64)
-    return k - _gauss_index(0, p), p
+_GAUSS_START = functools.partial(_gauss_index, 0)
 
 
 def _gauss_children(r, p, first):
@@ -336,31 +336,27 @@ def gauss_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """
     targets = tuple(targets)
     rows = targets or (0,)  # with no target, a row that no digit hits still marks gcd > 1
-    _require_memory(len(rows) * _gauss_index(0, bound + 1), f"the Gauss table at q <= {bound}")
-    size = _gauss_index(0, max(bound, 1) + 1)
-    state = _count_states(_gauss_layers, size, max(bound, 1), rows)
-    starts = _gauss_index(0, np.arange(bound + 2, dtype=np.int64))
-    blocks = _blocks(2, bound, lambda q: q)
-    parts = [_table_rows(b, state, starts, None) for b in blocks]
+    starts = _layer_starts(_GAUSS_START, bound, len(rows), f"the Gauss table at q <= {bound}")
+    state = _count_states(_gauss_layers, starts[-1], max(bound, 1), rows)
+    parts = [_table_rows(b, state, starts, None) for b in _blocks(2, bound, np.diff(starts))]
     return _table_from_parts(parts, "gauss", 2, targets, bound)
 
 
-def _gauss_check(qs, wsum):
+def _gauss_check(qs, wsum, starts):
     """Round-trip and weight check of the coprime states (r, p), r >= 1, with
     p in [qlo, qhi]: the child the DP read for (r, p), decoded from its
-    position into (r', p'), must satisfy B(j) (r', p') = (r, p) with
-    B(j) = [[0, 1], [1, j]] and j = p // r, and W(r, p) must equal 2 log p."""
+    position on the layer starts into (r', p'), must satisfy B(j) (r', p') =
+    (r, p) with B(j) = [[0, 1], [1, j]] and j = p // r, and W(r, p) = 2 log p."""
     qlo, qhi = qs
-    lo, hi = _gauss_index(0, qlo), _gauss_index(0, qhi + 1)
-    q = np.arange(qlo, qhi + 1, dtype=np.int64)
-    p = np.repeat(q, q)
-    r = np.arange(lo, hi) - _gauss_index(0, p)
+    lo, hi = starts[qlo], starts[qhi + 1]
+    p = np.repeat(np.arange(qlo, qhi + 1), np.diff(starts[qlo : qhi + 2]))  # the block's own layers, with no search
+    r = np.arange(lo, hi) - starts[p]
     w = wsum[lo:hi]
     k = np.flatnonzero(~np.isnan(w) & (r > 0))  # r = 0 is NaN but for a lost gcd mark
     r, p, w = r[k], p[k], w[k]
-    j, child = _gauss_children(r, p, _gauss_index(0, r))
-    # rc, pc encode child exactly, so a pass means child is the position of (p mod r, r)
-    rc, pc = _gauss_pair(child)
+    j, child = _gauss_children(r, p, starts[r])
+    # pc, rc encode child exactly, so a pass means child is the position of (p mod r, r)
+    pc, rc = _decode(starts, child)
     top, bottom = pc, rc + j * pc
     fails = np.count_nonzero((top != r) | (bottom != p))
     werr = float(np.abs(w - 2.0 * np.log(p)).max())
@@ -384,11 +380,9 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
     The weights take 8 bytes per state, 4 * bound * (bound + 1) bytes in
     all.
     """
-    _require_memory(8 * _gauss_index(0, bound + 1), f"the Gauss verify sweep at q <= {bound}")
-    size = _gauss_index(0, max(bound, 1) + 1)
-    wsum = _weight_states(_gauss_layers, size, max(bound, 1), 2)
-    blocks = _blocks(2, bound, lambda q: q)
-    return _merge_reports([_gauss_check(b, wsum) for b in blocks])
+    starts = _layer_starts(_GAUSS_START, bound, 8, f"the Gauss verify sweep at q <= {bound}")
+    wsum = _weight_states(_gauss_layers, starts[-1], max(bound, 1), 2)
+    return _merge_reports([_gauss_check(b, wsum, starts) for b in _blocks(2, bound, np.diff(starts))])
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +405,25 @@ def gauss_verify(bound: int, workers: int = 1) -> VerifyReport:
 def _brun2_index(q, u1, u2):
     """Position of the sorted state (q; u1, u2) in the DPs: layers
     q = 1, 2, ... of (q + 1)(q + 2) / 2 states each, rows u1 = 0..q of
-    u1 + 1 states, columns u2 = 0..u1."""
+    u1 + 1 states, columns u2 = 0..u1.  The layer q begins at
+    _brun2_index(q, 0, 0), and its rows at the offsets _brun2_rows."""
     return q * (q + 1) * (q + 2) // 6 - 1 + _gauss_index(u2, u1 + 1)
 
 
-def _brun2_state(k):
-    """The states (q, u1, u2) at the positions k, inverting _brun2_index,
-    with u2 taken from the remainder, so _brun2_index(q, u1, u2) == k
-    whatever q and u1 are found."""
-    q, start = _layer_of(k, lambda q: _brun2_index(q, 0, 0), 6.0, 0.5)
-    u2, row = _gauss_pair(k - start)
-    return q, row - 1, u2
+_BRUN2_START = functools.partial(_brun2_index, u1=0, u2=0)
+
+
+def _brun2_rows(bound: int) -> np.ndarray:
+    """The offsets u1 (u1 + 1) / 2 = _gauss_index(0, u1 + 1) where the rows
+    u1 = 0..bound + 1 of a Brun layer begin, the last the size of layer bound."""
+    return _GAUSS_START(np.arange(1, bound + 3, dtype=np.int64))
+
+
+def _brun2_state(k, starts, rows):
+    """The states (q, u1, u2) at the positions k of a DP whose layer q
+    begins at starts[q], with the row starts rows (_brun2_rows)."""
+    q, m = _decode(starts, k)
+    return (q, *_decode(rows, m))
 
 
 def _brun2_children(q, u1, u2):
@@ -433,10 +435,10 @@ def _brun2_children(q, u1, u2):
     return j, _brun2_index(u1, np.maximum(u2, r), np.minimum(u2, r))
 
 
-def _brun2_is_lane(k, q):
-    """Whether the positions k of the layers q hold lanes, the states
-    (q; u1, u2) with u2 >= 1."""
-    return _gauss_pair(k - _brun2_index(q, 0, 0))[0] >= 1
+def _brun2_is_lane(rows, m):
+    """Whether the offsets m within their layers hold lanes, the states
+    (q; u1, u2) with u2 >= 1, with the row starts rows (_brun2_rows)."""
+    return _decode(rows, m)[1] >= 1
 
 
 def _brun2_layers(bound: int, fill):
@@ -448,8 +450,8 @@ def _brun2_layers(bound: int, fill):
     earlier layers; the row u1 = q but (q; q, q), which steps to (q; u2, 0)
     of the first slice, or to (q; 0, 0); and last (q; q, q), which steps to
     (q; q, 0) of the second."""
-    u2, u1 = _gauss_pair(np.arange(_gauss_index(0, bound + 2)))  # the rows and columns of the largest layer
-    u1 -= 1
+    rows = _brun2_rows(bound)
+    u1, u2 = _decode(rows, np.arange(rows[-1]))  # the rows and columns of the largest layer
     for q in range(1, bound + 1):
         start, row = _brun2_index(q, 0, 0), _gauss_index(0, q + 1)  # row: the offset of (q; q, 0)
         for lo, hi in ((1, row), (row, row + q), (row + q, row + q + 1)):
@@ -472,31 +474,29 @@ def brun2_ensemble_table(bound: int, targets=(1,), workers: int = 1):
     """
     targets = tuple(targets)
     rows = targets or (0,)  # with no target, a row that no digit hits still marks gcd > 1
-    _require_memory(len(rows) * _brun2_index(bound + 1, 0, 0), f"the Brun table at t1 <= {bound}")
-    size = _brun2_index(max(bound, 1) + 1, 0, 0)
-    state = _count_states(_brun2_layers, size, max(bound, 1), rows)
-    starts = _brun2_index(np.arange(bound + 2, dtype=np.int64), 0, 0)
-    blocks = _blocks(1, bound, lambda q: (q + 1) * (q + 2) // 2)
-    parts = [_table_rows(b, state, starts, _brun2_is_lane) for b in blocks]
+    starts = _layer_starts(_BRUN2_START, bound, len(rows), f"the Brun table at t1 <= {bound}")
+    state = _count_states(_brun2_layers, starts[-1], max(bound, 1), rows)
+    lane = functools.partial(_brun2_is_lane, _brun2_rows(max(bound, 1)))
+    parts = [_table_rows(b, state, starts, lane) for b in _blocks(1, bound, np.diff(starts))]
     return _table_from_parts(parts, "brun", 3, targets, bound)
 
 
-def _brun2_check(qs, wsum):
+def _brun2_check(qs, wsum, starts, rows):
     """Round-trip and weight check of the coprime states (q; u1, u2),
     u1 >= 1, with q in [qlo, qhi]: the child the DP read, decoded from its
-    position into (cq; c1, c2), c1 >= c2, must satisfy B(1, j) (y, r, cq) =
-    (cq, y, r + j cq) = (u1, u2, q) for one order (y, r) of (c1, c2): (c1, c2)
-    if c1 = u2, else (c2, c1).  Lanes, the states with u2 >= 1, must have
-    W = 3 log q."""
+    position (_brun2_state) into (cq; c1, c2), c1 >= c2, must satisfy
+    B(1, j) (y, r, cq) = (cq, y, r + j cq) = (u1, u2, q) for one order
+    (y, r) of (c1, c2): (c1, c2) if c1 = u2, else (c2, c1).  Lanes, the
+    states with u2 >= 1, must have W = 3 log q."""
     qlo, qhi = qs
-    lo = _brun2_index(qlo, 0, 0)
-    k = lo + np.flatnonzero(~np.isnan(wsum[lo : _brun2_index(qhi + 1, 0, 0)]))
-    q, u1, u2 = _brun2_state(k)
+    lo = starts[qlo]
+    k = lo + np.flatnonzero(~np.isnan(wsum[lo : starts[qhi + 1]]))
+    q, u1, u2 = _brun2_state(k, starts, rows)
     step = u1 > 0  # (1; 0, 0) is the origin
     q, u1, u2, w = q[step], u1[step], u2[step], wsum[k[step]]
     j, pos = _brun2_children(q, u1, u2)
     # cq, c1, c2 encode pos exactly, so a pass means it holds the child
-    cq, c1, c2 = _brun2_state(pos)
+    cq, c1, c2 = _brun2_state(pos, starts, rows)
     first = c1 == u2
     x, y, z = cq, np.where(first, c1, c2), np.where(first, c2, c1) + j * cq
     fails = np.count_nonzero((x != u1) | (y != u2) | (z != q))
@@ -526,11 +526,10 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
     The weights take 8 bytes per state, 8 * ((bound + 1)(bound + 2)
     (bound + 3) / 6 - 1) bytes in all, 37 MB at t1 <= 300.
     """
-    _require_memory(8 * _brun2_index(bound + 1, 0, 0), f"the Brun verify sweep at t1 <= {bound}")
-    size = _brun2_index(max(bound, 1) + 1, 0, 0)
-    wsum = _weight_states(_brun2_layers, size, max(bound, 1), 3)
-    blocks = _blocks(1, bound, lambda q: (q + 1) * (q + 2) // 2)
-    return _merge_reports([_brun2_check(b, wsum) for b in blocks])
+    starts = _layer_starts(_BRUN2_START, bound, 8, f"the Brun verify sweep at t1 <= {bound}")
+    wsum = _weight_states(_brun2_layers, starts[-1], max(bound, 1), 3)
+    rows = _brun2_rows(max(bound, 1))
+    return _merge_reports([_brun2_check(b, wsum, starts, rows) for b in _blocks(1, bound, np.diff(starts))])
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +549,21 @@ def brun2_verify(bound: int, workers: int = 1) -> VerifyReport:
 
 def _jp_index(p, r, q):
     """Position of state (p, r, q) in the choice table: layers q = 1, 2, ...
-    of q (q + 1) states each, rows p = 1..q, columns r = 0..q."""
+    of q (q + 1) states each, rows p = 1..q, columns r = 0..q.  The layer q
+    begins at _jp_index(1, 0, q)."""
     return (q - 1) * q * (q + 1) // 3 + (p - 1) * (q + 1) + r
 
 
-def _jp_state(k):
-    """The states (p, r, q) at the positions k, inverting _jp_index, with
-    (p, r) taken from the remainder, so _jp_index(p, r, q) == k whatever q
-    is found."""
-    q, start = _layer_of(k, lambda q: _jp_index(1, 0, q), 3.0, 0.0)
-    rem = k - start
-    p = rem // (q + 1)
-    return p + 1, rem - p * (q + 1), q
+_JP_START = functools.partial(_jp_index, 1, 0)
+
+
+def _jp_state(k, starts):
+    """The states (p, r, q) at the positions k of a table whose layer q
+    begins at starts[q]: q by _decode, and the row and column from the
+    offset, since every row of the layer q holds q + 1 states."""
+    q, m = _decode(starts, k)
+    p, r = np.divmod(m, q + 1)
+    return p + 1, r, q
 
 
 def _jp_layers(bound: int, fill):
@@ -716,34 +718,31 @@ def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
     """
     targets = tuple(targets)
     rows = targets or ((0, 0),)  # with no target, a row that no digit hits still marks gcd > 1
-    n = _jp_index(1, 0, bound + 1)
-    _require_memory(2 * n + len(rows) * (2 + 2 * n), f"the JP table at q <= {bound}")
+    starts = _layer_starts(_JP_START, bound, 2 + 2 * len(rows), f"the JP table at q <= {bound}", 2 * len(rows))
     choice = _jp_choice_table(max(bound, 1))
     state = _count_states(functools.partial(_jp_choice_layers, choice), 2 + choice.size, max(bound, 1), rows)
-    starts = _jp_index(1, 0, np.arange(bound + 2, dtype=np.int64))
-    blocks = _blocks(2, bound, lambda q: q * (q + 1))
-    parts = [_table_rows(b, state[:, 2 : 2 + choice.shape[1]], starts, None) for b in blocks]
+    parts = [_table_rows(b, state[:, 2 : 2 + starts[-1]], starts, None) for b in _blocks(2, bound, np.diff(starts))]
     return _table_from_parts(parts, "jp", 3, targets, bound)
 
 
-def _jp_check(qs, choice, wsum):
+def _jp_check(qs, choice, wsum, starts):
     """Round-trip and weight check of the (flag, state) pairs with a finite
     weight and q in [qlo, qhi]: the child the DP read, decoded from its
-    position into its flag and (p', r', q'), or the origin (0, 0, 1) at an
-    end, must satisfy B(a, b) (p', r', q') = (q', p' + a q', r' + b q') =
-    (p, r, q) with the flag a == b.  Lanes, the states with q >= 2 at flag
-    0, must have W = 3 log q."""
+    position (_jp_state) into its flag and (p', r', q'), or the origin
+    (0, 0, 1) at an end, must satisfy B(a, b) (p', r', q') = (q', p' + a q',
+    r' + b q') = (p, r, q) with the flag a == b.  Lanes, the states with
+    q >= 2 at flag 0, must have W = 3 log q."""
     qlo, qhi = qs
     n = choice.shape[1]
-    lo = _jp_index(1, 0, qlo)
-    flag, k = np.nonzero(~np.isnan(wsum[:, lo : _jp_index(1, 0, qhi + 1)]))
+    lo = starts[qlo]
+    flag, k = np.nonzero(~np.isnan(wsum[:, lo : starts[qhi + 1]]))
     k += lo
-    p, r, q = _jp_state(k)
+    p, r, q = _jp_state(k, starts)
     a, b, np_, nr, pos = _jp_children(choice[flag, k], p, r, q, n)
     end = np_ == 0
     # the decoded flag and state encode pos exactly, so a pass means it holds the child
     cflag, ck = np.divmod(pos, n)
-    cp, cr, cq = _jp_state(ck)
+    cp, cr, cq = _jp_state(ck, starts)
     cp, cr, cq = np.where(end, 0, cp), np.where(end, 0, cr), np.where(end, 1, cq)
     x, y, z = cq, cp + a * cq, cr + b * cq
     fails = np.count_nonzero((x != p) | (y != r) | (z != q) | (~end & (cflag != (a == b))))
@@ -777,9 +776,8 @@ def jp_verify(bound: int, workers: int = 1) -> VerifyReport:
     6 * bound * (bound + 1) * (bound + 2) + 16 bytes in all, 164 MB at
     q <= 300.
     """
-    _require_memory(18 * _jp_index(1, 0, bound + 1) + 16, f"the JP verify sweep at q <= {bound}")
+    starts = _layer_starts(_JP_START, bound, 18, f"the JP verify sweep at q <= {bound}", 16)
     choice = _jp_choice_table(max(bound, 1))
     wsum = _weight_states(functools.partial(_jp_choice_layers, choice), 2 + choice.size, max(bound, 1), 3)
     wsum = wsum[2:].reshape(choice.shape)  # [flag, state], without the origin and the unfilled slot
-    blocks = _blocks(1, bound, lambda q: 2 * q * (q + 1))
-    return _merge_reports([_jp_check(b, choice, wsum) for b in blocks])
+    return _merge_reports([_jp_check(b, choice, wsum, starts) for b in _blocks(1, bound, 2 * np.diff(starts))])

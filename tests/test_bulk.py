@@ -354,15 +354,17 @@ def dp_inputs(name, bound):
     with denominators up to bound: the layer loop and the number of states
     that _count_states and _weight_states take, the weight multiplier
     m + 1, and the denominator of the state at each position, 1 at the JP
-    origin and at its unfilled slot."""
+    origin and at its unfilled slot.  The denominators repeat each layer
+    q = 1..bound as often as it has states, by the index functions alone."""
+    layers = np.arange(1, bound + 2)
     if name == "gauss":
-        size = bulk._gauss_index(0, bound + 1)
-        return bulk._gauss_layers, size, 2, bulk._gauss_pair(np.arange(size))[1]
+        q = np.repeat(layers[:-1], np.diff(bulk._gauss_index(0, layers)))
+        return bulk._gauss_layers, len(q), 2, q
     if name == "brun":
-        size = bulk._brun2_index(bound + 1, 0, 0)
-        return bulk._brun2_layers, size, 3, bulk._brun2_state(np.arange(size))[0]
+        q = np.repeat(layers[:-1], np.diff(bulk._brun2_index(layers, 0, 0)))
+        return bulk._brun2_layers, len(q), 3, q
     choice = bulk._jp_choice_table(bound)
-    q = bulk._jp_state(np.arange(choice.shape[1]))[2]
+    q = np.repeat(layers[:-1], np.diff(bulk._jp_index(1, 0, layers)))
     return functools.partial(bulk._jp_choice_layers, choice), 2 + choice.size, 3, np.concatenate([[1, 1], q, q])
 
 
@@ -528,26 +530,34 @@ class TestBrunSymmetry:
 
 
 class TestStateDecoding:
-    # the 50 positions on either side of every layer boundary, where the
-    # float cube root of _layer_of is closest to a wrong layer, decode to
-    # the state at that position, with index arithmetic only; the decoders
-    # take the last coordinate from the remainder, so it is the ranges that
-    # pin the layer
-    @pytest.mark.parametrize("name", ["brun", "jp"])
+    # the 50 positions on either side of every layer boundary, where a
+    # decode that takes a wrong side of a start is off by one layer, decode
+    # to the state at that position; the decoders take the last coordinate
+    # from the offset, so it is the ranges that pin the layer.  Each decodes
+    # against the starts of all layers 0..10^6 + 1 from the index functions,
+    # and the Gauss and JP ones begin with the empty layers 0 and 1
+    @pytest.mark.parametrize("name", ["brun", "gauss", "jp"])
     def test_layer_ends_decode_exactly(self, name):
         layers = np.concatenate([np.arange(1, 10_001), np.arange(10**6 - 100, 10**6)])
+        every = np.arange(10**6 + 2)
         if name == "brun":
             starts = bulk._brun2_index(layers, 0, 0)
+        elif name == "gauss":
+            starts = bulk._gauss_index(0, layers)
         else:
             starts = bulk._jp_index(1, 0, layers)
         k = (starts[:, None] + np.arange(-50, 50)).ravel()
         k = k[k >= 0]
         if name == "brun":
-            q, u1, u2 = bulk._brun2_state(k)
+            q, u1, u2 = bulk._brun2_state(k, bulk._brun2_index(every, 0, 0), bulk._gauss_index(0, every + 1))
             assert np.array_equal(bulk._brun2_index(q, u1, u2), k)
             assert np.all((q >= u1) & (u1 >= u2) & (u2 >= 0))
+        elif name == "gauss":
+            p, r = bulk._decode(bulk._gauss_index(0, every), k)
+            assert np.array_equal(bulk._gauss_index(r, p), k)
+            assert np.all((p >= 1) & (r >= 0) & (r < p))
         else:
-            p, r, q = bulk._jp_state(k)
+            p, r, q = bulk._jp_state(k, bulk._jp_index(1, 0, every))
             assert np.array_equal(bulk._jp_index(p, r, q), k)
             assert np.all((p >= 1) & (p <= q) & (r >= 0) & (r <= q))
 
