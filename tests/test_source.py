@@ -1,10 +1,14 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfstats"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cfstats"
 
 
 def _parsed_modules():
@@ -85,3 +89,18 @@ def test_gaussian_cdf_loads_scipy_special(tmp_path):
         tmp_path,
     )
     assert out.split() == ["False", "True", "0.5"]
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+# scripts/mutants.py makes each edit on a copy and runs its tests, outside
+# this suite; here only its list is checked, so that it cannot rot silently
+@pytest.mark.parametrize("mutant", _mutants(), ids=lambda m: m.name)
+def test_mutant_old_text_occurs_once(mutant):
+    assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
+    assert mutant.new != mutant.old and mutant.tests
