@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -589,21 +590,42 @@ class TestJPChoiceTable:
                     assert got == ref
                     assert got is None or state == (0, 0, 1)
 
-    # (2, 1, 5) expands as (0, 2) then (1, 2) from (1, 1, 2): dropping the
-    # choice at (1, 1, 2) strands it mid-path, and choice 2 at (2, 1, 5)
-    # asks for the digit a = -1
-    @pytest.mark.parametrize("state, value", [((1, 1, 2), -1), ((2, 1, 5), 2)])
-    def test_corrupted_choice_fails_verify(self, monkeypatch, state, value):
+    # SHA-256 of the choice table, both flags: the replay test above follows
+    # flag 0 only, and flag 1 is otherwise checked only through the DPs' outputs
+    @pytest.mark.parametrize("bound, pin", [
+        (12, "b2ab6b4c92dee72ffea2decdd4b215ce86d8d161d87b1afd886180e59e11b797"),
+        (80, "71e45193f136db50a390ae2300d8165e5f9ace2c7e781f606f4e9e3e2355875c"),
+        (150, "87b1166253eb8a4796eca873577742f5652f11486628dbf3d74950e6f6965d02"),
+    ])
+    def test_choice_table_bytes_pinned(self, bound, pin):
+        choice = bulk._jp_choice_table(bound)
+        assert choice.shape == (2, bulk._jp_index(1, 0, bound + 1))
+        assert hashlib.sha256(choice.tobytes()).hexdigest() == pin
+
+    # one case per check of the replay, each corrupting one choice:
+    # (2, 1, 5) expands as (0, 2) then (1, 2) from (1, 1, 2), so dropping
+    # the choice at (1, 1, 2) strands (2, 1, 3) mid-path; choice 2 at
+    # (2, 1, 5) asks for the digit a = -1; after a diagonal digit, (1, 0, 2)
+    # has no choice, and its floor digit (0, 2) would take a = 0; the floor
+    # digit (1, 1) of (2, 2, 2) ends at the origin with b = 1
+    @pytest.mark.parametrize("flag, state, value, message", [
+        pytest.param(0, (1, 1, 2), -1, "no admissible choice at state (2, 1, 3)", id="stranded"),
+        pytest.param(0, (2, 1, 5), 2, "a choice that is no child at state (2, 1, 5)", id="no-child"),
+        pytest.param(1, (1, 0, 2), 0, "a = 0 right after a diagonal digit at state (1, 0, 2)", id="a0-after-diagonal"),
+        pytest.param(0, (2, 2, 2), 0, "an end off the origin or with b < 2 at state (2, 2, 2)", id="end-b1"),
+    ])
+    def test_corrupted_choice_fails_verify(self, monkeypatch, flag, state, value, message):
         real = bulk._jp_choice_table
 
         def corrupted(bound):
             choice = real(bound)
-            choice[0, bulk._jp_index(*state)] = value
+            assert choice[flag, bulk._jp_index(*state)] != value
+            choice[flag, bulk._jp_index(*state)] = value
             return choice
 
         monkeypatch.setattr(bulk, "_jp_choice_table", corrupted)
         for sweep in (bulk.jp_verify, bulk.jp_ensemble_table):
-            with pytest.raises(RuntimeError, match="JP replay"):
+            with pytest.raises(RuntimeError, match=re.escape("JP replay: " + message)):
                 sweep(12)
 
 
