@@ -52,8 +52,8 @@ MUTANTS = [
     ),
     Mutant(
         "brun-child-unsorted", BULK,
-        "_brun2_index(u1, np.maximum(u2, r), np.minimum(u2, r))",
-        "_brun2_index(u1, u2, np.minimum(u2, r))",
+        "starts[u1] + rows[np.maximum(u2, r)] + np.minimum(u2, r)",
+        "starts[u1] + rows[u2] + np.minimum(u2, r)",
         (TEST_BULK + "TestBrunSymmetry::test_sorted_dps_match_walks_from_both_orders",),
     ),
     Mutant(
@@ -80,6 +80,21 @@ MUTANTS = [
         "    return _decode(rows, m)[1] >= 0\n",
         (TEST_BULK + "TestTableAgreement::test_brun_matches_record_path",
          TEST_BULK + "TestTableAgreement::test_multidim_table_bytes_pinned"),
+    ),
+    # the JP choice table: the closure children and the child that the resolve reads
+    Mutant(
+        "jp-closures-skipped", BULK,
+        "    ca, cb = (np_ == 0) & (a > 0), (nr == 0) & (b > 1)\n",
+        "    ca = cb = np.zeros(len(p), bool)\n",
+        (TEST_BULK + "TestJPChoiceTable::test_replay_reproduces_reference_strings",
+         TEST_BULK + "TestJPChoiceTable::test_choice_table_bytes_pinned"),
+    ),
+    Mutant(
+        "jp-child-row-offset", BULK,
+        "        child = (a == b) * n + starts.take(p) + (np_ - 1) * (p + 1) + nr\n",
+        "        child = (a == b) * n + starts.take(p) + np_ * (p + 1) + nr\n",
+        (TEST_BULK + "TestJPChoiceTable::test_replay_reproduces_reference_strings",
+         TEST_BULK + "TestJPChoiceTable::test_choice_table_bytes_pinned"),
     ),
     # the operator apply in slabs: one running sum in the order of the whole chunk
     Mutant(

@@ -23,13 +23,15 @@ weight DP read and checks the step's inverse branch exactly, B (child) =
 state, so by induction on the denominator it proves every point's round
 trip without composing any matrix.
 
-Each sweep builds the starts of its DP's layers once (_layer_starts).
-They give the DP's size, and every position decodes to its layer and
-offset by one exact lookup in them (_decode).  Every sweep runs in the
-calling process, and raises BudgetError before it builds them if the
-DP's bytes, given in its docstring, exceed physical memory or the
-process's cgroup memory limit (_require_memory); the check counts
-neither memory in use nor the histograms.  Rows and checks run over
+Each sweep builds the starts of its DP's layers (_layer_starts), and
+its layer loop builds them again.  They give the DP's size and its
+positions both ways: a child's position is its layer's start plus its
+offset there, and every position decodes to its layer and offset by one
+exact lookup in them (_decode).  Every sweep runs in the calling
+process, and raises BudgetError before it builds them if the DP's bytes,
+given in its docstring, exceed physical memory or the process's cgroup
+memory limit (_require_memory); the check counts neither memory in use
+nor the histograms.  Rows and checks run over
 blocks of about _LANE_BUDGET states, counted from the starts and split
 by one rule, which bounds their temporaries; results merge
 in block order and every reduction is integer-exact or a maximum, so
@@ -426,13 +428,13 @@ def _brun2_state(k, starts, rows):
     return (q, *_decode(rows, m))
 
 
-def _brun2_children(q, u1, u2):
+def _brun2_children(q, u1, u2, starts, rows):
     """The Brun step from the sorted states (q; u1, u2), u1 >= 1, which
     divides by u1: the digits j = q // u1, and the positions of the children
     (u1; u2, r), r = q - j u1, at their sorted positions (u1; max(u2, r),
-    min(u2, r))."""
+    min(u2, r)), read off the starts of the layers and rows (_brun2_rows)."""
     j, r = np.divmod(q, u1)
-    return j, _brun2_index(u1, np.maximum(u2, r), np.minimum(u2, r))
+    return j, starts[u1] + rows[np.maximum(u2, r)] + np.minimum(u2, r)
 
 
 def _brun2_is_lane(rows, m):
@@ -450,12 +452,12 @@ def _brun2_layers(bound: int, fill):
     earlier layers; the row u1 = q but (q; q, q), which steps to (q; u2, 0)
     of the first slice, or to (q; 0, 0); and last (q; q, q), which steps to
     (q; q, 0) of the second."""
-    rows = _brun2_rows(bound)
+    starts, rows = _BRUN2_START(np.arange(bound + 1, dtype=np.int64)), _brun2_rows(bound)
     u1, u2 = _decode(rows, np.arange(rows[-1]))  # the rows and columns of the largest layer
     for q in range(1, bound + 1):
-        start, row = _brun2_index(q, 0, 0), _gauss_index(0, q + 1)  # row: the offset of (q; q, 0)
+        start, row = starts[q], rows[q]  # row: the offset of (q; q, 0)
         for lo, hi in ((1, row), (row, row + q), (row + q, row + q + 1)):
-            j, pos = _brun2_children(q, u1[lo:hi], u2[lo:hi])
+            j, pos = _brun2_children(q, u1[lo:hi], u2[lo:hi], starts, rows)
             fill(slice(start + lo, start + hi), j, pos, q, u1[lo:hi])
 
 
@@ -490,11 +492,13 @@ def _brun2_check(qs, wsum, starts, rows):
     states with u2 >= 1, must have W = 3 log q."""
     qlo, qhi = qs
     lo = starts[qlo]
-    k = lo + np.flatnonzero(~np.isnan(wsum[lo : starts[qhi + 1]]))
-    q, u1, u2 = _brun2_state(k, starts, rows)
+    k = np.flatnonzero(~np.isnan(wsum[lo : starts[qhi + 1]]))
+    q = np.repeat(np.arange(qlo, qhi + 1), np.diff(starts[qlo : qhi + 2]))[k]  # the states' own layers, with no search
+    k += lo
+    u1, u2 = _decode(rows, k - starts[q])
     step = u1 > 0  # (1; 0, 0) is the origin
     q, u1, u2, w = q[step], u1[step], u2[step], wsum[k[step]]
-    j, pos = _brun2_children(q, u1, u2)
+    j, pos = _brun2_children(q, u1, u2, starts, rows)
     # cq, c1, c2 encode pos exactly, so a pass means it holds the child
     cq, c1, c2 = _brun2_state(pos, starts, rows)
     first = c1 == u2
@@ -566,27 +570,29 @@ def _jp_state(k, starts):
     return p + 1, r, q
 
 
-def _jp_layers(bound: int, fill):
-    """Call fill(p, r, q) for the states of the layers q = 1..bound in order,
-    in two parts per layer: the rows p < q, whose children lie in layer p,
-    and then the row p = q, whose children lie in rows p < q of its own
-    layer, or are (q, 0, q), which has no admissible child."""
-    for q in range(1, bound + 1):
+def _jp_layers(starts, fill):
+    """Call fill(lo, p, r, q) for the states of the layers q = 1..len(starts)
+    - 2 of a table whose layer q begins at starts[q], in order, in two parts
+    per layer at the positions from lo on: the rows p < q, whose children
+    lie in layer p, and then the row p = q, whose children lie in rows
+    p < q of its own layer, or are (q, 0, q), which has no admissible child."""
+    for q in range(1, len(starts) - 1):
         p, r = np.divmod(np.arange(q * (q + 1)), q + 1)
         p += 1
         split = (q - 1) * (q + 1)
         if split:
-            fill(p[:split], r[:split], q)
-        fill(p[split:], r[split:], q)
+            fill(starts[q], p[:split], r[:split], q)
+        fill(starts[q] + split, p[split:], r[split:], q)
 
 
 def _jp_choice_table(bound: int) -> np.ndarray:
     """int8[after-diagonal flag, state]: the canonical child of every state
-    with q <= bound, built layer by layer in q.  The row p = q reads (q, 0, q)
-    before the row is filled, which is right, since it has no child and
-    starts at -1."""
-    choice = np.full((2, _jp_index(1, 0, bound + 1)), -1, np.int8)
-    _jp_layers(bound, functools.partial(_jp_resolve, choice))
+    with q <= bound, built layer by layer in q (_jp_resolve).  The row p = q
+    reads (q, 0, q) before the row is filled, which is right, since it has
+    no child and starts at -1."""
+    starts = _JP_START(np.arange(bound + 2, dtype=np.int64))
+    choice = np.full((2, starts[-1]), -1, np.int8)
+    _jp_layers(starts, functools.partial(_jp_resolve, choice, starts))
     return choice
 
 
@@ -594,25 +600,34 @@ def _jp_choice_table(bound: int) -> np.ndarray:
 _LOWEST_BIT = np.array([-1, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0], np.int8)
 
 
-def _jp_resolve(choice, p, r, q):
-    """Fill the choice of the states (p, r, q) from those of their children."""
-    af, bf = r // p, q // p
-    # the closure digits a - 1 and b - 1 exist only for exact quotients a >= 1 and b >= 2,
-    # so children k > 0 are worked out only on the few states that have them
-    closure = ((r % p == 0) & (af > 0), (q % p == 0) & (bf > 1))
-    good = np.zeros((2, len(p)), np.uint8)  # bit k: child k reaches the origin, by flag
-    for k in range(4):
-        da, db = k >> 1, k & 1
-        i = np.nonzero((closure[0] | (not da)) & (closure[1] | (not db)))[0] if k else slice(None)
-        a, b, pi = af[i] - da, bf[i] - db, p[i]
-        np_, nr = r[i] - a * pi, q - b * pi
-        valid, end = a <= b, np_ == 0
-        child = np.where(valid & ~end, _jp_index(np_, nr, pi), 0)
-        reaches = np.where(end, (nr == 0) & (b >= 2), choice[(a == b).astype(np.intp), child] >= 0)
-        ok = valid & reaches
-        good[0, i] |= ok.astype(np.uint8) << k
-        good[1, i] |= (ok & (a > 0)).astype(np.uint8) << k
-    choice[:, _jp_index(p, r, q)] = _LOWEST_BIT[good]
+def _jp_resolve(choice, starts, lo, p, r, q):
+    """Fill the choices of the states (p, r, q), at the positions from lo on,
+    in two passes: the floor child k = 0 of every state, then the closure
+    children k = 1, 2, 3 of the few states that have them, all at once.  Bit
+    k of a state's mask, per flag, is set where the child k ends at the
+    origin with b >= 2 or has a choice at the flag a == b, and, at flag 1,
+    takes a >= 1.  Children are read off the layer starts."""
+    n, flat = choice.shape[1], choice.reshape(-1)
+
+    def good(a, b, np_, nr, p):
+        # an end's position may fall outside the table; "clip" reads a value that np.where drops
+        child = (a == b) * n + starts.take(p) + (np_ - 1) * (p + 1) + nr
+        ok = (a <= b) & np.where(np_ == 0, (nr == 0) & (b >= 2), flat.take(child, mode="clip") >= 0)
+        return np.array((ok, ok & (a > 0))).view(np.uint8)
+
+    (a, np_), (b, nr) = np.divmod(r, p), np.divmod(q, p)
+    mask = good(a, b, np_, nr, p)
+    # the closure digits a - 1 and b - 1 exist only for exact quotients a >= 1 and b >= 2;
+    # a state with both has the children 1, 2 and 3, so each group is ORed in on its own
+    ca, cb = (np_ == 0) & (a > 0), (nr == 0) & (b > 1)
+    groups = (cb.nonzero()[0], ca.nonzero()[0], (ca & cb).nonzero()[0])
+    sizes = [len(g) for g in groups]
+    i = np.concatenate(groups)
+    k = np.repeat(np.arange(1, 4, dtype=np.uint8), sizes)
+    bits = good(*_jp_step(k, p[i], r[i], q), p[i]) << k
+    for g, end in zip(groups, (sizes[0], sizes[0] + sizes[1], len(i))):
+        mask[:, g] |= bits[:, end - len(g) : end]
+    choice[:, lo : lo + len(p)] = _LOWEST_BIT[mask]
 
 
 def _jp_step(k, p, r, q):
@@ -624,12 +639,12 @@ def _jp_step(k, p, r, q):
     return a, b, r - a * p, q - b * p
 
 
-def _jp_children(k, p, r, q, n: int):
+def _jp_children(k, p, r, q, starts, n: int):
     """_jp_step, plus the positions of the children in a [flag, state] array
-    of n states per flag, flattened, with the flag a == b; 0 where the step
-    ends or k < 0."""
+    of n states per flag, flattened, with the flag a == b, read off the layer
+    starts; 0 where the step ends or k < 0."""
     a, b, np_, nr = _jp_step(k, p, r, q)
-    pos = np.where((k >= 0) & (np_ > 0), (a == b) * n + _jp_index(np_, nr, p), 0)
+    pos = np.where((k >= 0) & (np_ > 0), (a == b) * n + starts.take(p) + (np_ - 1) * (p + 1) + nr, 0)
     return a, b, np_, nr, pos
 
 
@@ -681,11 +696,11 @@ def _jp_choice_layers(choice: np.ndarray, bound: int, fill):
     admissible strings or leads to a state with no choice.
     """
     n = choice.shape[1]
+    starts = _JP_START(np.arange(bound + 2, dtype=np.int64))
 
-    def follow(p, r, q):
-        lo = _jp_index(p[0], r[0], q)
+    def follow(lo, p, r, q):
         k = choice[:, lo : lo + len(p)]
-        a, b, np_, nr, pos = _jp_children(k, p, r, q, n)
+        a, b, np_, nr, pos = _jp_children(k, p, r, q, starts, n)
         on = k >= 0
         _jp_require_admissible(on, _AFTER_DIAG, a, b, np_, nr, p, r, q)
         read = on & (np_ > 0)
@@ -695,7 +710,7 @@ def _jp_choice_layers(choice: np.ndarray, bound: int, fill):
             start = 2 + f * n + lo
             fill(slice(start, start + len(p)), _JPDigits(a[f], b[f]), child[f], q, p)
 
-    _jp_layers(bound, follow)
+    _jp_layers(starts, follow)
 
 
 def jp_ensemble_table(bound: int, targets=((1, 2),), workers: int = 1):
@@ -736,9 +751,11 @@ def _jp_check(qs, choice, wsum, starts):
     n = choice.shape[1]
     lo = starts[qlo]
     flag, k = np.nonzero(~np.isnan(wsum[:, lo : starts[qhi + 1]]))
+    q = np.repeat(np.arange(qlo, qhi + 1), np.diff(starts[qlo : qhi + 2]))[k]  # the states' own layers, with no search
     k += lo
-    p, r, q = _jp_state(k, starts)
-    a, b, np_, nr, pos = _jp_children(choice[flag, k], p, r, q, n)
+    p, r = np.divmod(k - starts[q], q + 1)
+    p += 1
+    a, b, np_, nr, pos = _jp_children(choice[flag, k], p, r, q, starts, n)
     end = np_ == 0
     # the decoded flag and state encode pos exactly, so a pass means it holds the child
     cflag, ck = np.divmod(pos, n)

@@ -144,6 +144,8 @@ def brun_trajectory_digits(t: Sequence[int]) -> list:
     (t_2/t_1, ..., t_{m+1}/t_1).  Ties take the smallest index.
     """
     t = tuple(int(v) for v in t)
+    if len(t) < 2:
+        raise ValueError("tuple needs m + 1 >= 2 entries")
     if list(t) != sorted(t, reverse=True):
         raise ValueError("tuple must be sorted descending")
     if t[-1] < 1:
@@ -154,13 +156,13 @@ def brun_trajectory_digits(t: Sequence[int]) -> list:
 
 
 def _brun_walk(t: tuple, digit_of: dict) -> tuple:
-    """(digits, counts) of the Brun map orbit of the int tuple t, which is
-    sorted descending, positive and coprime, as brun_trajectory_digits
-    checks: the digit string and a Counter of its labels j.  digit_of
-    holds the BrunDigit of each (i, j) met so far, and gains the new ones."""
+    """(digits, counts) of the Brun map orbit of the int tuple t of m + 1 >= 2
+    entries, sorted descending, positive and coprime, as brun_trajectory_digits
+    checks: the digit string and a Counter of its labels j.  digit_of holds
+    the BrunDigit of each (i, j) met so far, and gains the new ones."""
     q, u = t[0], list(t[1:])
-    digits, counts = [], Counter()
-    um = max(u, default=0)
+    digits, labels = [], []
+    um = max(u)  # u holds m >= 1 entries
     while um:  # the entries stay >= 0, so the orbit ends where all are 0
         i = u.index(um)  # the first maximum: ties take the smallest index
         j = q // um
@@ -168,10 +170,10 @@ def _brun_walk(t: tuple, digit_of: dict) -> tuple:
         if d is None:
             d = digit_of[i, j] = BrunDigit(i + 1, j)
         digits.append(d)
-        counts[j] = counts.get(j, 0) + 1
+        labels.append(j)
         q, u = um, u[i + 1 :] + [q - j * um] + u[:i]
-        um = max(u, default=0)
-    return digits, counts
+        um = max(u)
+    return digits, Counter(labels)
 
 
 # The four digit choices at a JP state (p, r, q) ~ (p/q, r/q), preferred

@@ -110,6 +110,7 @@ class TestBrunGcd:
         ((5, 7, 2), "sorted descending"),
         ((7, 5, 0), "positive"),
         ((6, 4, 2), "not coprime"),
+        ((1,), "2 entries"),
     ])
     def test_trajectory_digits_reject_bad_tuples(self, t, message):
         with pytest.raises(ValueError, match=message):
