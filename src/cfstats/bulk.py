@@ -571,8 +571,8 @@ def _jp_state(k, starts):
 
 
 def _jp_layers(starts, fill):
-    """Call fill(lo, p, r, q) for the states of the layers q = 1..len(starts)
-    - 2 of a table whose layer q begins at starts[q], in order, in two parts
+    """Call fill(lo, p, r, q) for the states of a table whose layer q begins
+    at starts[q], layers q = 1, ..., len(starts) - 2 in order, in two parts
     per layer at the positions from lo on: the rows p < q, whose children
     lie in layer p, and then the row p = q, whose children lie in rows
     p < q of its own layer, or are (q, 0, q), which has no admissible child."""
@@ -604,9 +604,9 @@ def _jp_resolve(choice, starts, lo, p, r, q):
     """Fill the choices of the states (p, r, q), at the positions from lo on,
     in two passes: the floor child k = 0 of every state, then the closure
     children k = 1, 2, 3 of the few states that have them, all at once.  Bit
-    k of a state's mask, per flag, is set where the child k ends at the
-    origin with b >= 2 or has a choice at the flag a == b, and, at flag 1,
-    takes a >= 1.  Children are read off the layer starts."""
+    k of a state's mask, per flag, is set where the digit k has a <= b, and
+    a >= 1 at flag 1, and its child ends at the origin with b >= 2 or has a
+    choice at the flag a == b.  Children are read off the layer starts."""
     n, flat = choice.shape[1], choice.reshape(-1)
 
     def good(a, b, np_, nr, p):
