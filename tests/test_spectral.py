@@ -120,6 +120,20 @@ class TestLeadingEigenvalue:
         ]
         assert bars[0] > bars[1] > bars[2] > 0
 
+    # the exact float of each map's tail bar at the converged eigenfunction
+    @pytest.mark.parametrize(
+        "desc, G, j_max, bar",
+        [
+            (GAUSS, 64, 128, "0x1.ffd90cabbedbap-15"),
+            (BRUN2, 8, 16, "0x1.22747ce9b25c7p-6"),
+            (JP2, 8, 5, "0x1.7820e80516d0cp-5"),
+        ],
+        ids=["gauss", "brun2", "jp2"],
+    )
+    def test_tail_bar_pinned(self, desc, G, j_max, bar):
+        res = leading_eigenvalue(OperatorParams(1.0, (), (), j_max), desc, G=G)
+        assert res.tail_bar.hex() == bar
+
     def test_brun_eigenvalue_and_density_shape(self):
         res = leading_eigenvalue(OperatorParams(1.0, (), (), 512), BRUN2, G=96)
         assert abs(res.eigenvalue - 1.0) < 5e-4
