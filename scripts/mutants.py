@@ -15,7 +15,7 @@ killed if every named test fails; it survives if one passes.  The script
 prints one line per mutant and exits 1 if a mutant survives, its old
 text is not found exactly once, or one of its tests does not run.
 tests/test_source.py checks in the fast suite that every old text still
-occurs exactly once; the mutant runs themselves (about 20 s on a 2-core
+occurs exactly once; the mutant runs themselves (about 30 s on a 2-core
 box) are not part of it.
 """
 
@@ -39,7 +39,8 @@ class Mutant(NamedTuple):
 
 
 BULK, ORBITS, SPECTRAL = "src/cfstats/bulk.py", "src/cfstats/orbits.py", "src/cfstats/spectral.py"
-TEST_BULK = "tests/test_bulk.py::"
+STATS = "src/cfstats/stats.py"
+TEST_BULK, TEST_STATS = "tests/test_bulk.py::", "tests/test_stats.py::"
 
 MUTANTS = [
     # the Brun sweeps on sorted states and the Brun record walk
@@ -139,6 +140,38 @@ MUTANTS = [
          TEST_BULK + "TestStateDecoding::test_layer_ends_decode_exactly[gauss]",
          TEST_BULK + "TestStateDecoding::test_layer_ends_decode_exactly[jp]",
          TEST_BULK + "TestVerifySweeps::test_gauss"),
+    ),
+    # boundaries and defaults that no other test reaches
+    Mutant(
+        "verify-ok-bound-2-63", BULK,
+        "self.max_matrix_entry < 2**62",
+        "self.max_matrix_entry < 2**63",
+        (TEST_BULK + "TestVerifySweeps::test_ok_needs_matrix_entries_below_2_62",),
+    ),
+    Mutant(
+        "brun-default-target-2", BULK,
+        "def brun2_ensemble_table(bound: int, targets=(1,),",
+        "def brun2_ensemble_table(bound: int, targets=(2,),",
+        (TEST_BULK + "TestTableAgreement::test_brun_default_targets",),
+    ),
+    Mutant(
+        "dirichlet-t-sign", STATS,
+        "logterm = -s * table.weights + table.counts.astype(np.float64) @ t",
+        "logterm = -s * table.weights - table.counts.astype(np.float64) @ t",
+        (TEST_STATS + "TestDirichlet::test_grows_with_t",),
+    ),
+    Mutant(
+        "ldp-edge-counted", STATS,
+        "dev = np.abs(n / Q - lambda_j) > eps",
+        "dev = np.abs(n / Q - lambda_j) >= eps",
+        (TEST_STATS + "TestLDP::test_deviation_at_eps_is_not_counted",),
+    ),
+    # the tail bars: the JP bar's first-moment term
+    Mutant(
+        "tail-bar-jp-shift", SPECTRAL,
+        "z1 / (cap + 1) + z0",
+        "z1 / (cap + 2) + z0",
+        ("tests/test_spectral.py::TestLeadingEigenvalue::test_tail_bar_pinned[jp2]",),
     ),
 ]
 

@@ -33,8 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import acceptance, bulk, spectral, stats
-from .maps import BRUN2, BRUN3, GAUSS, JP2, MapDescriptor
-from .orbits import BudgetError, denominator_bound, enumerate_trajectories
+from .maps import BRUN2, BRUN3, GAUSS, JP2, MapDescriptor, max_denominator
+from .orbits import BudgetError, enumerate_trajectories
 from .schemas import SCHEMAS, SCHEMA_VERSION
 
 ALGORITHMS = {"gauss": GAUSS, "brun2": BRUN2, "brun3": BRUN3, "jp2": JP2}
@@ -104,7 +104,7 @@ class ExperimentConfig:
         if self.denominator_bound is not None:
             bound = self.denominator_bound
         else:
-            bound = denominator_bound(self.map_desc, self.Q)
+            bound = max_denominator(self.map_desc.weight_multiplier, self.Q)
         if bound > self.budget:
             raise BudgetError(f"denominator bound {bound} exceeds budget {self.budget}")
         return bound
@@ -266,7 +266,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
         fh.write(SCHEMAS["trajectories.csv"]["comment_line"] + "\n")
         nums = ",".join(f"num{k + 1}" for k in range(m))
         fh.write(f"denominator,{nums},depth,weight," + ",".join(f"N_{s}" for s in labels) + "\n")
-        for rec in enumerate_trajectories(cfg.map_desc, denominator_cap=bound, budget=cfg.budget):
+        for rec in enumerate_trajectories(cfg.map_desc, bound):
             counts = [rec.counts.get(t, 0) for t in cfg.targets]
             fh.write(
                 ",".join(

@@ -251,23 +251,6 @@ class MapDescriptor:
             raise ValueError("homography dimension mismatch")
         return h.log_jacobian(x)
 
-    def digit_string(self, x, max_steps: int = 10_000):
-        """Forward orbit digits of an exact point until the terminal state.
-
-        Uses the floor conventions only; boundary rationals that need the
-        branch-closure fallback are handled in orbits.jp_digits.
-        """
-        digits = []
-        point = tuple(Fraction(v) for v in x)
-        for _ in range(max_steps):
-            if all(v == 0 for v in point):
-                return digits, point
-            if self.algorithm == "jp" and point[0] == 0:
-                return digits, point
-            point, d = self.forward(point)
-            digits.append(d)
-        raise RuntimeError("orbit did not terminate; non-rational input?")
-
 
 def _brun_inverse(m: int, i: int, j: int) -> Homography:
     """Inverse of the Brun step with max position i and digit j.

@@ -1,11 +1,12 @@
 """Exact enumeration of finite rational trajectories.
 
 Integer-arithmetic digit algorithms (Euclid, Brun GCD, Jacobi-Perron)
-and exhaustive enumeration of all coprime points below a weight or
-denominator bound.  Every emitted record carries the canonical digit
-string produced by the forward integer algorithm, so each point appears
-exactly once and composing the inverse branches at the base point
-reproduces it exactly.
+and exhaustive enumeration of all coprime points up to a denominator
+bound; a weight bound Q enters only through maps.max_denominator, which
+the caller applies first.  Every emitted record carries the canonical
+digit string produced by the forward integer algorithm, so each point
+appears exactly once and composing the inverse branches at the base
+point reproduces it exactly.
 
 Conventions for degenerate inputs: p = 0 (Gauss), xi = 0 (JP) and
 tuples containing zeros (Brun) are terminal-or-skipped states and never
@@ -30,7 +31,6 @@ from .maps import (
     GaussDigit,
     JPDigit,
     MapDescriptor,
-    max_denominator,
 )
 
 
@@ -81,11 +81,6 @@ class TrajectoryRecord:
     @property
     def weight(self) -> float:
         return self.weight_multiplier * math.log(self.point.denominator)
-
-    @property
-    def weight_exact(self) -> tuple:
-        """(c, q) with w = c * log q exactly."""
-        return (self.weight_multiplier, self.point.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +186,11 @@ def _jp_children(p: int, r: int, q: int):
                 yield a, b
 
 
-def jp_digits(p: int, r: int, q: int, max_depth: int = 10_000) -> list:
+# steps of the jp_digits search before it gives up
+_JP_MAX_STEPS = 40_000
+
+
+def jp_digits(p: int, r: int, q: int) -> list:
     """Canonical Jacobi-Perron digit string of (p/q, r/q).
 
     Depth-first search preferring the floor digits at every state, with
@@ -211,7 +210,7 @@ def jp_digits(p: int, r: int, q: int, max_depth: int = 10_000) -> list:
     steps = 0
     while stack:
         steps += 1
-        if steps > max_depth * 4:
+        if steps > _JP_MAX_STEPS:
             raise RuntimeError("search budget exceeded")
         (sp, sr, sq), children = stack[-1]
         advanced = False
@@ -274,32 +273,15 @@ def _brun_records(bound: int, m: int) -> Iterator[TrajectoryRecord]:
             yield TrajectoryRecord(RationalPoint(rest, t1), tuple(digits), m + 1, counts)
 
 
-def denominator_bound(map_desc: MapDescriptor, Q: float) -> int:
-    """Largest denominator with weight (m+1) log q strictly below Q."""
-    return max_denominator(map_desc.weight_multiplier, Q)
+def enumerate_trajectories(map_desc: MapDescriptor, denominator_cap: int) -> Iterator[TrajectoryRecord]:
+    """Stream every coprime trajectory point with q <= denominator_cap, exactly once.
 
-
-def enumerate_trajectories(
-    map_desc: MapDescriptor,
-    Q: float | None = None,
-    denominator_cap: int | None = None,
-    budget: int = 5_000_000,
-) -> Iterator[TrajectoryRecord]:
-    """Stream every coprime trajectory point below the bound, exactly once.
-
-    Exactly one of Q (strict weight bound w < Q) and denominator_cap
-    (q <= cap) must be given.  Order is deterministic: by denominator,
-    then lexicographic numerators (Brun numerators descending within a
-    denominator by construction).
+    Order is deterministic: by denominator, then lexicographic numerators
+    (Brun numerators descending within a denominator by construction).
     """
-    if (Q is None) == (denominator_cap is None):
-        raise ValueError("specify exactly one of Q and denominator_cap")
-    bound = denominator_cap if denominator_cap is not None else denominator_bound(map_desc, Q)
-    if bound > budget:
-        raise BudgetError(f"denominator bound {bound} exceeds budget {budget}")
     if map_desc.algorithm == "gauss":
-        yield from _gauss_records(bound)
+        yield from _gauss_records(denominator_cap)
     elif map_desc.algorithm == "jp":
-        yield from _jp_records(bound)
+        yield from _jp_records(denominator_cap)
     else:
-        yield from _brun_records(bound, map_desc.m)
+        yield from _brun_records(denominator_cap, map_desc.m)

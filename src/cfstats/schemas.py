@@ -31,7 +31,7 @@ SCHEMAS = {
             "bin_hi": "float, right bin edge",
             "count": "int, ensemble multiplicity in the bin",
         },
-        "bins": "101 uniform bins over [-5 sigma, 5 sigma] per marginal",
+        "bins": "histogram_bins (default 101) uniform bins over [-5 sigma, 5 sigma] per marginal",
     },
     "summary.json": {
         "schema_version": "string",

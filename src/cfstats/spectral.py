@@ -95,9 +95,6 @@ class GridFunction:
         x = (np.arange(self.G) + 0.5) / self.G
         return (x,) if self.m == 1 else (x, x)
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 @dataclass(frozen=True)
 class OperatorParams:
@@ -766,12 +763,10 @@ def leading_eigenvalue(
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
 
 
-def invariant_density(
-    map_desc: MapDescriptor, G: int = 1024, j_max: int = 10_000, tol: float = 1e-12
-) -> GridFunction:
+def invariant_density(map_desc: MapDescriptor, G: int = 1024, j_max: int = 10_000) -> GridFunction:
     """Eigenfunction at (s, t) = (1, 0), normalized to unit integral
     under midpoint quadrature."""
-    res = leading_eigenvalue(OperatorParams(1.0, (), (), j_max), map_desc, G=G, tol=tol)
+    res = leading_eigenvalue(OperatorParams(1.0, (), (), j_max), map_desc, G=G)
     f = res.eigenfunction
     cell = f.G ** -f.m
     f.values /= f.values.sum() * cell

@@ -30,6 +30,7 @@ reported alongside.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,42 +52,7 @@ def _dot(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# target sets and tables
-
-
-@dataclass(frozen=True)
-class TargetSet:
-    """Distinct digit labels to count (ints, or (a, b) pairs for JP)."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.labels) == 0:
-            raise ValueError("need at least one target label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("target labels must be distinct")
-
-    def __len__(self):
-        return len(self.labels)
-
-
-def count_digits(digits, targets) -> tuple:
-    """Occurrences of each target label in a digit string."""
-    labels = targets.labels if isinstance(targets, TargetSet) else tuple(targets)
-    counts = [0] * len(labels)
-    for d in digits:
-        lab = d.label if hasattr(d, "label") else d
-        for k, t in enumerate(labels):
-            if lab == t:
-                counts[k] += 1
-    return tuple(counts)
-
-
-def centre(nbar, w: float, lambda_bar) -> tuple:
-    """Centred counts: N_k - w * Lambda_k, entrywise."""
-    if len(nbar) != len(lambda_bar):
-        raise ValueError("dimension mismatch")
-    return tuple(n - w * lam for n, lam in zip(nbar, lambda_bar))
+# tables
 
 
 @dataclass
@@ -113,7 +79,7 @@ class EnsembleTable:
         self.mult = np.ascontiguousarray(self.mult[order])
 
     @classmethod
-    def from_records(cls, records, targets, algorithm=None, denominator_bound=0):
+    def from_records(cls, records, targets, algorithm=None):
         """Reduce a trajectory-record stream to its multiplicity table.
 
         Each record's digit counts are read from its `counts` (label ->
@@ -121,10 +87,9 @@ class EnsembleTable:
         digits), which is trusted to agree with `digits`; the digit string
         is not rescanned.
         """
-        targets = targets.labels if isinstance(targets, TargetSet) else tuple(targets)
+        targets = tuple(targets)
         rows: dict = {}
-        algo = algorithm
-        bound = denominator_bound
+        bound = 0
         mult = None
         for rec in records:
             key = (rec.point.denominator,) + tuple(rec.counts[t] for t in targets)
@@ -135,7 +100,7 @@ class EnsembleTable:
             raise ValueError("empty ensemble")
         keys = np.array(sorted(rows), dtype=np.int64)
         return cls(
-            algo or "unknown",
+            algorithm or "unknown",
             mult,
             targets,
             keys[:, 0],
@@ -155,10 +120,6 @@ class EnsembleTable:
     @property
     def weights(self) -> np.ndarray:
         return self.multiplier * np.log(self.qs.astype(np.float64))
-
-    def Q_nominal(self) -> float:
-        """Weight scale of the full table: multiplier * log(bound)."""
-        return self.multiplier * math.log(self.denominator_bound)
 
     def restrict(self, denominator_bound: int) -> "EnsembleTable":
         keep = self.qs <= denominator_bound
@@ -192,14 +153,13 @@ def _rows_sorted(keys) -> bool:
 # scalar statistics
 
 
-def empirical_lambda(table: EnsembleTable, Q: float | None = None) -> np.ndarray:
+def empirical_lambda(table: EnsembleTable, Q: float) -> np.ndarray:
     """Ensemble mean of counts over Q, one entry per target.
 
     The count sums are exact (int64 products and sums, below 2^63) and
     divided once."""
     if table.size == 0:
         raise ValueError("empty ensemble")
-    Q = table.Q_nominal() if Q is None else Q
     m = table.mult.astype(np.int64, copy=False)
     return np.array([
         int(np.dot(m, table.counts[:, k].astype(np.int64, copy=False))) / (Q * table.size)
@@ -207,9 +167,8 @@ def empirical_lambda(table: EnsembleTable, Q: float | None = None) -> np.ndarray
     ])
 
 
-def growth_constant(table: EnsembleTable, Q: float | None = None) -> tuple:
+def growth_constant(table: EnsembleTable, Q: float) -> tuple:
     """(ensemble size, size * exp(-Q))."""
-    Q = table.Q_nominal() if Q is None else Q
     n = table.size
     return n, n * math.exp(-Q)
 
@@ -330,7 +289,7 @@ def ks_distances(table: EnsembleTable, lambda_bar, Q: float, sigma_matrix) -> np
 def clt_summary(
     table: EnsembleTable,
     lambda_bar,
-    Q: float | None = None,
+    Q: float,
     sigma_matrix=None,
     bins: int = 101,
 ) -> EmpiricalSummary:
@@ -344,7 +303,6 @@ def clt_summary(
     """
     if table.size == 0:
         raise ValueError("empty ensemble")
-    Q = table.Q_nominal() if Q is None else Q
     lam = np.asarray(lambda_bar, dtype=np.float64)
     centred = _centred(table, lam)
     phi = [c / math.sqrt(Q) for c in centred]
@@ -381,24 +339,13 @@ def clt_summary(
     )
 
 
-def _multi_indices(d: int, max_order: int):
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if sum(prefix) >= 1:
-                yield tuple(prefix)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + [v], remaining - v, slots - 1)
-
-    seen = set()
-    for order in range(1, max_order + 1):
-        for ix in rec([], order, d):
-            if sum(ix) <= max_order:
-                seen.add(ix)
-    return sorted(seen, key=lambda ix: (sum(ix), ix))
+def _multi_indices(d: int, max_order: int) -> list:
+    """Every exponent tuple of length d and order 1..max_order, by order, then lexicographically."""
+    ixs = itertools.product(range(max_order + 1), repeat=d)
+    return sorted((ix for ix in ixs if 1 <= sum(ix) <= max_order), key=sum)
 
 
-def moment_table(table: EnsembleTable, lambda_bar, Q: float | None = None, max_order: int = 4) -> dict:
+def moment_table(table: EnsembleTable, lambda_bar, Q: float, max_order: int = 4) -> dict:
     """Normalized mixed moments of the centred counts.
 
     Entry p-hat maps to sum of phi^p-hat over the ensemble divided by
@@ -411,7 +358,6 @@ def moment_table(table: EnsembleTable, lambda_bar, Q: float | None = None, max_o
     """
     if table.size == 0:
         raise ValueError("empty ensemble")
-    Q = table.Q_nominal() if Q is None else Q
     return _moments(table, _centred(table, np.asarray(lambda_bar, dtype=np.float64)), Q, max_order)
 
 

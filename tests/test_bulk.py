@@ -74,6 +74,11 @@ class TestTableAgreement:
         )
         assert tables_equal(t1, t2)
 
+    def test_brun_default_targets(self):
+        t = bulk.brun2_ensemble_table(20)
+        assert t.targets == (1,)
+        assert table_digest(t) == table_digest(bulk.brun2_ensemble_table(20, targets=(1,)))
+
     def test_jp_matches_record_path(self):
         t1 = bulk.jp_ensemble_table(22, targets=((1, 2), (0, 1)))
         t2 = EnsembleTable.from_records(
@@ -415,6 +420,11 @@ def jp_length(p, r, q, after_diag):
 
 
 class TestVerifySweeps:
+    def test_ok_needs_matrix_entries_below_2_62(self):
+        # the largest checked matrix entry must stay below 2^62, the edge included
+        assert not bulk.VerifyReport(1, 0, 0.0, 2**62).ok
+        assert bulk.VerifyReport(1, 0, 0.0, 2**62 - 1).ok
+
     def test_gauss(self):
         rep = bulk.gauss_verify(400)
         assert rep.checked == bulk.totient_sum(400)

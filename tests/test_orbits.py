@@ -6,14 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfstats.maps import BRUN2, BRUN3, GAUSS, JP2, JPDigit, compose_string
+from cfstats.maps import BRUN2, BRUN3, GAUSS, JP2, JPDigit, compose_string, max_denominator
 from cfstats.orbits import (
-    BudgetError,
     NotExpandableError,
     RationalPoint,
     brun_gcd_digits,
     brun_trajectory_digits,
-    denominator_bound,
     enumerate_trajectories,
     euclid_digits,
     jp_digits,
@@ -167,7 +165,7 @@ class TestJPDigits:
 
 class TestEnumeration:
     def test_gauss_count_totient(self):
-        recs = list(enumerate_trajectories(GAUSS, Q=2 * math.log(5) + 1e-9))
+        recs = list(enumerate_trajectories(GAUSS, denominator_cap=5))
         assert len(recs) == 9
 
     def test_gauss_unique_and_ordered(self):
@@ -239,20 +237,10 @@ class TestEnumeration:
             for u, v in zip(rec.digits, rec.digits[1:]):
                 assert JP2.admissible(u, v)
 
-    def test_budget_error_before_work(self):
-        with pytest.raises(BudgetError):
-            next(enumerate_trajectories(GAUSS, Q=60.0, budget=1000))
-
-    def test_exactly_one_bound(self):
-        with pytest.raises(ValueError):
-            list(enumerate_trajectories(GAUSS, Q=3.0, denominator_cap=10))
-        with pytest.raises(ValueError):
-            list(enumerate_trajectories(GAUSS))
-
     def test_denominator_bound_strict(self):
         # w < Q strictly: at Q = 2 log 5 the point 4/5 itself is excluded
-        assert denominator_bound(GAUSS, 2 * math.log(5)) == 4
-        assert denominator_bound(GAUSS, 2 * math.log(5) + 1e-9) == 5
+        assert max_denominator(2, 2 * math.log(5)) == 4
+        assert max_denominator(2, 2 * math.log(5) + 1e-9) == 5
 
 
 class TestRationalPoint:

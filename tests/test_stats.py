@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from cfstats import bulk, stats
-from cfstats.maps import GAUSS, BRUN2, GaussDigit
-from cfstats.orbits import brun_gcd_digits, enumerate_trajectories
+from cfstats.maps import GAUSS, BRUN2
+from cfstats.orbits import enumerate_trajectories
 from cfstats.stats import (
     EnsembleTable,
-    TargetSet,
-    centre,
     clt_summary,
-    count_digits,
     dirichlet_partial_sum,
     empirical_lambda,
     gaussian_cdf,
@@ -56,6 +53,11 @@ def synthetic_table(rows, targets=(1,), algorithm="gauss", multiplier=2):
     return EnsembleTable(algorithm, multiplier, tuple(targets), qs, counts, mult, int(qs.max()))
 
 
+def nominal_Q(table):
+    """The weight scale of a whole table: multiplier * log(denominator bound)."""
+    return table.multiplier * math.log(table.denominator_bound)
+
+
 class TestTableOrder:
     def test_unsorted_rows_come_out_sorted(self):
         rows = [(5, (1, 0), 2), (3, (2, 1), 1), (5, (0, 3), 4), (3, (2, 0), 7), (4, (0, 0), 1)]
@@ -79,38 +81,7 @@ class TestTableOrder:
         assert sub.qs.max() == 8
 
 
-class TestCounting:
-    def test_examples(self):
-        assert count_digits([GaussDigit(2), GaussDigit(2)], TargetSet((1, 2))) == (0, 2)
-        assert count_digits([GaussDigit(2), GaussDigit(3)], TargetSet((2, 3, 5))) == (1, 1, 0)
-        labels, _ = brun_gcd_digits((5, 3, 2))
-        assert count_digits(labels, TargetSet((1,))) == (3,)
-
-    def test_counts_bounded_by_depth(self):
-        for rec in enumerate_trajectories(GAUSS, denominator_cap=40):
-            cv = count_digits(rec.digits, TargetSet((1, 2, 3)))
-            assert sum(cv) <= rec.depth
-
-    def test_target_set_validation(self):
-        with pytest.raises(ValueError):
-            TargetSet(())
-        with pytest.raises(ValueError):
-            TargetSet((1, 1))
-
-
 class TestCentre:
-    def test_zero(self):
-        assert centre((0,), 5.0, (0.0,)) == (0.0,)
-
-    def test_formula(self):
-        lam = 0.17
-        w = 2 * math.log(5)
-        assert centre((3,), w, (lam,)) == (3 - w * lam,)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            centre((1, 2), 1.0, (0.5,))
-
     def test_ensemble_mean_small_at_q15(self, gauss_small_table, coarse_gauss_deriv):
         # mean of phi_1/sqrt(Q) is near zero on the ensemble scale (the
         # residual is the finite-Q drift, a few percent of the spread)
@@ -125,20 +96,20 @@ class TestCentre:
 class TestEmpiricalLambda:
     def test_absent_target_zero(self):
         t = bulk.gauss_ensemble_table(50, targets=(1, 101))
-        lam = empirical_lambda(t)
+        lam = empirical_lambda(t, nominal_Q(t))
         assert lam[1] == 0.0
         assert lam[0] > 0
 
     def test_brun_stable_over_bound_increments(self):
-        a = empirical_lambda(bulk.brun2_ensemble_table(60, targets=(1,)))
-        b = empirical_lambda(bulk.brun2_ensemble_table(80, targets=(1,)))
+        ta, tb = bulk.brun2_ensemble_table(60, targets=(1,)), bulk.brun2_ensemble_table(80, targets=(1,))
+        a, b = empirical_lambda(ta, nominal_Q(ta)), empirical_lambda(tb, nominal_Q(tb))
         assert a[0] > 0 and b[0] > 0
         assert abs(b[0] / a[0] - 1) < 0.05
 
     def test_empty_raises(self, gauss_small_table):
         empty = gauss_small_table.restrict(1)
         with pytest.raises(ValueError):
-            empirical_lambda(empty)
+            empirical_lambda(empty, nominal_Q(empty))
 
     def test_count_sums_are_exact_integers(self):
         # float64 rounds the multiplicity 2**53 + 1 to 2**53, so a float sum
@@ -179,7 +150,7 @@ class TestKS:
         # a constant ensemble: phi identically zero against a continuous law
         t = synthetic_table([(5, (2,), 1000)])
         lam = np.array([2.0 / (2 * math.log(5))])
-        summ = clt_summary(t, lam, sigma_matrix=np.array([[0.2]]))
+        summ = clt_summary(t, lam, nominal_Q(t), sigma_matrix=np.array([[0.2]]))
         assert summ.covariance[0, 0] == 0.0
         assert summ.ks_distance[0] == pytest.approx(0.5)
 
@@ -298,19 +269,19 @@ class TestQFit:
 class TestCLTSummary:
     def test_covariance_psd_and_symmetric(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
-        summ = clt_summary(gauss_small_table, lam)
+        summ = clt_summary(gauss_small_table, lam, nominal_Q(gauss_small_table))
         cov = summ.covariance
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-12
 
     def test_low_confidence_flag(self):
         t = synthetic_table([(5, (1,), 20), (7, (2,), 30)])
-        summ = clt_summary(t, np.array([0.2]))
+        summ = clt_summary(t, np.array([0.2]), nominal_Q(t))
         assert summ.low_confidence
 
     def test_histogram_layout(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
-        summ = clt_summary(gauss_small_table, lam, bins=101)
+        summ = clt_summary(gauss_small_table, lam, nominal_Q(gauss_small_table), bins=101)
         edges, counts = summ.histograms[0]
         assert len(edges) == 102 and len(counts) == 101
         sig = math.sqrt(summ.sigma_spectral[0, 0])
@@ -348,7 +319,7 @@ class TestMoments:
             table, lam, max_order = gauss_small_table, np.array([0.415, 0.17]), 4
         else:
             table, lam, max_order = synthetic_d3_table(), np.array([0.415, 0.17, 0.093]), 6
-        Q = table.Q_nominal()
+        Q = nominal_Q(table)
         got = moment_table(table, lam, Q=Q, max_order=max_order)
         ref, phi = pow_moment_table(table, lam, Q, max_order)
         assert list(got) == list(ref)
@@ -379,7 +350,7 @@ class TestMoments:
 
     def test_second_moment_equals_covariance_bitwise(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
-        Q = gauss_small_table.Q_nominal()
+        Q = nominal_Q(gauss_small_table)
         summ = clt_summary(gauss_small_table, lam, Q=Q)
         moms = moment_table(gauss_small_table, lam, Q=Q)
         assert moms[(2, 0)] == pytest.approx(summ.covariance[0, 0], abs=1e-12)
@@ -390,14 +361,14 @@ class TestMoments:
         # keep the bits of the reductions that centre them on their own
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
         sigma = np.array([[0.21, 0.01], [0.01, 0.07]])
-        Q = 0.9 * gauss_small_table.Q_nominal()
+        Q = 0.9 * nominal_Q(gauss_small_table)
         summ = clt_summary(gauss_small_table, lam, Q=Q, sigma_matrix=sigma)
         assert summ.moments == moment_table(gauss_small_table, lam, Q=Q)
         assert np.array_equal(summ.ks_distance, ks_distances(gauss_small_table, lam, Q, sigma))
 
     def test_odd_moments_small(self, gauss_small_table, coarse_gauss_deriv):
         lam = -coarse_gauss_deriv.lambda_t_raw / coarse_gauss_deriv.lambda_s
-        moms = moment_table(gauss_small_table, lam)
+        moms = moment_table(gauss_small_table, lam, nominal_Q(gauss_small_table))
         assert abs(moms[(1, 0)]) < 0.2
         assert abs(moms[(3, 0)]) < 0.2
 
@@ -462,6 +433,12 @@ class TestLDP:
         assert out["proportion"] == pytest.approx([0.4, 1.0, 1.0, 1.0], abs=1e-12)
         assert ldp_tail(tables, 0, 0.25, eps=0.06)["proportion"] == [0.0, 1.0, 1.0, 1.0]
 
+    def test_deviation_at_eps_is_not_counted(self):
+        # n / Q - lambda = -0.25 and 0.25 exactly: on the band edge, so inside it
+        t = synthetic_table([(5, (1,), 1), (5, (3,), 1)])
+        out = ldp_tail([(4.0, t)] * 4, 0, 0.5, eps=0.25)
+        assert out["proportion"] == [0.0] * 4
+
     def test_continuity_corrected_extremes(self):
         out = ldp_tail(self.synthetic_grid(), 0, 0.17, eps=100.0, continuity=True)
         assert out["proportion"] == [0.0] * 4
@@ -489,6 +466,13 @@ class TestDirichlet:
                 phi[p::p] -= phi[p::p] / p
         oracle = float((phi[2:] / np.arange(2, 2001, dtype=np.float64) ** 4).sum())
         assert val == pytest.approx(oracle, rel=1e-12)
+
+    def test_grows_with_t(self):
+        # one row: 7 points at q = 3 with count 2, so the sum is 7 * 3^(-2s) * e^(2t)
+        t = synthetic_table([(3, (2,), 7)])
+        up, down = dirichlet_partial_sum(t, 1.0, (1.0,)), dirichlet_partial_sum(t, 1.0, (-1.0,))
+        assert up == pytest.approx(7 / 9 * math.exp(2.0), rel=1e-12)  # 5.75
+        assert down == pytest.approx(7 / 9 * math.exp(-2.0), rel=1e-12)  # 0.105
 
     def test_log_domain_guard(self):
         # terms underflow double precision; the log-domain path keeps them
