@@ -89,13 +89,11 @@ class EnsembleTable:
         """
         targets = tuple(targets)
         rows: dict = {}
-        bound = 0
         mult = None
         for rec in records:
             key = (rec.point.denominator,) + tuple(rec.counts[t] for t in targets)
             rows[key] = rows.get(key, 0) + 1
             mult = rec.weight_multiplier
-            bound = max(bound, rec.point.denominator)
         if not rows:
             raise ValueError("empty ensemble")
         keys = np.array(sorted(rows), dtype=np.int64)
@@ -106,7 +104,7 @@ class EnsembleTable:
             keys[:, 0],
             keys[:, 1:],
             np.array([rows[tuple(k)] for k in map(tuple, keys)], dtype=np.int64),
-            bound,
+            int(keys[-1, 0]),
         )
 
     @property
