@@ -488,6 +488,34 @@ class TestSpectralBytes:
                 h.update(part.tobytes())
         assert h.hexdigest() == self.MATRICES[name]
 
+    # eigenvalue_derivatives at the grids and caps of the tail-bar pins
+    DERIVATIVE_CASES = {
+        "gauss": (GAUSS, (1, 2), 64, 128),
+        "brun2": (BRUN2, (1, 2), 8, 16),
+        "jp2": (JP2, ((1, 2), (0, 1)), 8, 5),
+    }
+    DERIVATIVES = {
+        "gauss": "06201f8d2edffdb55358780aed8d52ffbac75997a38f5d87cab8a2131bdff275",
+        "brun2": "47163b05180044a849e7505711ecbd02986f8ca92195777730d0d97c655207e3",
+        "jp2": "efa642399700a67aa3c3b73ec5dfa284ad56df56c7bf430e9557065c6aee3bb0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_CASES))
+    def test_derivative_bytes_pinned(self, name):
+        desc, targets, G, j_max = self.DERIVATIVE_CASES[name]
+        d = eigenvalue_derivatives(desc, targets, G=G, j_max=j_max)
+        res = d.solve
+        floats = [
+            d.lambda_value, d.lambda_s, d.lambda_ss, d.lambda_t_raw, d.lambda_st_raw, d.hessian_raw,
+            d.frequencies, d.hessian_centred, d.lambda_s_bar, d.lambda_t_bar, d.hessian_bar,
+            res.eigenvalue, res.eigenfunction.values, res.residual, res.tail_bar,
+        ]
+        h = hashlib.sha256()
+        for x in floats:
+            h.update(np.asarray(x, dtype=np.float64).tobytes())
+        h.update(np.int64(res.iterations).tobytes())
+        assert h.hexdigest() == self.DERIVATIVES[name]
+
 
 class TestZetaDerivatives:
     # the exponents of the three tails near s = 1, and their shifts a >= 2
