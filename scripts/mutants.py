@@ -14,9 +14,11 @@ cases fails (an id without parameters names all of them).  The mutant is
 killed if every named test fails; it survives if one passes.  The script
 prints one line per mutant and exits 1 if a mutant survives, its old
 text is not found exactly once, or one of its tests does not run.
-tests/test_source.py checks in the fast suite that every old text still
-occurs exactly once; the mutant runs themselves (about 30 s on a 2-core
-box) are not part of it.
+EQUIVALENT lists edits that change no result, each with the reason, so
+that they are not proposed as mutants again; they are not run.
+tests/test_source.py checks in the fast suite that every old text of
+both lists still occurs exactly once; the mutant runs themselves (about
+30 s on a 2-core box) are not part of it.
 """
 
 import os
@@ -36,6 +38,14 @@ class Mutant(NamedTuple):
     old: str  # exact text, found once in path
     new: str
     tests: tuple  # pytest node ids, relative to the repository root, that must fail
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    reason: str  # why no result can change
 
 
 BULK, ORBITS, SPECTRAL = "src/cfstats/bulk.py", "src/cfstats/orbits.py", "src/cfstats/spectral.py"
@@ -172,6 +182,33 @@ MUTANTS = [
         "z1 / (cap + 1) + z0",
         "z1 / (cap + 2) + z0",
         ("tests/test_spectral.py::TestLeadingEigenvalue::test_tail_bar_pinned[jp2]",),
+    ),
+    # the derivatives solve on the matrix they build: a second build changes no byte
+    Mutant(
+        "derivatives-second-build", SPECTRAL,
+        "    res = _power_iteration(L, params, map_desc, G, tol=1e-13, max_iter=100_000)\n",
+        "    res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13)\n",
+        ("tests/test_spectral.py::TestOneBuildPerSolve::test_derivatives_read_the_table_once",),
+    ),
+]
+
+EQUIVALENT = [
+    Equivalent(
+        "ks-lattice-segment-closed", STATS,
+        "k = np.nonzero((c > x[:-1]) & (c < x[1:]))[0]",
+        "k = np.nonzero((c >= x[:-1]) & (c < x[1:]))[0]",
+        "at c = x_k the segment gives F[k] + slope[k] * 0.0 = F[k] and the Gaussian CDF at x_k, "
+        "the breakpoint term that the distance already holds",
+    ),
+    Equivalent(
+        "jp-closures-one-fancy-or", BULK,
+        "    for g, end in zip(groups, (sizes[0], sizes[0] + sizes[1], len(i))):\n"
+        "        mask[:, g] |= bits[:, end - len(g) : end]\n",
+        "    mask[:, i] |= bits\n",
+        "a fancy |= keeps one write per repeated state, so a state with both closures loses "
+        "some of bits 1-3; such a state has r and q divisible by p, a >= 1 and b >= 2, so its "
+        "floor child ends at the origin with b >= 2, bit 0 is set at both flags, and the lowest "
+        "set bit, its choice, does not change (tables identical at q <= 250)",
     ),
 ]
 

@@ -163,8 +163,7 @@ def max_denominator(multiplier: int, Q: float) -> int:
 class MapDescriptor:
     """One of the three algorithms together with its branch metadata.
 
-    base_point is the canonical terminator of the digit algorithm; the
-    terminal rule constrains the last digit of a canonical expansion
+    The terminal rule constrains the last digit of a canonical expansion
     (Gauss: j >= 2, JP: b >= 2, Brun: unconstrained).
     """
 
@@ -180,10 +179,6 @@ class MapDescriptor:
             raise ValueError("jp is implemented for m = 2 only")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-
-    @property
-    def base_point(self) -> tuple:
-        return (Fraction(0),) * self.m
 
     @property
     def weight_multiplier(self) -> int:
@@ -285,11 +280,6 @@ def brun(m: int) -> MapDescriptor:
 
 BRUN2 = brun(2)
 BRUN3 = brun(3)
-
-
-def compose(h1: Homography, h2: Homography) -> Homography:
-    """Function composition h1 o h2 as a matrix product."""
-    return h1.compose(h2)
 
 
 def compose_string(map_desc: MapDescriptor, digits) -> Homography:

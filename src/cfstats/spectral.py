@@ -31,9 +31,9 @@ _Assembly is the one matrix reader: it evaluates each chunk whole and
 sums the entries into a sparse matrix, duplicates coalesced batch by
 batch and the batches merged as a stack of partial sums, with its s-
 and t-derivatives as reweighted stencils.  leading_eigenvalue builds
-that matrix once and iterates products with it; operator_matrix is its dense form; the eigenvalue
-derivatives at (1, 0) come from perturbation theory around one
-leading_eigenvalue solve and the matrix with its derivatives.  The
+that matrix once and iterates products with it; operator_matrix is its
+dense form.  eigenvalue_derivatives builds it once with its derivatives,
+iterates on it, and applies perturbation theory around that solve.  The
 branches beyond j_max sit inside the closed-form fold; an integral
 bracket on them, the tail bar, is computed once per solve from the
 returned eigenfunction.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,10 +130,8 @@ class SpectralResult:
     eigenvalue: float
     eigenfunction: GridFunction
     iterations: int
-    final_change: float
     residual: float
     tail_bar: float
-    trace: list = field(default_factory=list, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -720,24 +718,16 @@ def operator_matrix(params: OperatorParams, map_desc: MapDescriptor, G: int) -> 
 # eigen-solve
 
 
-def leading_eigenvalue(
-    params: OperatorParams,
-    map_desc: MapDescriptor,
-    G: int = 1024,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
+def _power_iteration(
+    L, params: OperatorParams, map_desc: MapDescriptor, G: int, tol: float, max_iter: int
 ) -> SpectralResult:
-    """Dominant eigenvalue and positive eigenfunction by power iteration.
-
-    The operator is built once, as a sparse matrix with duplicate
-    entries coalesced (about 60 to 200 nonzeros per row), and each step
-    is one product with it.  Starts from the constant function,
-    renormalizes in sup norm, and stops when the eigenvalue ratio changes
-    by less than tol relatively.  The residual and the tail bar are
-    evaluated once, at the returned eigenfunction.
+    """Dominant eigenvalue and positive eigenfunction of the sparse
+    operator matrix L, one product with L per step.  Starts from the
+    constant function, renormalizes in sup norm, and stops when the
+    eigenvalue ratio changes by less than tol relatively.  The residual
+    and the tail bar are evaluated once, at the returned eigenfunction.
     """
-    tail_bar = _branch_table(map_desc, G)[1]
-    (L,) = _assemble(params, map_desc, G, 1)
+    tail_bar = _MAPS[map_desc.algorithm][1]
     shape = (G,) * map_desc.m
     f = np.ones(L.shape[0])
     lam_prev = None
@@ -753,17 +743,31 @@ def leading_eigenvalue(
             resid = float(np.abs(L @ g - lam * g).max())
             if (g <= 0).any():
                 raise ConvergenceError("eigenfunction is not strictly positive", trace)
-            change = abs(lam - lam_prev) / lam
             g = g.reshape(shape)
-            return SpectralResult(
-                lam, GridFunction(map_desc.m, G, g), it, change, resid / lam, tail_bar(g, params), trace
-            )
+            return SpectralResult(lam, GridFunction(map_desc.m, G, g), it, resid / lam, tail_bar(g, params))
         lam_prev = lam
         f = g
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
 
 
-def invariant_density(map_desc: MapDescriptor, G: int = 1024, j_max: int = 10_000) -> GridFunction:
+def leading_eigenvalue(
+    params: OperatorParams,
+    map_desc: MapDescriptor,
+    G: int,
+    tol: float = 1e-12,
+    max_iter: int = 100_000,
+) -> SpectralResult:
+    """Dominant eigenvalue and positive eigenfunction by power iteration.
+
+    The operator is built once, as a sparse matrix with duplicate
+    entries coalesced (about 60 to 200 nonzeros per row), and each step
+    is one product with it (_power_iteration).
+    """
+    (L,) = _assemble(params, map_desc, G, 1)
+    return _power_iteration(L, params, map_desc, G, tol, max_iter)
+
+
+def invariant_density(map_desc: MapDescriptor, G: int, j_max: int) -> GridFunction:
     """Eigenfunction at (s, t) = (1, 0), normalized to unit integral
     under midpoint quadrature."""
     res = leading_eigenvalue(OperatorParams(1.0, (), (), j_max), map_desc, G=G)
@@ -796,8 +800,8 @@ class DerivativeData:
     """Derivatives of the leading eigenvalue at (1, 0) (eigenvalue_derivatives).
 
     lambda_s and the raw t-gradient/Hessian describe the plain operator;
-    the centred entries apply the substitution s -> s - <Lambda, t> that
-    normalizes the digit weights.  The *_bar fields estimate the error
+    the centred Hessian applies the substitution s -> s - <Lambda, t>
+    that normalizes the digit weights.  The *_bar fields estimate the error
     of the linear algebra only (see eigenvalue_derivatives), not the
     collocation error of the grid or the j_max truncation.  solve is the
     power-iteration solve at (1, 0) that gave lambda_value, and j_max the
@@ -814,22 +818,20 @@ class DerivativeData:
     lambda_st_raw: np.ndarray
     hessian_raw: np.ndarray
     frequencies: np.ndarray
-    lambda_t_centred: np.ndarray
     hessian_centred: np.ndarray
     lambda_s_bar: float = 0.0
     lambda_t_bar: float = 0.0
     hessian_bar: float = 0.0
 
 
-def eigenvalue_derivatives(
-    map_desc: MapDescriptor, targets, G: int = 1024, j_max: int = 10_000
-) -> DerivativeData:
+def eigenvalue_derivatives(map_desc: MapDescriptor, targets, G: int, j_max: int) -> DerivativeData:
     """First and second derivatives of the eigenvalue at (1, 0), by
     eigenvalue perturbation theory around one power-iteration solve.
 
-    The solve gives lambda and phi.  With N = G^m nodes, L is the sparse
-    operator matrix (as in the solve, built again with its s- and
-    t-derivatives) and K the inverse of the bordered matrix
+    With N = G^m nodes, one read of the branch table gives the sparse
+    operator matrix L with its s- and t-derivatives; the power iteration
+    on that L (_power_iteration, tol 1e-13) gives lambda and phi.  K is
+    the inverse of the bordered matrix
     B = [[lambda I - L, phi], [phi^T, 0]].  For v, w in
     (s, t_1, ..., t_d), with L_v and L_vw the reweighted stencils:
 
@@ -852,10 +854,10 @@ def eigenvalue_derivatives(
     d = len(targets)
     N = _assembled_nodes(map_desc, G)
     params = OperatorParams(1.0, (0.0,) * d, targets, j_max)
-    res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13)
+    L, L_s, L_ss, *per_target = _assemble(params, map_desc, G, 3)
+    res = _power_iteration(L, params, map_desc, G, tol=1e-13, max_iter=100_000)
     lam0 = res.eigenvalue
     phi = res.eigenfunction.values.ravel()
-    L, L_s, L_ss, *per_target = _assemble(params, map_desc, G, 3)
 
     def first(x, transpose=False):
         """(L_v x) for every v, as columns."""
@@ -909,7 +911,6 @@ def eigenvalue_derivatives(
     # by <t, Lambda> w amounts to s -> s + <Lambda, t>, so all chain-rule
     # terms carry plus signs.
     freqs = -lam_t / lam_s
-    lam_t_centred = lam_t + freqs * lam_s  # zero by construction of freqs
     hess_c = (
         hess
         + np.outer(freqs, lam_st)
@@ -927,7 +928,6 @@ def eigenvalue_derivatives(
         lambda_st_raw=lam_st,
         hessian_raw=hess,
         frequencies=freqs,
-        lambda_t_centred=lam_t_centred,
         hessian_centred=hess_c,
         lambda_s_bar=float(bar1[0]),
         lambda_t_bar=float(bar1[1:].max(initial=0.0)),
@@ -935,28 +935,24 @@ def eigenvalue_derivatives(
     )
 
 
-def frequency_constants(map_desc, targets, G: int = 1024, j_max: int = 10_000, deriv=None):
-    """Asymptotic digit frequencies per unit weight, one per target.
+def frequency_constants(map_desc, targets, *, deriv: DerivativeData):
+    """Asymptotic digit frequencies per unit weight, one per target of
+    deriv (map_desc and targets are not read).
 
     A frequency must be strictly positive for every target inside the
     truncated branch set; a target beyond j_max is absent and yields 0.
-    G and j_max are ignored when deriv is given: its own j_max applies.
     """
-    data = deriv or eigenvalue_derivatives(map_desc, targets, G=G, j_max=j_max)
-    for lab, freq in zip(data.targets, data.frequencies):
+    for lab, freq in zip(deriv.targets, deriv.frequencies):
         j = lab if isinstance(lab, int) else lab[1]
-        if j <= data.j_max and freq <= 0:
+        if j <= deriv.j_max and freq <= 0:
             raise ConvergenceError(f"non-positive frequency for target {lab}: {freq}", [])
-    return data.frequencies
+    return deriv.frequencies
 
 
-def covariance_matrix(map_desc, targets, G: int = 1024, j_max: int = 10_000, deriv=None):
-    """Limit covariance of the centred counts, from the centred Hessian.
-
-    G and j_max are ignored when deriv is given.
-    """
-    data = deriv or eigenvalue_derivatives(map_desc, targets, G=G, j_max=j_max)
-    sigma = -data.hessian_centred / data.lambda_s
+def covariance_matrix(map_desc, targets, *, deriv: DerivativeData):
+    """Limit covariance of the centred counts, from the centred Hessian of
+    deriv (map_desc and targets are not read)."""
+    sigma = -deriv.hessian_centred / deriv.lambda_s
     sigma = 0.5 * (sigma + sigma.T)
     floor = np.linalg.eigvalsh(sigma).min()
     if floor < -1e-10 * max(1.0, abs(sigma).max()):

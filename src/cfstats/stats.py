@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,7 +251,6 @@ class EmpiricalSummary:
     ensemble_size: int
     Q: float
     targets: tuple
-    lambda_used: np.ndarray
     lambda_empirical: np.ndarray
     mean_phi: np.ndarray
     covariance: np.ndarray  # uncentered second moment of phi / sqrt(Q)
@@ -260,7 +259,6 @@ class EmpiricalSummary:
     histograms: list  # per target: (bin_edges, counts)
     moments: dict
     low_confidence: bool
-    ldp: dict = field(default_factory=dict)
 
 
 def _centred(table: EnsembleTable, lam: np.ndarray) -> list:
@@ -325,7 +323,6 @@ def clt_summary(
         ensemble_size=total,
         Q=Q,
         targets=table.targets,
-        lambda_used=lam,
         lambda_empirical=empirical_lambda(table, Q),
         mean_phi=mean_phi,
         covariance=cov,

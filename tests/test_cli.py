@@ -370,13 +370,13 @@ class TestSpectral:
         from cfstats import spectral
 
         calls = []
-        solve = spectral.leading_eigenvalue
+        solve = spectral._power_iteration
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "leading_eigenvalue", counted)
+        monkeypatch.setattr(spectral, "_power_iteration", counted)
         assert run(["spectral", "--algorithm", "gauss", "--targets", "1,2",
                     "--grid", "128", "--jmax", "512", "--out", str(tmp_path / "o")]) == 0
         # the solve behind the derivatives gives eigenvalue_at_1; the other

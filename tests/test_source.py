@@ -91,16 +91,52 @@ def test_gaussian_cdf_loads_scipy_special(tmp_path):
     assert out.split() == ["False", "True", "0.5"]
 
 
-def _mutants():
+def _mutants_script():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
 # scripts/mutants.py makes each edit on a copy and runs its tests, outside
 # this suite; here only its list is checked, so that it cannot rot silently
-@pytest.mark.parametrize("mutant", _mutants(), ids=lambda m: m.name)
+@pytest.mark.parametrize("mutant", _mutants_script().MUTANTS, ids=lambda m: m.name)
 def test_mutant_old_text_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
     assert mutant.new != mutant.old and mutant.tests
+
+
+@pytest.mark.parametrize("edit", _mutants_script().EQUIVALENT, ids=lambda m: m.name)
+def test_equivalent_old_text_occurs_once(edit):
+    assert (ROOT / edit.path).read_text().count(edit.old) == 1
+    assert edit.new != edit.old and edit.reason
+
+
+# Parameters that a public function takes without reading them, each with
+# its reason; every other parameter of a public module-level function is read.
+UNREAD_PARAMETERS = {
+    # perfbench passes these; they go with ROADMAP item 11's change to the benchmark
+    **{f"bulk.py:{name}:workers": "passed by perfbench" for name in (
+        "gauss_ensemble_table", "gauss_verify", "brun2_ensemble_table", "brun2_verify",
+        "jp_ensemble_table", "jp_verify")},
+    **{f"spectral.py:{name}:{param}": "passed positionally by perfbench"
+       for name in ("frequency_constants", "covariance_matrix") for param in ("map_desc", "targets")},
+    # every acceptance criterion has the signature (ctx)
+    **{f"acceptance.py:{name}:ctx": "one signature per criterion"
+       for name in ("a2_gauss_density", "a6_brun_density", "a10_witnesses")},
+}
+
+
+def test_public_functions_read_every_parameter():
+    found = set()
+    for path, tree in _parsed_modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+                read = {
+                    n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.update(f"{path.name}:{node.name}:{p}" for p in params if p not in read)
+    assert found == set(UNREAD_PARAMETERS)
