@@ -98,15 +98,18 @@ def _mutants_script():
     return module
 
 
+MUTANTS_SCRIPT = _mutants_script()
+
+
 # scripts/mutants.py makes each edit on a copy and runs its tests, outside
 # this suite; here only its list is checked, so that it cannot rot silently
-@pytest.mark.parametrize("mutant", _mutants_script().MUTANTS, ids=lambda m: m.name)
+@pytest.mark.parametrize("mutant", MUTANTS_SCRIPT.MUTANTS, ids=lambda m: m.name)
 def test_mutant_old_text_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
     assert mutant.new != mutant.old and mutant.tests
 
 
-@pytest.mark.parametrize("edit", _mutants_script().EQUIVALENT, ids=lambda m: m.name)
+@pytest.mark.parametrize("edit", MUTANTS_SCRIPT.EQUIVALENT, ids=lambda m: m.name)
 def test_equivalent_old_text_occurs_once(edit):
     assert (ROOT / edit.path).read_text().count(edit.old) == 1
     assert edit.new != edit.old and edit.reason
