@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,25 @@ class TestEnumerate:
             ["stats", "--algorithm", "gauss", "--denominator-bound", "10000000",
              "--targets", "1", "--budget", "10000000", "--out", str(tmp_path / "o")]
         ) == 3
+
+    # SHA-256 of trajectories.csv and its number of records, for each map
+    # at two bounds, as the record path writes them
+    @pytest.mark.parametrize("algorithm, targets, bound, n, pin", [
+        ("gauss", "1,2", 60, 1101, "da622ba334fadb414c7eb6c764600c6b5798ea1d05ec7b55bf206dc84048dc39"),
+        ("gauss", "1,2", 300, 27397, "0b9cf5f18b42cf06a29cc0b64002aa472995b3428b4e901cad0b76b2a29da8f7"),
+        ("brun2", "1,2", 12, 287, "f65390dcf631a1224fc1a90bd149a3cb5ec45d54bb987c2b824351a07d0cd5d6"),
+        ("brun2", "1,2", 40, 9389, "86dd82f99a47a4de4cd3e30c0c6c7bafbdb5e80f2ac0a2818349cdac0296c9a2"),
+        ("jp2", "1:2,0:1", 8, 148, "622d19ce30c84a5f1eb80b1508fa257ca0405aa46a4adcda257b2732f163848d"),
+        ("jp2", "1:2,0:1", 20, 2025, "2f767d2d193dac1411c0e140a4e43900eb350b2ef7f3a247f430c5bdab74e543"),
+        ("brun3", "1,2", 8, 289, "1ed69819ddc3e9441e086e0c7290a791978929685079640cdbd3e9eb7c47b0c0"),
+        ("brun3", "1,2", 16, 3462, "69f0b22163b2df56286168273a39f9990c40e1d3805921757b8ab0fc0f6972db"),
+    ])
+    def test_trajectories_bytes_pinned(self, tmp_path, algorithm, targets, bound, n, pin):
+        out = tmp_path / "o"
+        assert run(["enumerate", "--algorithm", algorithm, "--targets", targets,
+                    "--denominator-bound", str(bound), "--out", str(out)]) == 0
+        data = read(out / "trajectories.csv")
+        assert (data.count(b"\n") - 2, hashlib.sha256(data).hexdigest()) == (n, pin)
 
     def test_Q_bound_keeps_the_last_denominator_below_Q(self):
         # exp(Q / 3) rounds to just below 8 although 3 log 8 < Q
@@ -360,6 +380,18 @@ class TestSpectral:
         assert data["eigenvalue_iterations"] > 1
         assert 0 <= data["eigenvalue_residual"] < 1e-10
         assert (out / "density.csv").exists()
+
+    # SHA-256 of constants.json, the witnesses of gauss and brun2 included
+    @pytest.mark.parametrize("algorithm, targets, grid, jmax, pin", [
+        ("gauss", "1,2", "128", "512", "221ffaa733a5c165b9003d1fdcc033c91e4c12fd22b671a6ac58124ad0e89712"),
+        ("brun2", "1,2", "8", "16", "3a869cf2dfa1efae129a77847c2c1aeafcca45cf03ffcd29c2619a1592be6ce6"),
+        ("jp2", "1:2,0:1", "8", "5", "f208b484b7cd5acf8b39124e81990761fc9af8d0de3f7d217ef4e37e897e64a8"),
+    ])
+    def test_constants_bytes_pinned(self, tmp_path, algorithm, targets, grid, jmax, pin):
+        out = tmp_path / "o"
+        assert run(["spectral", "--algorithm", algorithm, "--targets", targets,
+                    "--grid", grid, "--jmax", jmax, "--out", str(out)]) == 0
+        assert hashlib.sha256(read(out / "constants.json")).hexdigest() == pin
 
     def test_grid_below_two_is_a_validation_error(self, tmp_path, capsys):
         assert run(["spectral", "--algorithm", "gauss", "--targets", "1", "--grid", "1",
