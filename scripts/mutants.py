@@ -190,6 +190,15 @@ MUTANTS = [
         "    res = leading_eigenvalue(params, map_desc, G=G, tol=1e-13)\n",
         ("tests/test_spectral.py::TestOneBuildPerSolve::test_derivatives_read_the_table_once",),
     ),
+    # cfstats spectral writes the density of the solve behind its constants: a
+    # second solve on the same grid moves the brun2 and jp2 bytes barely or not at all
+    Mutant(
+        "spectral-cli-second-solve", "src/cfstats/cli.py",
+        "    dens = spectral.invariant_density(deriv.solve)",
+        "    dens = spectral.invariant_density(spectral.leading_eigenvalue(spectral.OperatorParams("
+        "1.0, (), (), deriv.j_max), cfg.map_desc, G=deriv.solve.eigenfunction.G))",
+        ("tests/test_cli.py::TestSpectral::test_one_solve_per_operator",),
+    ),
 ]
 
 EQUIVALENT = [

@@ -141,7 +141,8 @@ def a1_gauss_lln(ctx: AcceptanceContext) -> CriterionResult:
 
 def a2_gauss_density(ctx: AcceptanceContext) -> CriterionResult:
     """Grid eigenfunction against 1/(log 2 (1+x)) at G = 4096."""
-    f = spectral.invariant_density(GAUSS, G=4096, j_max=10_000)
+    res = leading_eigenvalue(OperatorParams(1.0, (), (), 10_000), GAUSS, G=4096)
+    f = spectral.invariant_density(res)
     x = f.nodes[0]
     ref = spectral.gauss_density(x)
     rel = float((np.abs(f.values - ref) / ref).max())

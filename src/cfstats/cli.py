@@ -355,7 +355,6 @@ def cmd_stats(cfg: ExperimentConfig, mode: str = "stats") -> int:
 
 def cmd_spectral(cfg: ExperimentConfig) -> int:
     cfg.validate(need_bound=False)
-    G, jmax = _spectral_grid(cfg)
     deriv, lam, sigma = _spectral_constants(cfg)
     payload = {
         "config": _config_payload(cfg),
@@ -377,8 +376,7 @@ def cmd_spectral(cfg: ExperimentConfig) -> int:
         payload["witnesses"] = w.values
         payload["witness_fixed_points"] = w.fixed_points
         payload["witness_ratio_cf"] = w.ratio_cf
-    # density dump for plotting
-    dens = spectral.invariant_density(cfg.map_desc, G=min(G, 512), j_max=jmax)
+    dens = spectral.invariant_density(deriv.solve)  # the eigenfunction behind the constants
     _make_outdir(cfg.out)
     write_json(os.path.join(cfg.out, "constants.json"), payload)
     with open(os.path.join(cfg.out, "density.csv"), "w") as fh:

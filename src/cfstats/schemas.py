@@ -77,8 +77,8 @@ SCHEMAS = {
             "x": "float, grid node (one-dimensional maps)",
             "x1": "float, first coordinate of the grid node (two-dimensional maps)",
             "x2": "float, second coordinate of the grid node (two-dimensional maps)",
-            "value": "float, invariant density at the node, unit integral under midpoint "
-            "quadrature",
+            "value": "float, invariant density at the node: the eigenfunction of the solve "
+            "behind constants.json, on its grid (G^m nodes), unit integral under midpoint quadrature",
         },
         "order": "by x, or by x1 then x2",
     },

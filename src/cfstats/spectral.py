@@ -39,9 +39,10 @@ bracket on them, the tail bar, is computed once per solve from the
 returned eigenfunction.
 
 Dimensions 1 (Gauss) and 2 (Brun, Jacobi-Perron) are supported.  The
-invariant density, the digit frequency vector, the covariance matrix
-and the non-arithmeticity witnesses are derived from the leading
-eigenpair and its derivatives.
+invariant density (invariant_density, no solve of its own), the digit
+frequency vector and the covariance matrix come from one leading
+eigenpair at (1, 0) and its derivatives; the non-arithmeticity
+witnesses come from periodic points in closed form.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class OperatorParams:
     """
 
     s: float
-    t: tuple = ()
-    targets: tuple = ()
-    j_max: int = 10_000
+    t: tuple
+    targets: tuple
+    j_max: int
 
     def __post_init__(self):
         if len(self.t) != len(self.targets):
@@ -767,14 +768,14 @@ def leading_eigenvalue(
     return _power_iteration(L, params, map_desc, G, tol, max_iter)
 
 
-def invariant_density(map_desc: MapDescriptor, G: int, j_max: int) -> GridFunction:
-    """Eigenfunction at (s, t) = (1, 0), normalized to unit integral
-    under midpoint quadrature."""
-    res = leading_eigenvalue(OperatorParams(1.0, (), (), j_max), map_desc, G=G)
+def invariant_density(res: SpectralResult) -> GridFunction:
+    """The eigenfunction of res, a solve at (s, t) = (1, 0), normalized to
+    unit integral under midpoint quadrature, on the solve's own grid.
+
+    It is a new GridFunction: res.eigenfunction keeps its sup norm 1.
+    """
     f = res.eigenfunction
-    cell = f.G ** -f.m
-    f.values /= f.values.sum() * cell
-    return f
+    return GridFunction(f.m, f.G, f.values / (f.values.sum() * f.G ** -f.m))
 
 
 def gauss_density(x):

@@ -249,7 +249,6 @@ def q_fit(Qs, values, exponents) -> np.ndarray:
 @dataclass
 class EmpiricalSummary:
     ensemble_size: int
-    Q: float
     targets: tuple
     lambda_empirical: np.ndarray
     mean_phi: np.ndarray
@@ -321,7 +320,6 @@ def clt_summary(
     moments = _moments(table, centred, Q, max_order=4)
     return EmpiricalSummary(
         ensemble_size=total,
-        Q=Q,
         targets=table.targets,
         lambda_empirical=empirical_lambda(table, Q),
         mean_phi=mean_phi,

@@ -398,22 +398,52 @@ class TestSpectral:
                     "--out", str(tmp_path / "o")]) == 1
         assert "error: grid must be at least 2" in capsys.readouterr().err
 
-    def test_one_solve_per_operator(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("algorithm, targets, grid, jmax", [
+        ("gauss", "1,2", "128", "512"),
+        ("brun2", "1,2", "8", "16"),
+        ("jp2", "1:2,0:1", "8", "5"),
+    ])
+    def test_one_solve_per_operator(self, tmp_path, monkeypatch, algorithm, targets, grid, jmax):
         from cfstats import spectral
 
-        calls = []
-        solve = spectral._power_iteration
+        calls = {"_assemble": 0, "_power_iteration": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(spectral, "_power_iteration", counted)
-        assert run(["spectral", "--algorithm", "gauss", "--targets", "1,2",
-                    "--grid", "128", "--jmax", "512", "--out", str(tmp_path / "o")]) == 0
-        # the solve behind the derivatives gives eigenvalue_at_1; the other
-        # is the density at min(G, 512)
-        assert len(calls) == 2
+        for name in calls:
+            monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
+        assert run(["spectral", "--algorithm", algorithm, "--targets", targets,
+                    "--grid", grid, "--jmax", jmax, "--out", str(tmp_path / "o")]) == 0
+        # one build and one solve give the constants and the density
+        assert calls == {"_assemble": 1, "_power_iteration": 1}
+
+    def test_density_is_the_eigenfunction_behind_the_constants(self, tmp_path, monkeypatch):
+        from cfstats import spectral
+
+        derivs = []
+        real = spectral.eigenvalue_derivatives
+
+        def recorded(*args, **kwargs):
+            derivs.append(real(*args, **kwargs))
+            return derivs[-1]
+
+        monkeypatch.setattr(spectral, "eigenvalue_derivatives", recorded)
+        out = tmp_path / "o"
+        assert run(["spectral", "--algorithm", "gauss", "--targets", "1",
+                    "--grid", "600", "--jmax", "2048", "--out", str(out)]) == 0
+        rows = read(out / "density.csv").decode().strip().split("\n")[2:]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        (deriv,) = derivs
+        dens = spectral.invariant_density(deriv.solve)
+        assert values.shape == (600, 2)
+        assert np.array_equal(values[:, 0], dens.nodes[0])
+        assert np.array_equal(values[:, 1], dens.values)
+        # the density is a new function: the solve's eigenfunction keeps sup norm 1
+        assert deriv.solve.eigenfunction.values.max() == 1.0
 
     def test_target_beyond_jmax_has_zero_frequency(self, tmp_path):
         # the digit 200 lies outside a branch set capped at 16, so it is absent

@@ -167,14 +167,14 @@ class TestLeadingEigenvalue:
 
 class TestInvariantDensity:
     def test_gauss_closed_form(self):
-        f = invariant_density(GAUSS, G=512, j_max=4096)
+        f = invariant_density(leading_eigenvalue(OperatorParams(1.0, (), (), 4096), GAUSS, G=512))
         x = f.nodes[0]
         ref = gauss_density(x)
         assert float((np.abs(f.values - ref) / ref).max()) < 1e-4
         assert f.values[0] == pytest.approx(1.0 / math.log(2.0), rel=1e-3)
 
     def test_unit_integral(self):
-        f = invariant_density(GAUSS, G=256, j_max=1024)
+        f = invariant_density(leading_eigenvalue(OperatorParams(1.0, (), (), 1024), GAUSS, G=256))
         assert f.values.mean() == pytest.approx(1.0, abs=1e-12)
 
 
