@@ -79,7 +79,7 @@ class TestEnumerate:
         ("jp2", "1:2,0:1", 20, 2025, "2f767d2d193dac1411c0e140a4e43900eb350b2ef7f3a247f430c5bdab74e543"),
         ("brun3", "1,2", 8, 289, "1ed69819ddc3e9441e086e0c7290a791978929685079640cdbd3e9eb7c47b0c0"),
         ("brun3", "1,2", 16, 3462, "69f0b22163b2df56286168273a39f9990c40e1d3805921757b8ab0fc0f6972db"),
-    ])
+    ], ids=["gauss-60", "gauss-300", "brun2-12", "brun2-40", "jp2-8", "jp2-20", "brun3-8", "brun3-16"])
     def test_trajectories_bytes_pinned(self, tmp_path, algorithm, targets, bound, n, pin):
         out = tmp_path / "o"
         assert run(["enumerate", "--algorithm", algorithm, "--targets", targets,
@@ -386,7 +386,7 @@ class TestSpectral:
         ("gauss", "1,2", "128", "512", "221ffaa733a5c165b9003d1fdcc033c91e4c12fd22b671a6ac58124ad0e89712"),
         ("brun2", "1,2", "8", "16", "3a869cf2dfa1efae129a77847c2c1aeafcca45cf03ffcd29c2619a1592be6ce6"),
         ("jp2", "1:2,0:1", "8", "5", "f208b484b7cd5acf8b39124e81990761fc9af8d0de3f7d217ef4e37e897e64a8"),
-    ])
+    ], ids=["gauss", "brun2", "jp2"])
     def test_constants_bytes_pinned(self, tmp_path, algorithm, targets, grid, jmax, pin):
         out = tmp_path / "o"
         assert run(["spectral", "--algorithm", algorithm, "--targets", targets,
@@ -402,7 +402,7 @@ class TestSpectral:
         ("gauss", "1,2", "128", "512"),
         ("brun2", "1,2", "8", "16"),
         ("jp2", "1:2,0:1", "8", "5"),
-    ])
+    ], ids=["gauss", "brun2", "jp2"])
     def test_one_solve_per_operator(self, tmp_path, monkeypatch, algorithm, targets, grid, jmax):
         from cfstats import spectral
 
